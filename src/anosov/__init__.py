@@ -87,6 +87,7 @@ from .certify import (
     certify_anosov,
     compound_rep,
     gap_profile,
+    gap_profiles,
     limit_map_sample,
     pingpong_power,
     pingpong_subgroup,

@@ -7,15 +7,15 @@ deformation paths, and a projective ping-pong power search.
 
 Verdicts produced here are empirical statements about a finite ball radius,
 never proofs.  Identical inputs (including seeds) give byte-identical
-reports; thread counts only partition work and cannot change any output.
+reports.  Scans run single-threaded; the ``threads`` arguments are accepted
+for compatibility and ignored.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -50,20 +50,9 @@ from .words import (
     word_str,
 )
 
-_T = TypeVar("_T")
-_U = TypeVar("_U")
-
 REFUTATION_TOL = 1e-9
 DEFAULT_ALPHA_MIN = 0.05
 DEFAULT_ELL_MIN = 2
-
-
-def _parallel_map(fn: Callable[[_T], _U], items: Sequence[_T], threads: int) -> list[_U]:
-    """Order-preserving map; results do not depend on the thread count."""
-    if threads <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _ball_matrices(
@@ -115,34 +104,51 @@ class GapProfile:
         return out
 
 
+def gap_profiles(
+    rep: Representation, ks: Sequence[int], radius: int
+) -> list[GapProfile]:
+    """One gap profile per k in ``ks``, read from one SVD per canonical word.
+
+    Each profile holds log(sigma_k / sigma_{k+1}) and log(sigma_1 / sigma_d)
+    per word.  Every k is checked against the dimension before the ball is
+    enumerated.
+    """
+    d = rep.dim
+    for k in ks:
+        if not 1 <= k <= d - 1:
+            raise DimensionMismatch(f"k={k} out of range for dimension {d}")
+    ball = enumerate_ball(rep.presentation, radius)
+    words, mats = _ball_matrices(rep, ball)
+    rows: list[list[GapRow]] = [[] for _ in ks]
+    for w, m in zip(words, mats):
+        sv = singular_values(m)
+        word, length, log_total = str(w), len(w), sv.log_total_ratio
+        for k, k_rows in zip(ks, rows):
+            k_rows.append(
+                GapRow(
+                    word=word,
+                    length=length,
+                    log_gap=max(sv.log_gap(k), 0.0),
+                    log_total=log_total,
+                )
+            )
+    return [
+        GapProfile(
+            k=k,
+            radius=radius,
+            dim=d,
+            presentation=rep.presentation.describe(),
+            rows=tuple(k_rows),
+        )
+        for k, k_rows in zip(ks, rows)
+    ]
+
+
 def gap_profile(
     rep: Representation, k: int, radius: int, threads: int = 1
 ) -> GapProfile:
-    """log(sigma_k / sigma_{k+1}) and log(sigma_1 / sigma_d) per canonical word."""
-    d = rep.dim
-    if not 1 <= k <= d - 1:
-        raise DimensionMismatch(f"k={k} out of range for dimension {d}")
-    ball = enumerate_ball(rep.presentation, radius)
-    words, mats = _ball_matrices(rep, ball)
-
-    def row(iw: tuple[Word, ScaledMatrix]) -> GapRow:
-        w, m = iw
-        sv = singular_values(m)
-        return GapRow(
-            word=str(w),
-            length=len(w),
-            log_gap=max(sv.log_gap(k), 0.0),
-            log_total=sv.log_total_ratio,
-        )
-
-    rows = _parallel_map(row, list(zip(words, mats)), threads)
-    return GapProfile(
-        k=k,
-        radius=radius,
-        dim=d,
-        presentation=rep.presentation.describe(),
-        rows=tuple(rows),
-    )
+    """The gap profile at one k; ``threads`` is accepted and ignored."""
+    return gap_profiles(rep, [k], radius)[0]
 
 
 @dataclass(frozen=True)
@@ -299,8 +305,7 @@ def scan_positivity(
     ball = enumerate_ball(rep.presentation, radius)
     words, mats = _ball_matrices(crep, ball)
 
-    def row(iw: tuple[Word, ScaledMatrix]) -> PositivityRow:
-        w, m = iw
+    def row(w: Word, m: ScaledMatrix) -> PositivityRow:
         sp = spectrum(m, eps_gap=eps_gap)
         proximal = sp.is_proximal(1) if m.dim > 1 else False
         return PositivityRow(
@@ -312,7 +317,7 @@ def scan_positivity(
             log_gap=sp.log_gap(1) if m.dim > 1 else 0.0,
         )
 
-    rows = _parallel_map(row, list(zip(words, mats)), threads)
+    rows = [row(w, m) for w, m in zip(words, mats)]
     n_proximal = sum(1 for r in rows if r.proximal)
     n_negative = sum(1 for r in rows if r.proximal and r.ell1_sign < 0)
     witness = next(
@@ -597,6 +602,17 @@ def _contraction_sup(
     return float(np.sqrt(np.maximum(0.0, 1.0 - projections**2)).max())
 
 
+def _conjugator(
+    rep: Representation, t: Word | Sequence[int] | np.ndarray | ScaledMatrix
+) -> ScaledMatrix:
+    """The image of a group word, or an explicit conjugating matrix as given."""
+    if isinstance(t, (Word, tuple, list)):
+        return evaluate(rep, t)
+    if isinstance(t, ScaledMatrix):
+        return t
+    return ScaledMatrix.from_array(np.asarray(t, dtype=float))
+
+
 def pingpong_power(
     rep: Representation,
     g: Word | Sequence[int],
@@ -622,12 +638,7 @@ def pingpong_power(
     tol = math.log1p(eps_gap)
     if not (sp.log_gap(1) > tol and sp.log_gap(mg.dim - 1) > tol):
         raise NotBiproximal("base element is not biproximal at k = 1")
-    if isinstance(t, (Word, tuple, list)):
-        conj = evaluate(rep, t)
-    elif isinstance(t, ScaledMatrix):
-        conj = t
-    else:
-        conj = ScaledMatrix.from_array(np.asarray(t, dtype=float))
+    conj = _conjugator(rep, t)
     if conj.dim != mg.dim:
         raise DimensionMismatch("conjugator dimension mismatch")
 
@@ -705,12 +716,7 @@ def pingpong_subgroup(
 ) -> Representation:
     """Free rank-2 representation generated by g^n and (t g t^-1)^n."""
     mg = evaluate(rep, g)
-    if isinstance(t, (Word, tuple, list)):
-        conj = evaluate(rep, t)
-    elif isinstance(t, ScaledMatrix):
-        conj = t
-    else:
-        conj = ScaledMatrix.from_array(np.asarray(t, dtype=float))
+    conj = _conjugator(rep, t)
     b_mat = conj @ mg @ conj.inverse()
     return Representation.from_generators(
         Presentation.free(2), [mg.power(n), b_mat.power(n)]

@@ -8,15 +8,16 @@ Exit codes: 0 success (Certified / PositivelyProximal / found, as the
 command requests), 1 refuted (Refuted / NotPositivelyProximal / audit
 failure), 2 inconclusive, 3 usage or configuration error.
 
-All randomness flows through the single seed recorded in the summary.  The
-thread count is an execution knob, deliberately excluded from the config
-echo so that runs with different thread counts are byte-identical.
+All randomness flows through the single seed recorded in the summary.  Runs
+are single-threaded: ``--threads`` is accepted for compatibility and ignored,
+and it is left out of the config echo.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -84,7 +85,7 @@ class ExperimentConfig:
             raise ConfigError("construction descriptor needs a 'kind'")
 
     def echo(self) -> dict:
-        # threads intentionally omitted: outputs must not depend on it
+        # threads omitted: it is ignored
         return {
             "construction": self.construction,
             "k": self.k,
@@ -193,14 +194,10 @@ def _gap_csv(out: Path, profiles: list[cert.GapProfile]) -> None:
 
 
 def cmd_certify(cfg: ExperimentConfig, rep: Representation, out: Path, profile_only: bool) -> int:
-    profiles, estimates = [], []
-    for k in cfg.k:
-        profile = cert.gap_profile(rep, k, cfg.radius, threads=cfg.threads)
-        profiles.append(profile)
-        if not profile_only:
-            estimates.append(
-                cert.certify_anosov(profile, alpha_min=cfg.alpha_min, ell_min=cfg.ell_min)
-            )
+    profiles = cert.gap_profiles(rep, cfg.k, cfg.radius)
+    estimates = [] if profile_only else [
+        cert.certify_anosov(p, alpha_min=cfg.alpha_min, ell_min=cfg.ell_min) for p in profiles
+    ]
     _gap_csv(out, profiles)
     summary = _summary_base(cfg, "gap-profile" if profile_only else "certify", rep)
     if profile_only:
@@ -273,8 +270,14 @@ def cmd_scan_positivity(cfg: ExperimentConfig, rep: Representation, out: Path) -
     return code
 
 
+def _single_k(cfg: ExperimentConfig, command: str) -> int:
+    if len(cfg.k) != 1:
+        raise ConfigError(f"{command} takes one k, got {cfg.k}")
+    return cfg.k[0]
+
+
 def cmd_limit_set(cfg: ExperimentConfig, rep: Representation, out: Path) -> int:
-    k = cfg.k[0]
+    k = _single_k(cfg, "limit-set")
     try:
         samples = cert.limit_map_sample(rep, k, cfg.radius, eps_gap=cfg.eps_gap, seed=cfg.seed)
     except NoProximalElements as exc:
@@ -309,8 +312,8 @@ def cmd_limit_set(cfg: ExperimentConfig, rep: Representation, out: Path) -> int:
 
 
 def cmd_deform(cfg: ExperimentConfig, rep: Representation, out: Path) -> int:
+    k = _single_k(cfg, "deform")
     path = perturb_path(rep, cfg.magnitude, cfg.seed, cfg.steps)
-    k = cfg.k[0]
     ball = enumerate_ball(rep.presentation, cfg.radius)
     traces = [
         cert.track_ell1_along_path(path, w, k, eps_gap=cfg.eps_gap)
@@ -394,6 +397,27 @@ def cmd_construct(cfg: ExperimentConfig, rep: Representation, out: Path) -> int:
     return EXIT_OK
 
 
+def _commands() -> dict:
+    """Subcommand -> (handler, extra flags as (flag, type, config field)).
+
+    Built on each call, so the handlers are looked up when the CLI runs.
+    """
+    return {
+        "construct": (cmd_construct, [("--emit", str, "emit")]),
+        "certify": (functools.partial(cmd_certify, profile_only=False), []),
+        "gap-profile": (functools.partial(cmd_certify, profile_only=True), []),
+        "scan-positivity": (cmd_scan_positivity, []),
+        "limit-set": (cmd_limit_set, []),
+        "deform": (cmd_deform, [("--magnitude", float, "magnitude"), ("--steps", int, "steps")]),
+        "pingpong": (cmd_pingpong, [
+            ("--g", str, "g_word"),
+            ("--t", str, "t_word"),
+            ("--t-rotation", float, "t_rotation"),
+            ("--max-n", int, "max_n"),
+        ]),
+    }
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anosov",
@@ -401,15 +425,7 @@ def _parser() -> argparse.ArgumentParser:
         "of free and surface groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "construct",
-        "certify",
-        "gap-profile",
-        "scan-positivity",
-        "limit-set",
-        "deform",
-        "pingpong",
-    ):
+    for name, (_, flags) in _commands().items():
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--construction", type=str, default=None,
@@ -423,37 +439,9 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha-min", type=float, default=None)
         p.add_argument("--ell-min", type=int, default=None)
         p.add_argument("--cond-threshold", type=float, default=None)
-        if name == "deform":
-            p.add_argument("--magnitude", type=float, default=None)
-            p.add_argument("--steps", type=int, default=None)
-        if name == "pingpong":
-            p.add_argument("--g", type=str, default=None)
-            p.add_argument("--t", type=str, default=None)
-            p.add_argument("--t-rotation", type=float, default=None)
-            p.add_argument("--max-n", type=int, default=None)
-        if name == "construct":
-            p.add_argument("--emit", type=str, default=None)
+        for flag, kind, dest in flags:
+            p.add_argument(flag, type=kind, default=None, dest=dest)
     return parser
-
-
-_FLAG_FIELDS = {
-    "radius": "radius",
-    "k": "k",
-    "seed": "seed",
-    "threads": "threads",
-    "out": "out",
-    "eps_gap": "eps_gap",
-    "alpha_min": "alpha_min",
-    "ell_min": "ell_min",
-    "cond_threshold": "cond_threshold",
-    "magnitude": "magnitude",
-    "steps": "steps",
-    "g": "g_word",
-    "t": "t_word",
-    "t_rotation": "t_rotation",
-    "max_n": "max_n",
-    "emit": "emit",
-}
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -475,15 +463,16 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"bad inline construction JSON: {exc.msg}")
     if "construction" not in data:
         raise ConfigError("no construction given (use --config or --construction)")
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
+    fields = ExperimentConfig.__dataclass_fields__
     for key in data:
-        if key not in known and key != "threads":
+        if key not in fields:
             raise ConfigError(f"unknown config field {key!r}")
-    cfg = ExperimentConfig(**{k: v for k, v in data.items() if k in known})
-    for flag, attr in _FLAG_FIELDS.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            setattr(cfg, attr, val)
+    cfg = ExperimentConfig(**data)
+    for name in fields:
+        # args.construction is the raw JSON text, already parsed into data
+        val = getattr(args, name, None)
+        if name != "construction" and val is not None:
+            setattr(cfg, name, val)
     cfg.validate()
     return cfg
 
@@ -495,21 +484,8 @@ def main(argv: list[str] | None = None) -> int:
         rep = build_representation(cfg.construction)
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "construct":
-            return cmd_construct(cfg, rep, out)
-        if args.command == "certify":
-            return cmd_certify(cfg, rep, out, profile_only=False)
-        if args.command == "gap-profile":
-            return cmd_certify(cfg, rep, out, profile_only=True)
-        if args.command == "scan-positivity":
-            return cmd_scan_positivity(cfg, rep, out)
-        if args.command == "limit-set":
-            return cmd_limit_set(cfg, rep, out)
-        if args.command == "deform":
-            return cmd_deform(cfg, rep, out)
-        if args.command == "pingpong":
-            return cmd_pingpong(cfg, rep, out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        handler, _ = _commands()[args.command]
+        return handler(cfg, rep, out)
     except (ConfigError, ToolkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anosov import (
+    DimensionMismatch,
     InsufficientRadius,
     NoProximalElements,
     NotBiproximal,
@@ -20,6 +21,7 @@ from anosov import (
     enumerate_ball,
     evaluate,
     gap_profile,
+    gap_profiles,
     limit_map_sample,
     orthonormalize,
     parse_word,
@@ -80,6 +82,14 @@ class TestGapProfile:
     def test_row_count_matches_ball(self, schottky):
         profile = gap_profile(schottky, 1, 4)
         assert len(profile.rows) == len(enumerate_ball(F2, 4))
+
+    def test_one_pass_matches_per_k_profiles(self, tau2rep):
+        profiles = gap_profiles(tau2rep, [1, 2], 4)
+        assert profiles == [gap_profile(tau2rep, 1, 4), gap_profile(tau2rep, 2, 4)]
+
+    def test_one_pass_rejects_out_of_range_k(self, schottky):
+        with pytest.raises(DimensionMismatch):
+            gap_profiles(schottky, [1, 2], 4)
 
 
 class TestCertifyAnosov:

@@ -18,6 +18,11 @@ def run(*argv):
     return main(list(argv))
 
 
+def csv_columns(path):
+    """The CSV's columns as tuples of raw text, header first."""
+    return list(zip(*(line.split(",") for line in path.read_text().splitlines())))
+
+
 class TestConfigHandling:
     def test_negative_radius_is_usage_error(self, tmp_path):
         code = run("certify", "--construction", SCHOTTKY, "--radius", "-1",
@@ -92,6 +97,15 @@ class TestCertifyCommand:
         assert code == EXIT_REFUTED  # k=1 refutes even though k=2 certifies
         header = (out / "gap_profile.csv").read_text().splitlines()[0]
         assert header == "word,length,log_gap_1,log_gap_2,log_total_ratio"
+        both = csv_columns(out / "gap_profile.csv")
+        for i, k in enumerate(("1", "2")):
+            single = tmp_path / f"k{k}"
+            run("certify", "--construction", TAU2, "--k", k,
+                "--radius", "4", "--out", str(single))
+            alone = csv_columns(single / "gap_profile.csv")
+            assert alone[:2] == both[:2]
+            assert alone[2] == both[2 + i]
+            assert alone[-1] == both[-1]
 
     def test_gap_profile_command(self, tmp_path):
         out = tmp_path / "run"
@@ -148,6 +162,22 @@ class TestOtherCommands:
                    "--out", str(out))
         assert code == EXIT_OK
         assert (out / "deform_traces.csv").exists()
+
+    def test_deform_rejects_several_k(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run("deform", "--construction", '{"kind":"schottky"}', "--k", "1", "7",
+                   "--out", str(out))
+        assert code == EXIT_USAGE
+        assert "deform takes one k" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_limit_set_rejects_several_k(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run("limit-set", "--construction", TAU2, "--k", "2", "1",
+                   "--radius", "3", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert "limit-set takes one k" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     def test_deform_magnitude_guard(self, tmp_path):
         code = run("deform", "--construction", SCHOTTKY, "--magnitude", "0.5",
