@@ -1,8 +1,9 @@
 """Word machinery: reduction, canonical forms, ball enumeration.
 
-Free groups reduce by cancellation alone; surface groups also apply Dehn
-moves against the cyclic commutator relator.  Balls are enumerated in
-shortlex order with canonical-form deduplication.
+Free groups reduce by cancellation alone; surface groups also swap half of
+the cyclic commutator relator for the inverse of the other half, a move that
+includes every Dehn step.  Balls are enumerated in shortlex order with
+canonical-form deduplication.
 """
 
 import numpy as np

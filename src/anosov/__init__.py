@@ -57,6 +57,7 @@ from .words import (
     Word,
     enumerate_ball,
     evaluate,
+    evaluate_ball,
     parse_word,
     reduce_word,
     word_str,
@@ -92,6 +93,7 @@ from .certify import (
     pingpong_power,
     pingpong_subgroup,
     scan_positivity,
+    scan_positivities,
     track_ell1_along_path,
 )
 

@@ -39,13 +39,13 @@ from .linalg import (
     spectrum,
 )
 from .words import (
-    Ball,
     Presentation,
     Representation,
     Word,
     conjugacy_key,
     enumerate_ball,
     evaluate,
+    evaluate_ball,
     is_primitive_cyclic,
     word_str,
 )
@@ -53,15 +53,6 @@ from .words import (
 REFUTATION_TOL = 1e-9
 DEFAULT_ALPHA_MIN = 0.05
 DEFAULT_ELL_MIN = 2
-
-
-def _ball_matrices(
-    rep: Representation, ball: Ball
-) -> tuple[list[Word], list[ScaledMatrix]]:
-    """Evaluate every ball word once, sharing prefixes (one multiply per word)."""
-    cache: dict[tuple[int, ...], ScaledMatrix] = {}
-    words = list(ball.words())
-    return words, [evaluate(rep, w, cache) for w in words]
 
 
 def compound_rep(rep: Representation, k: int) -> Representation:
@@ -118,9 +109,8 @@ def gap_profiles(
         if not 1 <= k <= d - 1:
             raise DimensionMismatch(f"k={k} out of range for dimension {d}")
     ball = enumerate_ball(rep.presentation, radius)
-    words, mats = _ball_matrices(rep, ball)
     rows: list[list[GapRow]] = [[] for _ in ks]
-    for w, m in zip(words, mats):
+    for w, m in zip(ball.words(), evaluate_ball(rep, ball)):
         sv = singular_values(m)
         word, length, log_total = str(w), len(w), sv.log_total_ratio
         for k, k_rows in zip(ks, rows):
@@ -288,6 +278,77 @@ class PositivityReport:
     semiproximal_failures: tuple[str, ...]
 
 
+def _positivity_row(w: Word, m: ScaledMatrix, eps_gap: float) -> PositivityRow:
+    sp = spectrum(m, eps_gap=eps_gap)
+    proximal = sp.is_proximal(1) if m.dim > 1 else False
+    return PositivityRow(
+        word=str(w),
+        length=len(w),
+        proximal=proximal,
+        ell1_sign=sp.top_sign or 0,
+        semiproximal_positive=sp.is_semiproximal_positive,
+        log_gap=sp.log_gap(1) if m.dim > 1 else 0.0,
+    )
+
+
+def scan_positivities(
+    rep: Representation,
+    ks: Sequence[int],
+    radius: int,
+    eps_gap: float = EPS_GAP,
+) -> list[PositivityReport]:
+    """Scan signed top eigenvalues of the induced exterior-power actions.
+
+    Every compound representation is built before the ball is enumerated,
+    so an out-of-range k fails first; the ball is then enumerated once and
+    walked once per k with that k's compound generator images.  A
+    NotPositivelyProximal witness is re-verified through the independent
+    route (compound of the base-dimension product, fresh eigensolve).
+    """
+    creps = [compound_rep(rep, k) for k in ks]
+    ball = enumerate_ball(rep.presentation, radius)
+    words = list(ball.words())
+    reports = []
+    for k, crep in zip(ks, creps):
+        rows = [
+            _positivity_row(w, m, eps_gap)
+            for w, m in zip(words, evaluate_ball(crep, ball))
+        ]
+        n_proximal = sum(1 for r in rows if r.proximal)
+        n_negative = sum(1 for r in rows if r.proximal and r.ell1_sign < 0)
+        witness = next(
+            (r.word for r in rows if r.proximal and r.ell1_sign < 0), None
+        )
+        if n_proximal == 0:
+            verdict = "NoProximalFound"
+        elif witness is not None:
+            verdict = "NotPositivelyProximal"
+        else:
+            verdict = "PositivelyProximal"
+        recheck = False
+        if witness is not None:
+            base = evaluate(rep, next(w for w in words if str(w) == witness))
+            lifted = compound_matrix(base, k) if k > 1 else base
+            sp = spectrum(lifted, eps_gap=eps_gap)
+            recheck = sp.is_proximal(1) and sp.top_sign == -1
+        failures = tuple(r.word for r in rows if not r.semiproximal_positive)
+        reports.append(
+            PositivityReport(
+                k=k,
+                radius=radius,
+                dim_scanned=crep.dim,
+                rows=tuple(rows),
+                n_proximal=n_proximal,
+                n_negative=n_negative,
+                verdict=verdict,
+                witness=witness,
+                witness_recheck=recheck,
+                semiproximal_failures=failures,
+            )
+        )
+    return reports
+
+
 def scan_positivity(
     rep: Representation,
     k: int,
@@ -295,59 +356,8 @@ def scan_positivity(
     eps_gap: float = EPS_GAP,
     threads: int = 1,
 ) -> PositivityReport:
-    """Scan signed top eigenvalues of the induced exterior-power action.
-
-    The scan multiplies compound generator images along the ball; a
-    NotPositivelyProximal witness is re-verified through the independent
-    route (compound of the base-dimension product, fresh eigensolve).
-    """
-    crep = compound_rep(rep, k)
-    ball = enumerate_ball(rep.presentation, radius)
-    words, mats = _ball_matrices(crep, ball)
-
-    def row(w: Word, m: ScaledMatrix) -> PositivityRow:
-        sp = spectrum(m, eps_gap=eps_gap)
-        proximal = sp.is_proximal(1) if m.dim > 1 else False
-        return PositivityRow(
-            word=str(w),
-            length=len(w),
-            proximal=proximal,
-            ell1_sign=sp.top_sign or 0,
-            semiproximal_positive=sp.is_semiproximal_positive,
-            log_gap=sp.log_gap(1) if m.dim > 1 else 0.0,
-        )
-
-    rows = [row(w, m) for w, m in zip(words, mats)]
-    n_proximal = sum(1 for r in rows if r.proximal)
-    n_negative = sum(1 for r in rows if r.proximal and r.ell1_sign < 0)
-    witness = next(
-        (r.word for r in rows if r.proximal and r.ell1_sign < 0), None
-    )
-    if n_proximal == 0:
-        verdict = "NoProximalFound"
-    elif witness is not None:
-        verdict = "NotPositivelyProximal"
-    else:
-        verdict = "PositivelyProximal"
-    recheck = False
-    if witness is not None:
-        base = evaluate(rep, next(w for w in words if str(w) == witness))
-        lifted = compound_matrix(base, k) if k > 1 else base
-        sp = spectrum(lifted, eps_gap=eps_gap)
-        recheck = sp.is_proximal(1) and sp.top_sign == -1
-    failures = tuple(r.word for r in rows if not r.semiproximal_positive)
-    return PositivityReport(
-        k=k,
-        radius=radius,
-        dim_scanned=crep.dim,
-        rows=tuple(rows),
-        n_proximal=n_proximal,
-        n_negative=n_negative,
-        verdict=verdict,
-        witness=witness,
-        witness_recheck=recheck,
-        semiproximal_failures=failures,
-    )
+    """The positivity scan at one k; ``threads`` is accepted and ignored."""
+    return scan_positivities(rep, [k], radius, eps_gap)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import csv
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,20 @@ class ConfigError(Exception):
     pass
 
 
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict}
+
+
+def _has_type(value, annotation: str) -> bool:
+    """Whether ``value`` fits an ``ExperimentConfig`` field annotation."""
+    if annotation.endswith(" | None"):
+        if value is None:
+            return True
+        annotation = annotation[: -len(" | None")]
+    if annotation == "list[int]":
+        return isinstance(value, list) and all(_has_type(v, "int") for v in value)
+    return not isinstance(value, bool) and isinstance(value, _FIELD_TYPES[annotation])
+
+
 @dataclass
 class ExperimentConfig:
     construction: dict
@@ -72,6 +86,10 @@ class ExperimentConfig:
     emit: str | None = None
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.radius < 0:
             raise ConfigError("radius must be nonnegative")
         for name in ("eps_gap", "alpha_min", "cond_threshold"):
@@ -225,10 +243,7 @@ def cmd_certify(cfg: ExperimentConfig, rep: Representation, out: Path, profile_o
 
 
 def cmd_scan_positivity(cfg: ExperimentConfig, rep: Representation, out: Path) -> int:
-    reports = [
-        cert.scan_positivity(rep, k, cfg.radius, eps_gap=cfg.eps_gap, threads=cfg.threads)
-        for k in cfg.k
-    ]
+    reports = cert.scan_positivities(rep, cfg.k, cfg.radius, eps_gap=cfg.eps_gap)
     for report in reports:
         rows = [
             [r.word, r.length, int(r.proximal), r.ell1_sign,

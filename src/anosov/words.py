@@ -6,12 +6,16 @@ its inverse to the uppercase letter, so the word a b a^-1 b^-1 prints as
 "abAB".  Shortlex order is induced by a < A < b < B < ...
 
 Free groups use free reduction as the normal form.  Surface groups (genus g,
-single relator [a1,b1]...[ag,bg]) use Dehn reduction, replacing any subword
-longer than half the cyclic relator by its shorter complement, followed by a
-closure over the length-preserving half-relator replacements from which the
-shortlex-least representative is taken.  At the desk radii used here this
-yields unique canonical forms (checked in the tests against a pairwise
-word-problem oracle).
+single relator [a1,b1]...[ag,bg]) use one move: replace a subword that is
+half of a cyclic rotation of the relator (or its inverse) by the inverse of
+the other half, then free-reduce.  The closure of a word under this move is
+searched until some replacement shortens it, and the search restarts from
+the shorter word.  When no word of the closure can be shortened, its
+shortlex-least word is the canonical form.  The move also performs every
+Dehn step: in a subword rho[:m] with h < m <= 2h of a rotation rho of
+length 2h, swapping rho[:h] for (rho[h:])^-1 cancels rho[h:m].  At the desk
+radii used here this yields unique canonical forms (checked in the tests
+against a pairwise word-problem oracle and Cannon's growth series).
 """
 
 from __future__ import annotations
@@ -127,10 +131,9 @@ class Presentation:
 
 @dataclass(frozen=True)
 class Word:
-    """A reduced word; ``canonical`` marks the shortlex-minimal representative."""
+    """A word, held as a tuple of signed letters."""
 
     letters: tuple[int, ...]
-    canonical: bool = False
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -139,7 +142,7 @@ class Word:
         return word_str(self.letters)
 
     def inverse(self) -> "Word":
-        return Word(tuple(-l for l in reversed(self.letters)), canonical=False)
+        return Word(_inverse(self.letters))
 
 
 def _free_reduce(letters: Sequence[int]) -> tuple[int, ...]:
@@ -157,62 +160,31 @@ def _inverse(letters: Sequence[int]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _dehn_tables(family: str, n: int):
-    """(over-half replacements, exactly-half replacements) for the relator.
+def _half_table(family: str, n: int):
+    """(half the relator length, exactly-half replacements) for the relator.
 
-    Keys are subwords of rotations of the relator and its inverse; values are
-    the freely-equal shorter (or equal-length) complements.
+    Keys are the first halves of rotations of the relator and its inverse;
+    values are the freely-equal complements of the same length.
     """
-    p = Presentation(family, n)
-    r = p.relator
-    if not r:
-        return (), {}
-    length = len(r)
-    half = length // 2
-    rotations = []
-    for base in (r, _inverse(r)):
-        for s in range(length):
-            rotations.append(base[s:] + base[:s])
-    over: dict[tuple[int, ...], tuple[int, ...]] = {}
+    r = Presentation(family, n).relator
+    half = len(r) // 2
     halves: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for rho in rotations:
-        for m in range(half + 1, length + 1):
-            over.setdefault(rho[:m], _inverse(rho[m:]))
-        u, v = rho[:half], _inverse(rho[half:])
-        if u != v:
-            halves.setdefault(u, [])
-            if v not in halves[u]:
-                halves[u].append(v)
-    # longest patterns first so one left-to-right scan takes the biggest bite
-    over_sorted = tuple(sorted(over.items(), key=lambda kv: -len(kv[0])))
-    return over_sorted, halves
-
-
-def _dehn_reduce(letters: tuple[int, ...], over) -> tuple[int, ...]:
-    w = _free_reduce(letters)
-    changed = True
-    while changed:
-        changed = False
-        for pattern, repl in over:
-            m = len(pattern)
-            if m > len(w):
-                continue
-            for i in range(len(w) - m + 1):
-                if w[i : i + m] == pattern:
-                    w = _free_reduce(w[:i] + repl + w[i + m :])
-                    changed = True
-                    break
-            if changed:
-                break
-    return w
+    for base in (r, _inverse(r)):
+        for s in range(len(r)):
+            rho = base[s:] + base[:s]
+            u, v = rho[:half], _inverse(rho[half:])
+            if u != v:
+                halves.setdefault(u, [])
+                if v not in halves[u]:
+                    halves[u].append(v)
+    return half, halves
 
 
 def _surface_canonical(letters: tuple[int, ...], family: str, n: int) -> tuple[int, ...]:
-    over, halves = _dehn_tables(family, n)
-    w = _dehn_reduce(letters, over)
-    half = len(Presentation(family, n).relator) // 2
+    half, halves = _half_table(family, n)
+    w = _free_reduce(letters)
     while True:
-        # close under length-preserving half-relator replacements
+        # close under half-relator replacements; restart from a shorter word
         seen = {w}
         frontier = [w]
         shorter = None
@@ -230,17 +202,17 @@ def _surface_canonical(letters: tuple[int, ...], family: str, n: int) -> tuple[i
                     if cand not in seen:
                         seen.add(cand)
                         frontier.append(cand)
-                if shorter:
+                if shorter is not None:
                     break
-            if shorter:
+            if shorter is not None:
                 break
         if shorter is None:
             return min(seen, key=shortlex_key)
-        w = _dehn_reduce(shorter, over)
+        w = shorter
 
 
 def reduce_word(letters: Iterable[int] | Word, p: Presentation) -> Word:
-    """Canonical form: free reduction, plus Dehn reduction for surface groups.
+    """Canonical form: free reduction, plus the half-relator move for surface groups.
 
     Idempotent and length-nonincreasing; the result is the shortlex-least
     geodesic spelling of the group element.
@@ -249,8 +221,8 @@ def reduce_word(letters: Iterable[int] | Word, p: Presentation) -> Word:
         letters = letters.letters
     seq = p.check_letters(letters)
     if p.family == "free":
-        return Word(_free_reduce(seq), canonical=True)
-    return Word(_surface_canonical(seq, p.family, p.n), canonical=True)
+        return Word(_free_reduce(seq))
+    return Word(_surface_canonical(seq, p.family, p.n))
 
 
 @dataclass(frozen=True)
@@ -280,7 +252,7 @@ def enumerate_ball(p: Presentation, radius: int, guard: int = BALL_GUARD) -> Bal
     """
     if radius < 0:
         raise InvalidParams("radius must be nonnegative")
-    spheres: list[tuple[Word, ...]] = [(Word((), canonical=True),)]
+    spheres: list[tuple[Word, ...]] = [(Word(()),)]
     seen: set[tuple[int, ...]] = {()}
     total = 1
     for target in range(1, radius + 1):
@@ -298,7 +270,7 @@ def enumerate_ball(p: Presentation, radius: int, guard: int = BALL_GUARD) -> Bal
                 if total > guard:
                     raise ResourceLimit(f"ball size exceeds guard {guard}")
         new.sort(key=shortlex_key)
-        spheres.append(tuple(Word(l, canonical=True) for l in new))
+        spheres.append(tuple(Word(l) for l in new))
     return Ball(presentation=p, radius=radius, spheres=tuple(spheres))
 
 
@@ -391,34 +363,27 @@ class Representation:
             return cls.from_json_dict(json.load(fh))
 
 
-def evaluate(
-    rep: Representation,
-    word: Word | Sequence[int],
-    cache: dict[tuple[int, ...], ScaledMatrix] | None = None,
-) -> ScaledMatrix:
-    """Product of generator images along a reduced word.
-
-    With a caller-supplied ``cache`` dict, prefixes are memoized so that
-    evaluating a whole ball costs one matrix multiply per word.
-    """
+def evaluate(rep: Representation, word: Word | Sequence[int]) -> ScaledMatrix:
+    """Product of generator images along a word."""
     letters = word.letters if isinstance(word, Word) else rep.presentation.check_letters(word)
-    if cache is None:
-        m = ScaledMatrix.identity(rep.dim)
-        for l in letters:
-            m = m @ rep.image(l)
-        return m
-    missing: list[tuple[int, ...]] = []
-    seq = letters
-    while seq not in cache:
-        missing.append(seq)
-        if not seq:
-            cache[()] = ScaledMatrix.identity(rep.dim)
-            break
-        seq = seq[:-1]
-    for seq in reversed(missing):
-        if seq:
-            cache[seq] = cache[seq[:-1]] @ rep.image(seq[-1])
-    return cache[letters]
+    m = ScaledMatrix.identity(rep.dim)
+    for l in letters:
+        m = m @ rep.image(l)
+    return m
+
+
+def evaluate_ball(rep: Representation, ball: Ball) -> list[ScaledMatrix]:
+    """Images of the ball's words, in ``ball.words()`` order.
+
+    Each word's image is its prefix's image times its last letter's image,
+    one multiply per nonempty word.  The prefix of a shortlex-least geodesic
+    is a shortlex-least geodesic, so it is in the ball and already evaluated.
+    """
+    images = {(): ScaledMatrix.identity(rep.dim)}  # ball words are distinct
+    for w in ball.words():
+        if w.letters:
+            images[w.letters] = images[w.letters[:-1]] @ rep.image(w.letters[-1])
+    return list(images.values())
 
 
 def cyclic_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:

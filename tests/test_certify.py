@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anosov import (
+    DegreeMismatch,
     DimensionMismatch,
     InsufficientRadius,
     NoProximalElements,
@@ -32,6 +33,7 @@ from anosov import (
     realify_rep,
     reduce_word,
     rotation_about_i,
+    scan_positivities,
     scan_positivity,
     schottky_rep,
     singular_values,
@@ -184,6 +186,23 @@ class TestScanPositivity:
         assert scan_positivity(s5, 3, 3, threads=1) == scan_positivity(
             s5, 3, 3, threads=4
         )
+
+    def test_one_ball_matches_per_k_scans(self, schottky):
+        s5 = sym_power_rep(schottky, 5)
+        assert scan_positivities(s5, [1, 3], 3) == [
+            scan_positivity(s5, 1, 3),
+            scan_positivity(s5, 3, 3),
+        ]
+
+    def test_out_of_range_k_fails_before_enumeration(self, schottky, monkeypatch):
+        import anosov.certify
+
+        def no_enumeration(*args):
+            raise AssertionError("ball enumerated before every k was checked")
+
+        monkeypatch.setattr(anosov.certify, "enumerate_ball", no_enumeration)
+        with pytest.raises(DegreeMismatch):
+            scan_positivities(sym_power_rep(schottky, 5), [1, 6], 3)
 
     def test_compound_rep_consistent_with_lifted_products(self, schottky):
         crep = compound_rep(sym_power_rep(schottky, 3), 2)

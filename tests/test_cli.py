@@ -47,6 +47,18 @@ class TestConfigHandling:
         code = run("certify", "--config", str(cfg), "--out", str(tmp_path))
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "field, value", [("radius", "4"), ("k", 1)], ids=["radius-str", "k-int"]
+    )
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"construction": json.loads(SCHOTTKY), field: value}))
+        code = run("certify", "--config", str(cfg), "--out", str(tmp_path / "run"))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "run").exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "ok.json"
         cfg.write_text(
@@ -196,6 +208,17 @@ class TestOtherCommands:
         code = run("pingpong", "--construction", SCHOTTKY, "--g", "a",
                    "--out", str(tmp_path))
         assert code == EXIT_USAGE
+
+    def test_scan_positivity_several_k_match_separate_runs(self, tmp_path):
+        both = tmp_path / "both"
+        run("scan-positivity", "--construction", TAU2, "--k", "1", "2",
+            "--radius", "4", "--out", str(both))
+        for k in ("1", "2"):
+            alone = tmp_path / f"k{k}"
+            run("scan-positivity", "--construction", TAU2, "--k", k,
+                "--radius", "4", "--out", str(alone))
+            name = f"positivity_k{k}.csv"
+            assert (alone / name).read_bytes() == (both / name).read_bytes()
 
     def test_fuchsian_positivity_scan(self, tmp_path):
         # this SL(2,R) lift is not positively proximal: some length-2 word

@@ -14,6 +14,7 @@ from anosov import (
     UnknownLetter,
     enumerate_ball,
     evaluate,
+    evaluate_ball,
     parse_word,
     reduce_word,
     word_str,
@@ -93,14 +94,33 @@ class TestReduceWord:
             assert twice.letters == once.letters
             assert len(once.letters) <= len(w)
 
+    def test_inserted_relator_vanishes(self, rng):
+        # a rotation of the relator or its inverse spliced into a canonical
+        # word is the identity, so the canonical word must come back
+        r = S2.relator
+        rotations = [b[s:] + b[:s] for b in (r, tuple(-l for l in reversed(r)))
+                     for s in range(len(r))]
+        words = [w.letters for w in enumerate_ball(S2, 3).words()]
+        for _ in range(300):
+            u = words[int(rng.integers(len(words)))]
+            rho = rotations[int(rng.integers(len(rotations)))]
+            i = int(rng.integers(len(u) + 1))
+            assert reduce_word(u[:i] + rho + u[i:], S2).letters == u
+
     def test_half_relator_words_identified(self):
         # abAB equals dcDC in the genus-2 group; both canonicalize identically
         u, v = parse_word("abAB"), parse_word("dcDC")
         assert words_equal(u, v, S2)
         assert reduce_word(u, S2).letters == reduce_word(v, S2).letters
 
-    def test_canonical_flag(self):
-        assert reduce_word((1, -1), F2).canonical
+    def test_reduction_keeps_the_group_element(self, fuchsian2, rng):
+        # matrices, not the word problem, decide equality: words_equal itself
+        # calls reduce_word and cannot see a canonicalizer that moves elements
+        for _ in range(1000):
+            w = random_letters(rng, S2)
+            a = evaluate(fuchsian2, w).array()
+            b = evaluate(fuchsian2, reduce_word(w, S2)).array()
+            assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(a)
 
 
 class TestEnumerateBall:
@@ -126,6 +146,22 @@ class TestEnumerateBall:
         ball = enumerate_ball(S2, 2)
         assert ball.sphere_sizes() == (1, 8, 56)
         assert len(ball) == 65
+
+    @pytest.mark.parametrize("genus, radius", [(2, 5), (3, 3)], ids=["genus2-r5", "genus3-r3"])
+    def test_surface_spheres_follow_cannon_series(self, genus, radius):
+        # Cannon's growth series of the genus-g surface group:
+        # (1 + 2z + ... + 2z^(2g-1) + z^(2g)) / (1 - (4g-2)(z + ... + z^(2g-1)) + z^(2g))
+        num = [1] + [2] * (2 * genus - 1) + [1]
+        den = [1] + [-(4 * genus - 2)] * (2 * genus - 1) + [1]
+        series: list[int] = []
+        for n in range(radius + 1):
+            acc = num[n] if n < len(num) else 0
+            acc -= sum(den[j] * series[n - j] for j in range(1, min(n, len(den) - 1) + 1))
+            series.append(acc)
+        if genus == 2:
+            assert series == [1, 8, 56, 392, 2736, 19096]
+        ball = enumerate_ball(Presentation.surface(genus), radius)
+        assert list(ball.sphere_sizes()) == series
 
     def test_surface_sphere_pairwise_distinct(self):
         # Dehn word-problem oracle confirms no duplicates at radius 3
@@ -170,21 +206,27 @@ class TestEvaluate:
             assert lhs.log_scale == pytest.approx(rhs.log_scale, abs=1e-10)
             np.testing.assert_allclose(lhs.entries, rhs.entries, atol=1e-10)
 
-    def test_prefix_cache_changes_nothing(self, schottky2):
-        ball = enumerate_ball(F2, 6)
-        cache = {}
-        for w in ball.words():
-            cached = evaluate(schottky2, w, cache)
-            plain = evaluate(schottky2, w)
-            assert cached.log_scale == pytest.approx(plain.log_scale, rel=1e-12, abs=1e-12)
-            np.testing.assert_allclose(cached.entries, plain.entries, rtol=1e-12, atol=1e-12)
+    def test_ball_walk_matches_evaluate(self, schottky2, fuchsian2):
+        for rep, p, radius in ((schottky2, F2, 6), (fuchsian2, S2, 3)):
+            ball = enumerate_ball(p, radius)
+            images = evaluate_ball(rep, ball)
+            assert len(images) == len(ball)
+            for w, walked in zip(ball.words(), images):
+                plain = evaluate(rep, w)
+                assert walked.log_scale == plain.log_scale
+                assert np.array_equal(walked.entries, plain.entries)
 
-    def test_cache_cost_one_multiply_per_word(self, schottky2):
-        ball = enumerate_ball(F2, 5)
-        cache = {}
-        for w in ball.words():
-            evaluate(schottky2, w, cache)
-        assert len(cache) == len(ball)
+    def test_ball_walk_one_multiply_per_word(self, schottky2, fuchsian2, monkeypatch):
+        calls = []
+        matmul = ScaledMatrix.__matmul__
+        monkeypatch.setattr(
+            ScaledMatrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b)
+        )
+        for rep, p, radius in ((schottky2, F2, 5), (fuchsian2, S2, 3)):
+            ball = enumerate_ball(p, radius)
+            calls.clear()
+            evaluate_ball(rep, ball)
+            assert len(calls) == len(ball) - 1
 
 
 class TestRepresentation:
