@@ -465,7 +465,6 @@ class LimitAudit:
 def audit_limit_samples(
     samples: Sequence[LimitSample],
     cond_threshold: float = TRANSVERSALITY_COND,
-    span_cutoff: float = 1e-8,
 ) -> LimitAudit:
     """Check pairwise transversality of (k, d-k)-plane pairs and span rank."""
     points: list[tuple[str, np.ndarray | None, np.ndarray | None]] = []
@@ -489,7 +488,7 @@ def audit_limit_samples(
         coords = np.stack([plucker_point(p).unit().coeffs for p in k_planes])
         span_dim = coords.shape[1]
         sv = np.linalg.svd(coords, compute_uv=False)
-        span_rank = int(np.sum(sv > span_cutoff * sv[0]))
+        span_rank = int(np.sum(sv > 1e-8 * sv[0]))
     return LimitAudit(
         n_samples=len(samples),
         n_boundary_points=sum(1 for _, p, _ in points if p is not None),
@@ -644,15 +643,13 @@ def pingpong_power(
     Returns None when no N <= max_n satisfies the criterion.
     """
     mg = evaluate(rep, g)
-    sp = spectrum(mg, eps_gap=eps_gap)
-    tol = math.log1p(eps_gap)
-    if not (sp.log_gap(1) > tol and sp.log_gap(mg.dim - 1) > tol):
+    fwd = proximality_report(mg, 1, eps_gap=eps_gap, verify=False)
+    if not fwd.is_biproximal:
         raise NotBiproximal("base element is not biproximal at k = 1")
     conj = _conjugator(rep, t)
     if conj.dim != mg.dim:
         raise DimensionMismatch("conjugator dimension mismatch")
 
-    fwd = proximality_report(mg, 1, eps_gap=eps_gap, verify=False)
     bwd = proximality_report(mg.inverse(), 1, eps_gap=eps_gap, verify=False)
     b_mat = conj @ mg @ conj.inverse()
 

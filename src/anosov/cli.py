@@ -54,13 +54,13 @@ _FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict}
 
 
 def _has_type(value, annotation: str) -> bool:
-    """Whether ``value`` fits an ``ExperimentConfig`` field annotation."""
-    if annotation.endswith(" | None"):
-        if value is None:
-            return True
-        annotation = annotation[: -len(" | None")]
-    if annotation == "list[int]":
-        return isinstance(value, list) and all(_has_type(v, "int") for v in value)
+    """Whether ``value`` fits a field annotation such as ``list[float] | None``."""
+    if " | " in annotation:
+        return any(_has_type(value, a) for a in annotation.split(" | "))
+    if annotation == "None":
+        return value is None
+    if annotation.startswith("list["):
+        return isinstance(value, list) and all(_has_type(v, annotation[5:-1]) for v in value)
     return not isinstance(value, bool) and isinstance(value, _FIELD_TYPES[annotation])
 
 
@@ -116,9 +116,23 @@ class ExperimentConfig:
         }
 
 
+#: Annotations of the construction descriptor fields other than strings.
+_DESCRIPTOR_TYPES = {
+    "base": "dict",
+    "summands": "list[dict]",
+    "genus": "int",
+    "rank": "int",
+    "m": "int",
+    "dilation": "float | list[float]",
+    "angles": "list[float] | None",
+    "twists": "list[float] | None",
+    "trace_signs": "list[int] | None",
+}
+
+
 def _schottky_params(desc: dict, force_complex: bool = False) -> SchottkyParams:
     return SchottkyParams(
-        rank=int(desc.get("rank", 2)),
+        rank=desc.get("rank", 2),
         dilation=desc.get("dilation", 3.0),
         angles=desc.get("angles"),
         field="complex" if force_complex else desc.get("field", "real"),
@@ -128,6 +142,11 @@ def _schottky_params(desc: dict, force_complex: bool = False) -> SchottkyParams:
 
 
 def build_representation(desc: dict) -> Representation:
+    for name, annotation in _DESCRIPTOR_TYPES.items():
+        if name in desc and not _has_type(desc[name], annotation):
+            raise ConfigError(
+                f"construction {name} must be of type {annotation}, got {desc[name]!r}"
+            )
     kind = desc.get("kind")
     if kind == "schottky":
         rep = schottky_rep(_schottky_params(desc))
@@ -140,10 +159,9 @@ def build_representation(desc: dict) -> Representation:
         base = desc.get("base", {"kind": "schottky"})
         if base.get("kind") != "schottky" or base.get("field", "real") != "real":
             raise ConfigError("sym-power expects a real schottky base")
-        rep = schottky_rep(_schottky_params(base))
-        return sym_power_rep(rep, int(desc.get("m", 5)))
+        return sym_power_rep(build_representation(base), desc.get("m", 5))
     if kind == "fuchsian-surface":
-        return fuchsian_surface_rep(int(desc.get("genus", 2)))
+        return fuchsian_surface_rep(desc.get("genus", 2))
     if kind == "direct-sum":
         summands = desc.get("summands")
         if not summands:

@@ -41,12 +41,6 @@ def rotation_about_i(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def translation_along_axis(length: float, theta: float = math.pi / 2) -> np.ndarray:
-    """Hyperbolic translation by ``length`` along the axis through i at angle theta."""
-    r = rotation_about_i(theta - math.pi / 2)
-    return r @ np.diag([math.exp(length / 2.0), math.exp(-length / 2.0)]) @ r.T
-
-
 def _circular_separation(a: float, b: float) -> float:
     delta = abs(a - b) % math.pi
     return min(delta, math.pi - delta)
@@ -134,11 +128,6 @@ class ComplexRepresentation:
                 raise DimensionMismatch("complex generators must be 2x2")
             if abs(np.linalg.det(m) - 1.0) > _DET_TOL:
                 raise DeterminantNotOne(f"det = {np.linalg.det(m)}")
-
-    def image(self, letter: int) -> np.ndarray:
-        idx = abs(letter) - 1
-        m = self.images[idx]
-        return m if letter > 0 else np.linalg.inv(m)
 
 
 def schottky_rep(params: SchottkyParams) -> Representation | ComplexRepresentation:

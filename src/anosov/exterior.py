@@ -34,9 +34,6 @@ class MultiIndexBasis:
     def size(self) -> int:
         return len(self.subsets)
 
-    def index(self, subset: tuple[int, ...]) -> int:
-        return _subset_positions(self.d, self.k)[subset]
-
 
 @lru_cache(maxsize=None)
 def multi_index_basis(d: int, k: int) -> MultiIndexBasis:
@@ -165,13 +162,11 @@ def compound_matrix(g: ScaledMatrix, k: int) -> ScaledMatrix:
 
 
 def apply_compound(g: ScaledMatrix, v: ExteriorVector) -> ExteriorVector:
-    """Image of an exterior vector under the compound action, at true scale.
+    """Image of an exterior vector under a compound matrix, at true scale.
 
-    ``g`` may be the base d x d matrix or an already-computed compound of the
-    matching dimension.
+    ``g`` must already be the compound ``compound_matrix(base, v.degree)``,
+    of dimension C(d, degree).
     """
-    if g.dim == v.d and v.degree != 1:
-        g = compound_matrix(g, v.degree)
     if g.dim != v.coeffs.shape[0]:
         raise DimensionMismatch("compound dimension does not match vector length")
     return ExteriorVector.from_coeffs(
@@ -249,11 +244,11 @@ class PluckerHyperplane:
             raise DegreeMismatch("vector does not live in this exterior power")
         return float(np.dot(self.normal.coeffs, a.coeffs))
 
-    def contains(self, a: ExteriorVector, tol: float = 1e-10) -> bool:
+    def contains(self, a: ExteriorVector) -> bool:
         scale = float(
             np.linalg.norm(self.normal.coeffs) * np.linalg.norm(a.coeffs)
         )
-        return abs(self.pairing(a)) <= tol * max(scale, 1.0)
+        return abs(self.pairing(a)) <= 1e-10 * max(scale, 1.0)
 
 
 def plucker_hyperplane(w: np.ndarray, k: int | None = None) -> PluckerHyperplane:

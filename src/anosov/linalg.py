@@ -107,9 +107,6 @@ class ScaledMatrix:
             raise SingularInput("matrix is singular")
         return ScaledMatrix.from_array(np.linalg.inv(self.entries), -self.log_scale)
 
-    def transpose(self) -> "ScaledMatrix":
-        return ScaledMatrix(_as_readonly(self.entries.T), self.log_scale)
-
     def power(self, n: int) -> "ScaledMatrix":
         if n < 0:
             return self.inverse().power(-n)
@@ -184,9 +181,8 @@ class Spectrum:
             raise DimensionMismatch(f"gap index {k} out of range")
         return float(self.log_moduli[k - 1] - self.log_moduli[k])
 
-    def is_proximal(self, k: int, eps_gap: float | None = None) -> bool:
-        eps = self.eps_gap if eps_gap is None else eps_gap
-        return self.log_gap(k) > math.log1p(eps)
+    def is_proximal(self, k: int) -> bool:
+        return self.log_gap(k) > math.log1p(self.eps_gap)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ against a pairwise word-problem oracle and Cannon's growth series).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -164,19 +164,16 @@ def _half_table(family: str, n: int):
     """(half the relator length, exactly-half replacements) for the relator.
 
     Keys are the first halves of rotations of the relator and its inverse;
-    values are the freely-equal complements of the same length.
+    each maps to its freely-equal complement of the same length.  The relator
+    holds every letter once, so no half starts two rotations.
     """
     r = Presentation(family, n).relator
     half = len(r) // 2
-    halves: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    halves: dict[tuple[int, ...], tuple[int, ...]] = {}
     for base in (r, _inverse(r)):
         for s in range(len(r)):
             rho = base[s:] + base[:s]
-            u, v = rho[:half], _inverse(rho[half:])
-            if u != v:
-                halves.setdefault(u, [])
-                if v not in halves[u]:
-                    halves[u].append(v)
+            halves[rho[:half]] = _inverse(rho[half:])
     return half, halves
 
 
@@ -188,24 +185,19 @@ def _surface_canonical(letters: tuple[int, ...], family: str, n: int) -> tuple[i
         seen = {w}
         frontier = [w]
         shorter = None
-        while frontier:
+        while frontier and shorter is None:
             cur = frontier.pop()
             for i in range(len(cur) - half + 1):
-                repls = halves.get(cur[i : i + half])
-                if not repls:
+                repl = halves.get(cur[i : i + half])
+                if repl is None:
                     continue
-                for repl in repls:
-                    cand = _free_reduce(cur[:i] + repl + cur[i + half :])
-                    if len(cand) < len(cur):
-                        shorter = cand
-                        break
-                    if cand not in seen:
-                        seen.add(cand)
-                        frontier.append(cand)
-                if shorter is not None:
+                cand = _free_reduce(cur[:i] + repl + cur[i + half :])
+                if len(cand) < len(cur):
+                    shorter = cand
                     break
-            if shorter is not None:
-                break
+                if cand not in seen:
+                    seen.add(cand)
+                    frontier.append(cand)
         if shorter is None:
             return min(seen, key=shortlex_key)
         w = shorter
@@ -244,11 +236,12 @@ class Ball:
         return sum(len(s) for s in self.spheres)
 
 
-def enumerate_ball(p: Presentation, radius: int, guard: int = BALL_GUARD) -> Ball:
+def enumerate_ball(p: Presentation, radius: int) -> Ball:
     """Breadth-first enumeration of canonical words of length <= radius.
 
     Extensions of canonical words are re-canonicalized and deduplicated, so
     the ball is complete and duplicate-free as a set of group elements.
+    Raises ResourceLimit when the ball would exceed ``BALL_GUARD`` words.
     """
     if radius < 0:
         raise InvalidParams("radius must be nonnegative")
@@ -267,8 +260,8 @@ def enumerate_ball(p: Presentation, radius: int, guard: int = BALL_GUARD) -> Bal
                 seen.add(cand.letters)
                 new.append(cand.letters)
                 total += 1
-                if total > guard:
-                    raise ResourceLimit(f"ball size exceeds guard {guard}")
+                if total > BALL_GUARD:
+                    raise ResourceLimit(f"ball size exceeds guard {BALL_GUARD}")
         new.sort(key=shortlex_key)
         spheres.append(tuple(Word(l) for l in new))
     return Ball(presentation=p, radius=radius, spheres=tuple(spheres))
@@ -299,11 +292,10 @@ class Representation:
         dims = {m.dim for m in images}
         if len(dims) != 1:
             raise DimensionMismatch(f"generator images of mixed dimensions {dims}")
-        inverses = tuple(m.inverse() for m in images)
         rep = cls(
             presentation=presentation,
             images=images,
-            inverse_images=inverses,
+            inverse_images=tuple(m.inverse() for m in images),
             relator_defect=0.0,
         )
         if presentation.family == "surface":
@@ -312,12 +304,7 @@ class Representation:
                 raise ConstructionFailure(
                     f"relator defect {defect:.3e} exceeds {_SURFACE_RELATOR_TOL:.0e}"
                 )
-            rep = cls(
-                presentation=presentation,
-                images=images,
-                inverse_images=inverses,
-                relator_defect=defect,
-            )
+            rep = replace(rep, relator_defect=defect)
         return rep
 
     @property

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from anosov.cli import (
+    EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_REFUTED,
     EXIT_USAGE,
@@ -12,6 +13,7 @@ from anosov.cli import (
 
 SCHOTTKY = '{"kind":"schottky","rank":2,"dilation":3.0}'
 TAU2 = '{"kind":"tau2-schottky","rank":2,"dilation":3.0,"twists":[0.3,0.7]}'
+SYM5 = '{"kind":"sym-power","m":5,"base":{"kind":"schottky","rank":2,"dilation":3.0}}'
 
 
 def run(*argv):
@@ -58,6 +60,27 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "desc, name",
+        [
+            ({"kind": "fuchsian-surface", "genus": "x"}, "genus"),
+            ({"kind": "schottky", "dilation": "3.5"}, "dilation"),
+            ({"kind": "schottky", "dilation": "3"}, "dilation"),
+            ({"kind": "schottky", "rank": True}, "rank"),
+            ({"kind": "sym-power", "m": "5"}, "m"),
+            ({"kind": "sym-power", "base": 5}, "base"),
+            ({"kind": "direct-sum", "summands": "ab"}, "summands"),
+        ],
+        ids=["genus-str", "dilation-str", "dilation-digit-str", "rank-bool", "m-str",
+             "base-int", "summands-str"],
+    )
+    def test_descriptor_value_of_wrong_type(self, tmp_path, capsys, desc, name):
+        out = tmp_path / "run"
+        code = run("construct", "--construction", json.dumps(desc), "--out", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: construction {name} must be of type")
+        assert not out.exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "ok.json"
@@ -119,6 +142,16 @@ class TestCertifyCommand:
             assert alone[2] == both[2 + i]
             assert alone[-1] == both[-1]
 
+    def test_schottky_inconclusive_exit2(self, tmp_path):
+        # the envelope slope is real but below an unreachable alpha_min
+        out = tmp_path / "run"
+        code = run("certify", "--construction", SCHOTTKY, "--radius", "4",
+                   "--alpha-min", "10", "--out", str(out))
+        assert code == EXIT_INCONCLUSIVE
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["verdict"] == "Inconclusive"
+        assert summary["estimates"][0]["verdict"] == "Inconclusive"
+
     def test_gap_profile_command(self, tmp_path):
         out = tmp_path / "run"
         code = run("gap-profile", "--construction", SCHOTTKY, "--k", "1",
@@ -166,6 +199,43 @@ class TestOtherCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["audit"]["transversality_failures"] == []
         assert summary["audit"]["span_rank"] == 2
+
+    def test_limit_set_without_proximal_element_exit2(self, tmp_path):
+        out = tmp_path / "run"
+        code = run("limit-set", "--construction", TAU2, "--k", "1",
+                   "--radius", "3", "--out", str(out))
+        assert code == EXIT_INCONCLUSIVE
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"] == "no P_1-proximal element in the radius-3 ball"
+        assert not (out / "limit_samples.csv").exists()
+
+    def test_limit_set_audit_failure_exit1(self, tmp_path):
+        # no pair of planes has condition number below 1
+        out = tmp_path / "run"
+        code = run("limit-set", "--construction", SCHOTTKY, "--radius", "3",
+                   "--cond-threshold", "1.0", "--out", str(out))
+        assert code == EXIT_REFUTED
+        audit = json.loads((out / "summary.json").read_text())["audit"]
+        assert audit["n_pairs_checked"] == 240
+        assert len(audit["transversality_failures"]) == 240
+
+    def test_deform_sign_change_exit1(self, tmp_path):
+        out = tmp_path / "run"
+        code = run("deform", "--construction", SYM5, "--k", "2", "--radius", "2",
+                   "--seed", "1", "--out", str(out))
+        assert code == EXIT_REFUTED
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["counts"] == {"ConstantSign": 11, "SignChange": 5, "Inconclusive": 0}
+        assert summary["first_non_constant"] == {"word": "B", "verdict": "SignChange", "step": 27}
+
+    def test_deform_inconclusive_exit2(self, tmp_path):
+        out = tmp_path / "run"
+        code = run("deform", "--construction", SYM5, "--k", "2", "--radius", "4",
+                   "--seed", "4", "--out", str(out))
+        assert code == EXIT_INCONCLUSIVE
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["counts"] == {"ConstantSign": 154, "SignChange": 0, "Inconclusive": 6}
+        assert summary["first_non_constant"] == {"word": "aBAb", "verdict": "Inconclusive", "step": 12}
 
     def test_deform_exit0(self, tmp_path):
         out = tmp_path / "run"

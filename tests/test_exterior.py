@@ -170,6 +170,15 @@ class TestPlucker:
             )
             assert angle < 1e-8
 
+    @pytest.mark.parametrize("d, k", [(3, 2), (4, 3)])
+    def test_apply_compound_when_compound_size_equals_dimension(self, rng, d, k):
+        # C(d, d-1) = d: the compound has the size of the base matrix and
+        # must still be applied as given, not compounded again
+        g = compound_matrix(sm(rng.standard_normal((d, d))), k)
+        v = ExteriorVector.from_coeffs(d, k, rng.standard_normal(d))
+        expect = math.exp(g.log_scale) * (g.entries @ v.coeffs)
+        np.testing.assert_array_equal(apply_compound(g, v).coeffs, expect)
+
 
 class TestPluckerHyperplane:
     def test_k1_matches_span(self):

@@ -177,9 +177,10 @@ class TestEnumerateBall:
             keys = [shortlex_key(w.letters) for w in sphere]
             assert keys == sorted(keys)
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        monkeypatch.setattr("anosov.words.BALL_GUARD", 100)
         with pytest.raises(ResourceLimit):
-            enumerate_ball(F2, 8, guard=100)
+            enumerate_ball(F2, 8)
 
 
 class TestEvaluate:
