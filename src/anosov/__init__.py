@@ -26,10 +26,12 @@ from .errors import (
 from .linalg import (
     EPS_GAP,
     ProximalityReport,
+    ScaledBatch,
     ScaledMatrix,
     SingularValues,
     Spectrum,
     is_transverse,
+    log_singular_values,
     normalize_to_sl,
     orthonormalize,
     proximality_report,

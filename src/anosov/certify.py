@@ -33,9 +33,9 @@ from .linalg import (
     TRANSVERSALITY_COND,
     ScaledMatrix,
     is_transverse,
+    log_singular_values,
     orthonormalize,
     proximality_report,
-    singular_values,
     spectrum,
 )
 from .words import (
@@ -47,6 +47,7 @@ from .words import (
     evaluate,
     evaluate_ball,
     is_primitive_cyclic,
+    parse_word,
     word_str,
 )
 
@@ -98,7 +99,7 @@ class GapProfile:
 def gap_profiles(
     rep: Representation, ks: Sequence[int], radius: int
 ) -> list[GapProfile]:
-    """One gap profile per k in ``ks``, read from one SVD per canonical word.
+    """One gap profile per k in ``ks``, read from one stacked SVD of the ball.
 
     Each profile holds log(sigma_k / sigma_{k+1}) and log(sigma_1 / sigma_d)
     per word.  Every k is checked against the dimension before the ball is
@@ -109,29 +110,22 @@ def gap_profiles(
         if not 1 <= k <= d - 1:
             raise DimensionMismatch(f"k={k} out of range for dimension {d}")
     ball = enumerate_ball(rep.presentation, radius)
-    rows: list[list[GapRow]] = [[] for _ in ks]
-    for w, m in zip(ball.words(), evaluate_ball(rep, ball)):
-        sv = singular_values(m)
-        word, length, log_total = str(w), len(w), sv.log_total_ratio
-        for k, k_rows in zip(ks, rows):
-            k_rows.append(
-                GapRow(
-                    word=word,
-                    length=length,
-                    log_gap=max(sv.log_gap(k), 0.0),
-                    log_total=log_total,
-                )
-            )
-    return [
-        GapProfile(
-            k=k,
-            radius=radius,
-            dim=d,
-            presentation=rep.presentation.describe(),
-            rows=tuple(k_rows),
+    log_sv = log_singular_values(evaluate_ball(rep, ball))
+    words, lengths = ball.word_strings(), ball.lengths()
+    totals = (log_sv[:, 0] - log_sv[:, -1]).tolist()
+    profiles = []
+    for k in ks:
+        gaps = (log_sv[:, k - 1] - log_sv[:, k]).tolist()
+        rows = tuple(
+            GapRow(word=word, length=length, log_gap=max(gap, 0.0), log_total=total)
+            for word, length, gap, total in zip(words, lengths, gaps, totals)
         )
-        for k, k_rows in zip(ks, rows)
-    ]
+        profiles.append(
+            GapProfile(
+                k=k, radius=radius, dim=d, presentation=rep.presentation.describe(), rows=rows
+            )
+        )
+    return profiles
 
 
 def gap_profile(
@@ -278,12 +272,12 @@ class PositivityReport:
     semiproximal_failures: tuple[str, ...]
 
 
-def _positivity_row(w: Word, m: ScaledMatrix, eps_gap: float) -> PositivityRow:
+def _positivity_row(word: str, length: int, m: ScaledMatrix, eps_gap: float) -> PositivityRow:
     sp = spectrum(m, eps_gap=eps_gap)
     proximal = sp.is_proximal(1) if m.dim > 1 else False
     return PositivityRow(
-        word=str(w),
-        length=len(w),
+        word=word,
+        length=length,
         proximal=proximal,
         ell1_sign=sp.top_sign or 0,
         semiproximal_positive=sp.is_semiproximal_positive,
@@ -307,12 +301,13 @@ def scan_positivities(
     """
     creps = [compound_rep(rep, k) for k in ks]
     ball = enumerate_ball(rep.presentation, radius)
-    words = list(ball.words())
+    words, lengths = ball.word_strings(), ball.lengths()
     reports = []
     for k, crep in zip(ks, creps):
+        batch = evaluate_ball(crep, ball)
         rows = [
-            _positivity_row(w, m, eps_gap)
-            for w, m in zip(words, evaluate_ball(crep, ball))
+            _positivity_row(word, length, batch[i], eps_gap)
+            for i, (word, length) in enumerate(zip(words, lengths))
         ]
         n_proximal = sum(1 for r in rows if r.proximal)
         n_negative = sum(1 for r in rows if r.proximal and r.ell1_sign < 0)
@@ -327,7 +322,7 @@ def scan_positivities(
             verdict = "PositivelyProximal"
         recheck = False
         if witness is not None:
-            base = evaluate(rep, next(w for w in words if str(w) == witness))
+            base = evaluate(rep, parse_word(witness))
             lifted = compound_matrix(base, k) if k > 1 else base
             sp = spectrum(lifted, eps_gap=eps_gap)
             recheck = sp.is_proximal(1) and sp.top_sign == -1

@@ -22,6 +22,7 @@ import json
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -127,6 +128,7 @@ _DESCRIPTOR_TYPES = {
     "angles": "list[float] | None",
     "twists": "list[float] | None",
     "trace_signs": "list[int] | None",
+    "path": "str",
 }
 
 
@@ -182,7 +184,7 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -219,13 +221,12 @@ def _gap_csv(out: Path, profiles: list[cert.GapProfile]) -> None:
     ks = [p.k for p in profiles]
     header = ["word", "length"] + [f"log_gap_{k}" for k in ks] + ["log_total_ratio"]
     by_word = [p.rows for p in profiles]
-    rows = []
-    for i, row in enumerate(by_word[0]):
-        rows.append(
-            [row.word, row.length]
-            + [repr(p_rows[i].log_gap) for p_rows in by_word]
-            + [repr(row.log_total)]
-        )
+    rows = (
+        [row.word, row.length]
+        + [repr(p_rows[i].log_gap) for p_rows in by_word]
+        + [repr(row.log_total)]
+        for i, row in enumerate(by_word[0])
+    )
     _write_csv(out / "gap_profile.csv", header, rows)
 
 

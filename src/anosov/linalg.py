@@ -130,6 +130,41 @@ class ScaledMatrix:
 
 
 @dataclass(frozen=True)
+class ScaledBatch:
+    """A stack of matrices ``exp(log_scale[i]) * entries[i]``.
+
+    A product ``batch @ g`` normalizes each block exactly as
+    :meth:`ScaledMatrix.from_array` would normalize it alone, so ``(batch @
+    g)[i]`` is bit-identical to ``batch[i] @ g``.
+    """
+
+    entries: np.ndarray  # (n, d, d)
+    log_scale: np.ndarray  # (n,)
+
+    def __len__(self) -> int:
+        return len(self.log_scale)
+
+    def __getitem__(self, i: int) -> ScaledMatrix:
+        return ScaledMatrix(_as_readonly(self.entries[i]), float(self.log_scale[i]))
+
+    def take(self, index: np.ndarray) -> "ScaledBatch":
+        return ScaledBatch(self.entries[index], self.log_scale[index])
+
+    def __matmul__(self, other: ScaledMatrix) -> "ScaledBatch":
+        """Every matrix of the stack times ``other``, renormalized in place."""
+        a = self.entries @ other.entries
+        m = np.maximum(a.max(axis=(1, 2)), -a.min(axis=(1, 2)))  # max |entry|, NaN-propagating
+        if not np.all(np.isfinite(m)):
+            raise SingularInput("matrix has non-finite entries")
+        if not np.all(m):
+            raise SingularInput("zero matrix cannot be log-scaled")
+        a /= m[:, None, None]
+        # math.log, not np.log: the two can differ in the last ulp
+        logs = np.array([math.log(x) for x in m.tolist()])
+        return ScaledBatch(a, self.log_scale + other.log_scale + logs)
+
+
+@dataclass(frozen=True)
 class SingularValues:
     """Nonincreasing singular values, stored as natural logs."""
 
@@ -205,15 +240,33 @@ class ProximalityReport:
     repelling_plane: np.ndarray | None
 
 
-def _require_nonsingular(g: ScaledMatrix, cond_limit: float | None = None) -> np.ndarray:
-    sv = np.linalg.svd(g.entries, compute_uv=False)
-    if sv[-1] <= 0.0 or not np.isfinite(sv[-1]):
-        raise SingularInput("singular matrix")
-    if cond_limit is not None and sv[0] / sv[-1] > cond_limit:
-        raise SingularInput(
-            f"condition number {sv[0] / sv[-1]:.3e} exceeds {cond_limit:.0e}"
-        )
+def _checked_singular_values(entries: np.ndarray, cond_limit: float = math.inf) -> np.ndarray:
+    """Singular values of each matrix in an (n, d, d) stack, rows nonincreasing.
+
+    Raises SingularInput for the first matrix of the stack that is singular
+    or whose condition number exceeds ``cond_limit``.
+    """
+    sv = np.linalg.svd(entries, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = sv[:, 0] / sv[:, -1]
+    singular = (sv[:, -1] <= 0.0) | ~np.isfinite(sv[:, -1])
+    bad = singular | (cond > cond_limit)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if singular[i]:
+            raise SingularInput("singular matrix")
+        raise SingularInput(f"condition number {cond[i]:.3e} exceeds {cond_limit:.0e}")
     return sv
+
+
+def log_singular_values(batch: ScaledBatch) -> np.ndarray:
+    """Log singular values of every matrix of a batch, one nonincreasing row each.
+
+    One stacked SVD; the checks of :func:`singular_values` apply to every
+    matrix and the first failing one in batch order raises.
+    """
+    sv = _checked_singular_values(batch.entries, cond_limit=COND_LIMIT)
+    return np.log(sv) + batch.log_scale[:, None]
 
 
 def singular_values(g: ScaledMatrix) -> SingularValues:
@@ -222,8 +275,8 @@ def singular_values(g: ScaledMatrix) -> SingularValues:
     All values are reported to full relative accuracy, which requires the
     condition number to stay below COND_LIMIT.
     """
-    sv = _require_nonsingular(g, cond_limit=COND_LIMIT)
-    return SingularValues(log_values=_as_readonly(np.log(sv) + g.log_scale))
+    batch = ScaledBatch(g.entries[None], np.array([g.log_scale]))
+    return SingularValues(log_values=_as_readonly(log_singular_values(batch)[0]))
 
 
 def _real_schur_eigendata(t: np.ndarray) -> list[tuple[float, bool, float]]:
@@ -258,12 +311,13 @@ def spectrum(g: ScaledMatrix, eps_gap: float = EPS_GAP) -> Spectrum:
     the maximum modulus is attained exactly once (within relative eps_gap)
     and by a real eigenvalue.
 
-    Unlike :func:`singular_values`, no condition-number ceiling applies: wide
-    spectra (long words in exterior powers) are fine, with the usual caveat
-    that eigenvalues far below the top carry absolute rather than relative
-    accuracy.
+    Unlike :func:`singular_values`, no condition-number ceiling applies, but
+    wide spectra (long words in exterior powers) are not safe: eigenvalues far
+    below the top carry absolute rather than relative accuracy, and a Schur
+    diagonal entry that underflows to 0 raises ``SingularInput("zero
+    eigenvalue")``.
     """
-    _require_nonsingular(g)
+    _checked_singular_values(g.entries[None])
     try:
         t, _ = scipy.linalg.schur(g.entries, output="real")
     except (scipy.linalg.LinAlgError, ValueError) as exc:

@@ -16,6 +16,13 @@ Dehn step: in a subword rho[:m] with h < m <= 2h of a rotation rho of
 length 2h, swapping rho[:h] for (rho[h:])^-1 cancels rho[h:m].  At the desk
 radii used here this yields unique canonical forms (checked in the tests
 against a pairwise word-problem oracle and Cannon's growth series).
+
+A ball is held as per-sphere arrays: each word of sphere n is a word of
+sphere n-1 (its ``parent`` index) followed by one ``letter``.  Free-group
+spheres are built from these arrays alone, with no reduction; surface-group
+spheres by canonicalizing every extension.  A ball's images are evaluated
+the same way, sphere by sphere, with one stacked multiply per letter
+(:func:`evaluate_ball`).
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .errors import (
     ResourceLimit,
     UnknownLetter,
 )
-from .linalg import ScaledMatrix
+from .linalg import ScaledBatch, ScaledMatrix
 
 BALL_GUARD = 1_000_000
 
@@ -217,54 +224,118 @@ def reduce_word(letters: Iterable[int] | Word, p: Presentation) -> Word:
     return Word(_surface_canonical(seq, p.family, p.n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ball:
-    """All canonical words up to a radius, grouped by length."""
+    """All canonical words up to a radius, held as per-sphere arrays.
+
+    Word i of sphere n (n >= 1) is word ``parent[n][i]`` of sphere n-1
+    followed by the letter ``letter[n][i]``; sphere 0 is the identity, with
+    parent -1 and letter 0.  Within a sphere words are in shortlex order.
+    """
 
     presentation: Presentation
     radius: int
-    spheres: tuple[tuple[Word, ...], ...]
+    parent: tuple[np.ndarray, ...]
+    letter: tuple[np.ndarray, ...]
+
+    def _build(self, root, extend) -> Iterator[list]:
+        """Per sphere, its words built as ``extend(parent's word, letter)``."""
+        sphere = [root]
+        yield sphere
+        for parent, letter in zip(self.parent[1:], self.letter[1:]):
+            sphere = [extend(sphere[i], l) for i, l in zip(parent.tolist(), letter.tolist())]
+            yield sphere
+
+    @property
+    def spheres(self) -> tuple[tuple[Word, ...], ...]:
+        return tuple(
+            tuple(map(Word, sphere)) for sphere in self._build((), lambda w, l: w + (l,))
+        )
 
     def words(self) -> Iterator[Word]:
         for sphere in self.spheres:
             yield from sphere
 
+    def word_strings(self) -> list[str]:
+        """``str(w)`` of every word, in ``words()`` order."""
+        chars = {l: letter_str(l) for l in self.presentation.letters()}
+        out: list[str] = []
+        for sphere in self._build("", lambda s, l: s + chars[l]):
+            out += sphere
+        out[0] = word_str(())
+        return out
+
+    def lengths(self) -> list[int]:
+        """``len(w)`` of every word, in ``words()`` order."""
+        return [n for n, size in enumerate(self.sphere_sizes()) for _ in range(size)]
+
     def sphere_sizes(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.spheres)
+        return tuple(len(l) for l in self.letter)
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self.spheres)
+        return sum(self.sphere_sizes())
+
+
+def _check_guard(total: int) -> None:
+    if total > BALL_GUARD:
+        raise ResourceLimit(f"ball size exceeds guard {BALL_GUARD}")
+
+
+def _free_spheres(p: Presentation, radius: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    # every letter but the inverse of the last one; children ordered by
+    # (parent, letter key), which is shortlex order
+    alphabet = np.array(p.letters())
+    last = np.zeros(1, dtype=alphabet.dtype)
+    total = 1
+    for _ in range(radius):
+        total += len(last) * len(alphabet) - np.count_nonzero(last)
+        _check_guard(total)
+        parent = np.repeat(np.arange(len(last)), len(alphabet))
+        letter = np.tile(alphabet, len(last))
+        keep = letter != -last[parent]
+        last = letter[keep]
+        yield parent[keep], last
+
+
+def _surface_spheres(p: Presentation, radius: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    # extensions are re-canonicalized and deduplicated; a prefix of a
+    # shortlex-least geodesic is one, so every word's prefix is in the
+    # previous sphere
+    sphere: list[tuple[int, ...]] = [()]
+    total = 1
+    for target in range(1, radius + 1):
+        new: set[tuple[int, ...]] = set()
+        for w in sphere:
+            for l in p.letters():
+                if w and w[-1] == -l:
+                    continue
+                cand = reduce_word(w + (l,), p).letters
+                if len(cand) == target and cand not in new:
+                    new.add(cand)
+                    total += 1
+                    _check_guard(total)
+        index = {w: i for i, w in enumerate(sphere)}
+        sphere = sorted(new, key=shortlex_key)
+        yield np.array([index[w[:-1]] for w in sphere]), np.array([w[-1] for w in sphere])
 
 
 def enumerate_ball(p: Presentation, radius: int) -> Ball:
     """Breadth-first enumeration of canonical words of length <= radius.
 
-    Extensions of canonical words are re-canonicalized and deduplicated, so
-    the ball is complete and duplicate-free as a set of group elements.
-    Raises ResourceLimit when the ball would exceed ``BALL_GUARD`` words.
+    Free groups extend each word by every letter but the inverse of its
+    last one.  Surface-group extensions are re-canonicalized and
+    deduplicated, so the ball is complete and duplicate-free as a set of
+    group elements.  Raises ResourceLimit when the ball would exceed
+    ``BALL_GUARD`` words.
     """
     if radius < 0:
         raise InvalidParams("radius must be nonnegative")
-    spheres: list[tuple[Word, ...]] = [(Word(()),)]
-    seen: set[tuple[int, ...]] = {()}
-    total = 1
-    for target in range(1, radius + 1):
-        new: list[tuple[int, ...]] = []
-        for w in spheres[target - 1]:
-            for l in p.letters():
-                if w.letters and w.letters[-1] == -l:
-                    continue
-                cand = reduce_word(w.letters + (l,), p)
-                if len(cand.letters) != target or cand.letters in seen:
-                    continue
-                seen.add(cand.letters)
-                new.append(cand.letters)
-                total += 1
-                if total > BALL_GUARD:
-                    raise ResourceLimit(f"ball size exceeds guard {BALL_GUARD}")
-        new.sort(key=shortlex_key)
-        spheres.append(tuple(Word(l) for l in new))
-    return Ball(presentation=p, radius=radius, spheres=tuple(spheres))
+    spheres = _free_spheres if p.family == "free" else _surface_spheres
+    parents, letters = [np.array([-1])], [np.array([0])]
+    for parent, letter in spheres(p, radius):
+        parents.append(parent)
+        letters.append(letter)
+    return Ball(presentation=p, radius=radius, parent=tuple(parents), letter=tuple(letters))
 
 
 @dataclass(frozen=True)
@@ -359,18 +430,28 @@ def evaluate(rep: Representation, word: Word | Sequence[int]) -> ScaledMatrix:
     return m
 
 
-def evaluate_ball(rep: Representation, ball: Ball) -> list[ScaledMatrix]:
+def evaluate_ball(rep: Representation, ball: Ball) -> ScaledBatch:
     """Images of the ball's words, in ``ball.words()`` order.
 
-    Each word's image is its prefix's image times its last letter's image,
-    one multiply per nonempty word.  The prefix of a shortlex-least geodesic
-    is a shortlex-least geodesic, so it is in the ball and already evaluated.
+    Sphere n is computed from sphere n-1 with one batched multiply per
+    letter: the images of the parents of the words ending in that letter,
+    times the letter's image, then renormalized.  Each image is
+    bit-identical to :func:`evaluate` of its word.
     """
-    images = {(): ScaledMatrix.identity(rep.dim)}  # ball words are distinct
-    for w in ball.words():
-        if w.letters:
-            images[w.letters] = images[w.letters[:-1]] @ rep.image(w.letters[-1])
-    return list(images.values())
+    sizes = ball.sphere_sizes()
+    entries = np.empty((sum(sizes), rep.dim, rep.dim))
+    log_scale = np.empty(sum(sizes))
+    entries[0], log_scale[0] = np.eye(rep.dim), 0.0
+    start = 0
+    for parent, letter, prev_size in zip(ball.parent[1:], ball.letter[1:], sizes):
+        prev = ScaledBatch(entries[start : start + prev_size], log_scale[start : start + prev_size])
+        start += prev_size
+        for l in rep.presentation.letters():
+            sel = np.flatnonzero(letter == l)
+            if len(sel):
+                image = prev.take(parent[sel]) @ rep.image(l)
+                entries[start + sel], log_scale[start + sel] = image.entries, image.log_scale
+    return ScaledBatch(entries, log_scale)
 
 
 def cyclic_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ from anosov import (
     Representation,
     ScaledMatrix,
     SchottkyParams,
+    SingularInput,
     TransversalityFailure,
     audit_limit_samples,
     certify_anosov,
@@ -21,9 +22,11 @@ from anosov import (
     direct_sum,
     enumerate_ball,
     evaluate,
+    evaluate_ball,
     gap_profile,
     gap_profiles,
     limit_map_sample,
+    log_singular_values,
     orthonormalize,
     parse_word,
     perturb_path,
@@ -92,6 +95,30 @@ class TestGapProfile:
     def test_one_pass_rejects_out_of_range_k(self, schottky):
         with pytest.raises(DimensionMismatch):
             gap_profiles(schottky, [1, 2], 4)
+
+    def test_batched_svd_fails_like_per_word(self, schottky):
+        # Sym^5 at R=4: 'aaa' (word 17) is the first word over COND_LIMIT and
+        # later words fail with other condition numbers
+        sym5 = sym_power_rep(schottky, 5)
+        ball = enumerate_ball(F2, 4)
+        failures = []
+        for i, w in enumerate(ball.words()):
+            try:
+                singular_values(evaluate(sym5, w))
+            except SingularInput as exc:
+                failures.append((i, str(exc)))
+        assert failures[0] == (17, "condition number 2.059e+14 exceeds 1e+12")
+        assert len({msg for _, msg in failures}) > 1
+        batch = evaluate_ball(sym5, ball)
+        for start in (0, 18):
+            expected = next(msg for i, msg in failures if i >= start)
+            tail = batch.take(np.arange(start, len(batch)))
+            with pytest.raises(SingularInput) as exc:
+                log_singular_values(tail)
+            assert str(exc.value) == expected
+        with pytest.raises(SingularInput) as exc:
+            gap_profiles(sym5, [1], 4)
+        assert str(exc.value) == failures[0][1]
 
 
 class TestCertifyAnosov:

@@ -71,9 +71,10 @@ class TestConfigHandling:
             ({"kind": "sym-power", "m": "5"}, "m"),
             ({"kind": "sym-power", "base": 5}, "base"),
             ({"kind": "direct-sum", "summands": "ab"}, "summands"),
+            ({"kind": "from-file", "path": 5}, "path"),
         ],
         ids=["genus-str", "dilation-str", "dilation-digit-str", "rank-bool", "m-str",
-             "base-int", "summands-str"],
+             "base-int", "summands-str", "path-int"],
     )
     def test_descriptor_value_of_wrong_type(self, tmp_path, capsys, desc, name):
         out = tmp_path / "run"

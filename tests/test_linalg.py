@@ -6,9 +6,11 @@ import pytest
 from anosov import (
     DimensionMismatch,
     MarginalGapWarning,
+    ScaledBatch,
     ScaledMatrix,
     SingularInput,
     is_transverse,
+    log_singular_values,
     normalize_to_sl,
     orthonormalize,
     proximality_report,
@@ -85,6 +87,44 @@ class TestSingularValues:
     def test_condition_guard(self):
         with pytest.raises(SingularInput):
             singular_values(sm(np.diag([1e13, 1.0])))
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ((0, 1, 2), "condition number 1.000e+13 exceeds 1e+12"),
+            ((0, 2, 1), "singular matrix"),
+        ],
+        ids=["ill-conditioned-first", "singular-first"],
+    )
+    def test_batch_raises_for_first_failing_matrix(self, order, message):
+        blocks = [np.eye(2), np.diag([1.0, 1e-13]), np.diag([1.0, 0.0])]
+        batch = ScaledBatch(np.stack([blocks[i] for i in order]), np.zeros(3))
+        with pytest.raises(SingularInput) as exc:
+            log_singular_values(batch)
+        assert str(exc.value) == message
+
+    def test_batch_matches_per_matrix(self, rng):
+        blocks = [sm(rng.standard_normal((4, 4)), rng.standard_normal()) for _ in range(30)]
+        batch = ScaledBatch(
+            np.stack([b.entries for b in blocks]), np.array([b.log_scale for b in blocks])
+        )
+        g = sm(rng.standard_normal((4, 4)), 0.3)
+        product = batch @ g
+        log_sv = log_singular_values(product)
+        for i, b in enumerate(blocks):
+            single = b @ g
+            assert np.array_equal(product[i].entries, single.entries)
+            assert product[i].log_scale == single.log_scale
+            assert np.array_equal(log_sv[i], singular_values(single).log_values)
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [(np.full((2, 2), np.nan), "non-finite"), (np.zeros((2, 2)), "zero matrix")],
+    )
+    def test_batch_product_normalization_checks(self, block, message):
+        batch = ScaledBatch(np.stack([np.eye(2), block]), np.zeros(2))
+        with pytest.raises(SingularInput, match=message):
+            batch @ ScaledMatrix.identity(2)
 
     def test_log_gap_index_range(self):
         sv = singular_values(ScaledMatrix.identity(3))

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -10,13 +11,19 @@ from anosov import (
     Presentation,
     Representation,
     ResourceLimit,
+    ScaledBatch,
     ScaledMatrix,
+    SchottkyParams,
     UnknownLetter,
+    compound_rep,
     enumerate_ball,
     evaluate,
     evaluate_ball,
     parse_word,
+    realify_rep,
     reduce_word,
+    schottky_rep,
+    sym_power_rep,
     word_str,
     words_equal,
 )
@@ -142,6 +149,22 @@ class TestEnumerateBall:
         for l in range(1, 7):
             assert ball.sphere_sizes()[l] == 6 * 5 ** (l - 1)
 
+    @pytest.mark.parametrize("rank, radius", [(2, 8), (3, 5)])
+    def test_free_ball_matches_reduced_words_oracle(self, rank, radius):
+        # every freely reduced word from itertools.product, sorted by shortlex key
+        alphabet = Presentation.free(rank).letters()
+        oracle = [
+            w
+            for n in range(radius + 1)
+            for w in itertools.product(alphabet, repeat=n)
+            if all(a != -b for a, b in zip(w, w[1:]))
+        ]
+        oracle.sort(key=shortlex_key)
+        ball = enumerate_ball(Presentation.free(rank), radius)
+        assert [w.letters for w in ball.words()] == oracle
+        assert ball.word_strings() == [word_str(w) for w in oracle]
+        assert ball.lengths() == [len(w) for w in oracle]
+
     def test_surface_genus2_radius2(self):
         ball = enumerate_ball(S2, 2)
         assert ball.sphere_sizes() == (1, 8, 56)
@@ -208,26 +231,46 @@ class TestEvaluate:
             np.testing.assert_allclose(lhs.entries, rhs.entries, atol=1e-10)
 
     def test_ball_walk_matches_evaluate(self, schottky2, fuchsian2):
-        for rep, p, radius in ((schottky2, F2, 6), (fuchsian2, S2, 3)):
+        sym5 = sym_power_rep(schottky2, 5)
+        cases = (
+            (schottky2, F2, 6),
+            (fuchsian2, S2, 3),
+            (realify_rep(schottky_rep(SchottkyParams(rank=2, field="complex"))), F2, 5),
+            (compound_rep(sym5, 3), F2, 3),
+        )
+        for rep, p, radius in cases:
             ball = enumerate_ball(p, radius)
             images = evaluate_ball(rep, ball)
             assert len(images) == len(ball)
-            for w, walked in zip(ball.words(), images):
+            assert images.entries.shape == (len(ball), rep.dim, rep.dim)
+            for i, w in enumerate(ball.words()):
                 plain = evaluate(rep, w)
-                assert walked.log_scale == plain.log_scale
-                assert np.array_equal(walked.entries, plain.entries)
+                assert images.log_scale[i] == plain.log_scale
+                assert np.array_equal(images.entries[i], plain.entries)
+                assert images[i].log_scale == plain.log_scale
+                assert np.array_equal(images[i].entries, plain.entries)
 
     def test_ball_walk_one_multiply_per_word(self, schottky2, fuchsian2, monkeypatch):
-        calls = []
-        matmul = ScaledMatrix.__matmul__
+        # one batched multiply per sphere and letter, covering each word once
+        per_word = []
+        single = ScaledMatrix.__matmul__
         monkeypatch.setattr(
-            ScaledMatrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b)
+            ScaledMatrix, "__matmul__", lambda a, b: per_word.append(1) or single(a, b)
+        )
+        batched = []
+        matmul = ScaledBatch.__matmul__
+        monkeypatch.setattr(
+            ScaledBatch, "__matmul__", lambda a, b: batched.append(len(a)) or matmul(a, b)
         )
         for rep, p, radius in ((schottky2, F2, 5), (fuchsian2, S2, 3)):
             ball = enumerate_ball(p, radius)
-            calls.clear()
+            batched.clear()
             evaluate_ball(rep, ball)
-            assert len(calls) == len(ball) - 1
+            expected = sum(len(set(letter.tolist())) for letter in ball.letter[1:])
+            assert expected == radius * 2 * p.n_generators
+            assert len(batched) == expected
+            assert sum(batched) == len(ball) - 1
+        assert per_word == []
 
 
 class TestRepresentation:
