@@ -36,14 +36,17 @@ from .linalg import (
     orthonormalize,
     proximality_report,
     singular_values,
+    spectra,
     spectrum,
     subspace_angle,
+    transverse_mask,
 )
 from .exterior import (
     ExteriorVector,
     MultiIndexBasis,
     PluckerHyperplane,
     apply_compound,
+    compound_batch,
     compound_matrix,
     multi_index_basis,
     plucker_hyperplane,
@@ -96,6 +99,7 @@ from .certify import (
     pingpong_subgroup,
     scan_positivity,
     scan_positivities,
+    track_ball_along_path,
     track_ell1_along_path,
 )
 

@@ -21,22 +21,27 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    DimensionMismatch,
     InsufficientRadius,
     NoProximalElements,
     NotBiproximal,
+    ToolkitError,
     TransversalityFailure,
 )
-from .exterior import compound_matrix, plucker_point
+from .exterior import compound_batch, compound_matrix, plucker_point
 from .linalg import (
     EPS_GAP,
     TRANSVERSALITY_COND,
+    ScaledBatch,
     ScaledMatrix,
+    Spectrum,
     is_transverse,
     log_singular_values,
     orthonormalize,
     proximality_report,
+    require_gap_index,
+    spectra,
     spectrum,
+    transverse_mask,
 )
 from .words import (
     Presentation,
@@ -107,8 +112,7 @@ def gap_profiles(
     """
     d = rep.dim
     for k in ks:
-        if not 1 <= k <= d - 1:
-            raise DimensionMismatch(f"k={k} out of range for dimension {d}")
+        require_gap_index(k, d)
     ball = enumerate_ball(rep.presentation, radius)
     log_sv = log_singular_values(evaluate_ball(rep, ball))
     words, lengths = ball.word_strings(), ball.lengths()
@@ -272,16 +276,15 @@ class PositivityReport:
     semiproximal_failures: tuple[str, ...]
 
 
-def _positivity_row(word: str, length: int, m: ScaledMatrix, eps_gap: float) -> PositivityRow:
-    sp = spectrum(m, eps_gap=eps_gap)
-    proximal = sp.is_proximal(1) if m.dim > 1 else False
+def _positivity_row(word: str, length: int, sp: Spectrum, dim: int) -> PositivityRow:
+    proximal = sp.is_proximal(1) if dim > 1 else False
     return PositivityRow(
         word=word,
         length=length,
         proximal=proximal,
         ell1_sign=sp.top_sign or 0,
         semiproximal_positive=sp.is_semiproximal_positive,
-        log_gap=sp.log_gap(1) if m.dim > 1 else 0.0,
+        log_gap=sp.log_gap(1) if dim > 1 else 0.0,
     )
 
 
@@ -304,10 +307,11 @@ def scan_positivities(
     words, lengths = ball.word_strings(), ball.lengths()
     reports = []
     for k, crep in zip(ks, creps):
-        batch = evaluate_ball(crep, ball)
         rows = [
-            _positivity_row(word, length, batch[i], eps_gap)
-            for i, (word, length) in enumerate(zip(words, lengths))
+            _positivity_row(word, length, sp, crep.dim)
+            for word, length, sp in zip(
+                words, lengths, spectra(evaluate_ball(crep, ball), eps_gap=eps_gap)
+            )
         ]
         n_proximal = sum(1 for r in rows if r.proximal)
         n_negative = sum(1 for r in rows if r.proximal and r.ell1_sign < 0)
@@ -393,18 +397,19 @@ def limit_map_sample(
     if radius < 2:
         raise InsufficientRadius("limit sampling needs radius >= 2")
     ball = enumerate_ball(rep.presentation, radius)
+    images = evaluate_ball(rep, ball)
     samples: list[LimitSample] = []
     seen: set[tuple[int, ...]] = set()
     any_proximal = False
     index = 0
-    for w in ball.words():
+    for i, w in enumerate(ball.words()):
         if len(w) == 0 or not is_primitive_cyclic(w.letters):
             continue
         key = conjugacy_key(w.letters)
         if key in seen:
             continue
         seen.add(key)
-        m = evaluate(rep, w)
+        m = images[i]
         rng = np.random.default_rng([seed, index])
         index += 1
         fwd = proximality_report(m, k, eps_gap=eps_gap, rng=rng)
@@ -461,23 +466,31 @@ def audit_limit_samples(
     samples: Sequence[LimitSample],
     cond_threshold: float = TRANSVERSALITY_COND,
 ) -> LimitAudit:
-    """Check pairwise transversality of (k, d-k)-plane pairs and span rank."""
+    """Check pairwise transversality of (k, d-k)-plane pairs and span rank.
+
+    Each boundary point's k-plane is tested against the (d-k)-plane of every
+    other label with one :func:`transverse_mask` call, whose verdicts are
+    those of per-pair :func:`is_transverse` calls; failures are listed in
+    (x, y) order.
+    """
     points: list[tuple[str, np.ndarray | None, np.ndarray | None]] = []
     for s in samples:
         points.append((s.word, s.plus_k, s.plus_dk))
         points.append((s.inverse_word, s.minus_k, s.minus_dk))
+    k_planes = [p for _, p, _ in points if p is not None]
+    dk_points = [(label, p) for label, _, p in points if p is not None]
     failures: list[tuple[str, str]] = []
     checked = 0
-    for label_x, k_plane, _ in points:
-        if k_plane is None:
-            continue
-        for label_y, _, dk_plane in points:
-            if label_y == label_x or dk_plane is None:
+    if k_planes and dk_points:
+        dk_labels = np.array([label for label, _ in dk_points])
+        dk_planes = np.stack([p for _, p in dk_points])
+        for label_x, k_plane, _ in points:
+            if k_plane is None:
                 continue
-            checked += 1
-            if not is_transverse(k_plane, dk_plane, cond_threshold):
-                failures.append((label_x, label_y))
-    k_planes = [p for _, p, _ in points if p is not None]
+            others = np.flatnonzero(dk_labels != label_x)
+            ok = transverse_mask(k_plane, dk_planes[others], cond_threshold)
+            checked += len(others)
+            failures += [(label_x, label_y) for label_y in dk_labels[others[~ok]].tolist()]
     span_rank, span_dim = 0, 0
     if k_planes:
         coords = np.stack([plucker_point(p).unit().coeffs for p in k_planes])
@@ -486,7 +499,7 @@ def audit_limit_samples(
         span_rank = int(np.sum(sv > 1e-8 * sv[0]))
     return LimitAudit(
         n_samples=len(samples),
-        n_boundary_points=sum(1 for _, p, _ in points if p is not None),
+        n_boundary_points=len(k_planes),
         n_pairs_checked=checked,
         transversality_failures=tuple(failures),
         span_rank=span_rank,
@@ -518,21 +531,16 @@ class SignTrace:
     failing_step: int | None
 
 
-def track_ell1_along_path(
-    path: Sequence[Representation],
-    word: Word | Sequence[int],
-    k: int,
-    eps_gap: float = EPS_GAP,
-) -> SignTrace:
-    signs: list[int] = []
-    proximal: list[bool] = []
-    for rep in path:
-        base = evaluate(rep, word)
-        scanned = compound_matrix(base, k) if k > 1 else base
-        sp = spectrum(scanned, eps_gap=eps_gap)
-        proximal.append(sp.is_proximal(1))
-        signs.append(sp.top_sign or 0)
-    letters = word.letters if isinstance(word, Word) else tuple(word)
+def _top_signs(batch: ScaledBatch, k: int, eps_gap: float) -> list[tuple[bool, int]]:
+    """(proximal at 1, top sign or 0) of every matrix of a batch, acting on the
+    k-th exterior power."""
+    scanned = compound_batch(batch, k) if k > 1 else batch
+    return [(sp.is_proximal(1), sp.top_sign or 0) for sp in spectra(scanned, eps_gap=eps_gap)]
+
+
+def _sign_trace(word: str, k: int, steps: Sequence[tuple[bool, int]]) -> SignTrace:
+    proximal = [p for p, _ in steps]
+    signs = [s for _, s in steps]
     failing: int | None = None
     if not all(proximal):
         verdict = "Inconclusive"
@@ -545,13 +553,58 @@ def track_ell1_along_path(
         else:
             verdict = "ConstantSign"
     return SignTrace(
-        word=word_str(letters),
+        word=word,
         k=k,
         signs=tuple(signs),
         proximal=tuple(proximal),
         verdict=verdict,
         failing_step=failing,
     )
+
+
+def track_ell1_along_path(
+    path: Sequence[Representation],
+    word: Word | Sequence[int],
+    k: int,
+    eps_gap: float = EPS_GAP,
+) -> SignTrace:
+    """Sign trace of one word: its images at every path step, stacked into one
+    batch, compounded to degree k and read by one :func:`spectra` call."""
+    images = ScaledBatch.stack([evaluate(rep, word) for rep in path])
+    letters = word.letters if isinstance(word, Word) else tuple(word)
+    return _sign_trace(word_str(letters), k, _top_signs(images, k, eps_gap))
+
+
+def track_ball_along_path(
+    path: Sequence[Representation],
+    radius: int,
+    k: int,
+    eps_gap: float = EPS_GAP,
+) -> list[SignTrace]:
+    """Sign traces of every nonidentity word of the radius ball, in ball order.
+
+    Each path step evaluates the whole ball once (:func:`evaluate_ball`) and
+    reads every word's top sign from one compound and one :func:`spectra`
+    call; the traces equal :func:`track_ell1_along_path` word by word.  When
+    the walk fails, the per-word loop is rerun so that the error raised is
+    that of the first failing word, at its first failing step.
+    """
+    ball = enumerate_ball(path[0].presentation, radius)
+    try:
+        per_step = []
+        for rep in path:
+            images = evaluate_ball(rep, ball)
+            words = ScaledBatch(images.entries[1:], images.log_scale[1:])  # no identity
+            per_step.append(_top_signs(words, k, eps_gap))
+    except ToolkitError:
+        for w in ball.words():
+            if len(w) > 0:
+                track_ell1_along_path(path, w, k, eps_gap)
+        raise
+    return [
+        _sign_trace(word, k, [step[i] for step in per_step])
+        for i, word in enumerate(ball.word_strings()[1:])
+    ]
 
 
 # ---------------------------------------------------------------------------

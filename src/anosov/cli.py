@@ -38,8 +38,8 @@ from .constructions import (
     sym_power_rep,
 )
 from .errors import NoProximalElements, ToolkitError
-from .linalg import EPS_GAP, TRANSVERSALITY_COND
-from .words import Representation, Word, enumerate_ball, parse_word, reduce_word
+from .linalg import EPS_GAP, TRANSVERSALITY_COND, require_gap_index
+from .words import Representation, Word, parse_word, reduce_word
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -347,13 +347,9 @@ def cmd_limit_set(cfg: ExperimentConfig, rep: Representation, out: Path) -> int:
 
 def cmd_deform(cfg: ExperimentConfig, rep: Representation, out: Path) -> int:
     k = _single_k(cfg, "deform")
+    require_gap_index(k, rep.dim)
     path = perturb_path(rep, cfg.magnitude, cfg.seed, cfg.steps)
-    ball = enumerate_ball(rep.presentation, cfg.radius)
-    traces = [
-        cert.track_ell1_along_path(path, w, k, eps_gap=cfg.eps_gap)
-        for w in ball.words()
-        if len(w) > 0
-    ]
+    traces = cert.track_ball_along_path(path, cfg.radius, k, eps_gap=cfg.eps_gap)
     _write_csv(
         out / "deform_traces.csv",
         ["word", "verdict", "failing_step", "signs"],

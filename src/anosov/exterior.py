@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegreeMismatch, DimensionMismatch, RankDeficient, ResourceLimit
-from .linalg import ScaledMatrix
+from .linalg import ScaledBatch, ScaledMatrix
 
 #: Largest allowed compound dimension C(d, k).
 COMPOUND_GUARD = 10_000
@@ -141,24 +141,35 @@ def wedge(a: ExteriorVector, b: ExteriorVector) -> ExteriorVector:
     return ExteriorVector.from_coeffs(a.d, k + l, out)
 
 
-def compound_matrix(g: ScaledMatrix, k: int) -> ScaledMatrix:
-    """Induced action of ``g`` on the k-th exterior power.
+def compound_batch(batch: ScaledBatch, k: int) -> ScaledBatch:
+    """Induced action of every matrix of a batch on the k-th exterior power.
 
-    Entry (I, J) is the k x k minor of the true matrix on rows I and columns
-    J; the log scale composes as k times the input scale.  Functorial:
-    compound(g @ h) == compound(g) @ compound(h).
+    Entry (I, J) of block i is the k x k minor of matrix i on rows I and
+    columns J, all from one determinant call over the (n, C, C, k, k) minor
+    stack; each block is then normalized as :meth:`ScaledMatrix.from_array`
+    normalizes it alone, with k times the input scale.
     """
-    d = g.dim
+    d = batch.entries.shape[-1]
     if not 1 <= k <= d - 1:
         raise DegreeMismatch(f"compound degree {k} out of range for dimension {d}")
     size = math.comb(d, k)
     if size > COMPOUND_GUARD:
         raise ResourceLimit(f"C({d},{k}) = {size} exceeds guard {COMPOUND_GUARD}")
     rows = np.array(multi_index_basis(d, k).subsets, dtype=np.intp)
-    # sub[a, b] = entries[I_a, :][:, J_b], batched over all subset pairs
-    sub = g.entries[rows[:, None, :, None], rows[None, :, None, :]]
-    minors = np.linalg.det(sub)
-    return ScaledMatrix.from_array(minors, k * g.log_scale)
+    # sub[n, a, b] = entries[n][I_a, :][:, J_b], batched over matrices and subset pairs
+    sub = batch.entries[:, rows[:, None, :, None], rows[None, :, None, :]]
+    return ScaledBatch.from_arrays(np.linalg.det(sub), k * batch.log_scale)
+
+
+def compound_matrix(g: ScaledMatrix, k: int) -> ScaledMatrix:
+    """Induced action of ``g`` on the k-th exterior power; one row of
+    :func:`compound_batch`.
+
+    Entry (I, J) is the k x k minor of the true matrix on rows I and columns
+    J; the log scale composes as k times the input scale.  Functorial:
+    compound(g @ h) == compound(g) @ compound(h).
+    """
+    return compound_batch(ScaledBatch.stack([g]), k)[0]
 
 
 def apply_compound(g: ScaledMatrix, v: ExteriorVector) -> ExteriorVector:

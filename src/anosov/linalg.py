@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -147,12 +148,19 @@ class ScaledBatch:
     def __getitem__(self, i: int) -> ScaledMatrix:
         return ScaledMatrix(_as_readonly(self.entries[i]), float(self.log_scale[i]))
 
+    @classmethod
+    def stack(cls, matrices: Sequence[ScaledMatrix]) -> "ScaledBatch":
+        return cls(
+            np.stack([m.entries for m in matrices]), np.array([m.log_scale for m in matrices])
+        )
+
     def take(self, index: np.ndarray) -> "ScaledBatch":
         return ScaledBatch(self.entries[index], self.log_scale[index])
 
-    def __matmul__(self, other: ScaledMatrix) -> "ScaledBatch":
-        """Every matrix of the stack times ``other``, renormalized in place."""
-        a = self.entries @ other.entries
+    @classmethod
+    def from_arrays(cls, a: np.ndarray, log_scale: np.ndarray) -> "ScaledBatch":
+        """Normalize each block of an (n, d, d) stack in place, as
+        :meth:`ScaledMatrix.from_array` normalizes one matrix."""
         m = np.maximum(a.max(axis=(1, 2)), -a.min(axis=(1, 2)))  # max |entry|, NaN-propagating
         if not np.all(np.isfinite(m)):
             raise SingularInput("matrix has non-finite entries")
@@ -161,7 +169,13 @@ class ScaledBatch:
         a /= m[:, None, None]
         # math.log, not np.log: the two can differ in the last ulp
         logs = np.array([math.log(x) for x in m.tolist()])
-        return ScaledBatch(a, self.log_scale + other.log_scale + logs)
+        return cls(a, log_scale + logs)
+
+    def __matmul__(self, other: ScaledMatrix) -> "ScaledBatch":
+        """Every matrix of the stack times ``other``, renormalized in place."""
+        return ScaledBatch.from_arrays(
+            self.entries @ other.entries, self.log_scale + other.log_scale
+        )
 
 
 @dataclass(frozen=True)
@@ -240,23 +254,26 @@ class ProximalityReport:
     repelling_plane: np.ndarray | None
 
 
-def _checked_singular_values(entries: np.ndarray, cond_limit: float = math.inf) -> np.ndarray:
+def _singular_value_check(
+    entries: np.ndarray, cond_limit: float = math.inf
+) -> tuple[np.ndarray, int, SingularInput | None]:
     """Singular values of each matrix in an (n, d, d) stack, rows nonincreasing.
 
-    Raises SingularInput for the first matrix of the stack that is singular
-    or whose condition number exceeds ``cond_limit``.
+    Also returns the index of the first matrix that is singular or whose
+    condition number exceeds ``cond_limit``, with its error; n and None
+    when every matrix passes.
     """
     sv = np.linalg.svd(entries, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = sv[:, 0] / sv[:, -1]
     singular = (sv[:, -1] <= 0.0) | ~np.isfinite(sv[:, -1])
     bad = singular | (cond > cond_limit)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if singular[i]:
-            raise SingularInput("singular matrix")
-        raise SingularInput(f"condition number {cond[i]:.3e} exceeds {cond_limit:.0e}")
-    return sv
+    if not bad.any():
+        return sv, len(sv), None
+    i = int(np.argmax(bad))
+    if singular[i]:
+        return sv, i, SingularInput("singular matrix")
+    return sv, i, SingularInput(f"condition number {cond[i]:.3e} exceeds {cond_limit:.0e}")
 
 
 def log_singular_values(batch: ScaledBatch) -> np.ndarray:
@@ -265,7 +282,9 @@ def log_singular_values(batch: ScaledBatch) -> np.ndarray:
     One stacked SVD; the checks of :func:`singular_values` apply to every
     matrix and the first failing one in batch order raises.
     """
-    sv = _checked_singular_values(batch.entries, cond_limit=COND_LIMIT)
+    sv, _, error = _singular_value_check(batch.entries, cond_limit=COND_LIMIT)
+    if error is not None:
+        raise error
     return np.log(sv) + batch.log_scale[:, None]
 
 
@@ -275,8 +294,7 @@ def singular_values(g: ScaledMatrix) -> SingularValues:
     All values are reported to full relative accuracy, which requires the
     condition number to stay below COND_LIMIT.
     """
-    batch = ScaledBatch(g.entries[None], np.array([g.log_scale]))
-    return SingularValues(log_values=_as_readonly(log_singular_values(batch)[0]))
+    return SingularValues(log_values=_as_readonly(log_singular_values(ScaledBatch.stack([g]))[0]))
 
 
 def _real_schur_eigendata(t: np.ndarray) -> list[tuple[float, bool, float]]:
@@ -303,28 +321,14 @@ def _real_schur_eigendata(t: np.ndarray) -> list[tuple[float, bool, float]]:
     return out
 
 
-def spectrum(g: ScaledMatrix, eps_gap: float = EPS_GAP) -> Spectrum:
-    """Eigenvalue moduli via a real Schur decomposition.
-
-    Complex pairs are read off the standardized 2x2 blocks, so no complex
-    arithmetic is involved.  The signed top eigenvalue is reported only when
-    the maximum modulus is attained exactly once (within relative eps_gap)
-    and by a real eigenvalue.
-
-    Unlike :func:`singular_values`, no condition-number ceiling applies, but
-    wide spectra (long words in exterior powers) are not safe: eigenvalues far
-    below the top carry absolute rather than relative accuracy, and a Schur
-    diagonal entry that underflows to 0 raises ``SingularInput("zero
-    eigenvalue")``.
-    """
-    _checked_singular_values(g.entries[None])
+def _schur_spectrum(entries: np.ndarray, log_scale: float, eps_gap: float) -> Spectrum:
     try:
-        t, _ = scipy.linalg.schur(g.entries, output="real")
+        t, _ = scipy.linalg.schur(entries, output="real")
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise EigensolveFailure(str(exc)) from exc
     eigs = _real_schur_eigendata(t)
     eigs.sort(key=lambda e: -e[0])
-    log_moduli = np.array([e[0] + g.log_scale for e in eigs])
+    log_moduli = np.array([e[0] + log_scale for e in eigs])
     tol = math.log1p(eps_gap)
     attained = [e for e in eigs if eigs[0][0] - e[0] <= tol]
     top_sign: int | None = None
@@ -337,6 +341,40 @@ def spectrum(g: ScaledMatrix, eps_gap: float = EPS_GAP) -> Spectrum:
         is_semiproximal_positive=semi_positive,
         eps_gap=eps_gap,
     )
+
+
+def spectra(batch: ScaledBatch, eps_gap: float = EPS_GAP) -> list[Spectrum]:
+    """The :func:`spectrum` of every matrix of a batch, in batch order.
+
+    One stacked singularity check, then one real Schur decomposition per
+    matrix.  The first matrix that fails either stage raises, with the error
+    :func:`spectrum` raises for it alone.
+    """
+    _, n_ok, error = _singular_value_check(batch.entries)
+    out = [
+        _schur_spectrum(batch.entries[i], log_scale, eps_gap)
+        for i, log_scale in enumerate(batch.log_scale[:n_ok].tolist())
+    ]
+    if error is not None:
+        raise error
+    return out
+
+
+def spectrum(g: ScaledMatrix, eps_gap: float = EPS_GAP) -> Spectrum:
+    """Eigenvalue moduli via a real Schur decomposition; one row of :func:`spectra`.
+
+    Complex pairs are read off the standardized 2x2 blocks, so no complex
+    arithmetic is involved.  The signed top eigenvalue is reported only when
+    the maximum modulus is attained exactly once (within relative eps_gap)
+    and by a real eigenvalue.
+
+    Unlike :func:`singular_values`, no condition-number ceiling applies, but
+    wide spectra (long words in exterior powers) are not safe: eigenvalues far
+    below the top carry absolute rather than relative accuracy, and a Schur
+    diagonal entry that underflows to 0 raises ``SingularInput("zero
+    eigenvalue")``.
+    """
+    return spectra(ScaledBatch.stack([g]), eps_gap)[0]
 
 
 def orthonormalize(a: np.ndarray) -> np.ndarray:
@@ -408,6 +446,12 @@ def _power_iteration_check(
     )
 
 
+def require_gap_index(k: int, d: int) -> None:
+    """Raise DimensionMismatch unless 1 <= k <= d - 1."""
+    if not 1 <= k <= d - 1:
+        raise DimensionMismatch(f"k={k} out of range for dimension {d}")
+
+
 def proximality_report(
     g: ScaledMatrix,
     k: int,
@@ -425,8 +469,7 @@ def proximality_report(
     both planes is always checked.
     """
     d = g.dim
-    if not 1 <= k <= d - 1:
-        raise DimensionMismatch(f"k={k} out of range for dimension {d}")
+    require_gap_index(k, d)
     spec = spectrum(g, eps_gap=eps_gap)
     log_gap = spec.log_gap(k)
     gap_eig = math.exp(log_gap) if log_gap < 700 else math.inf
@@ -472,27 +515,43 @@ def proximality_report(
     )
 
 
+def transverse_mask(
+    v: np.ndarray, planes: np.ndarray, cond_threshold: float = TRANSVERSALITY_COND
+) -> np.ndarray:
+    """Whether a k-plane spans the whole space stably with each plane of a stack.
+
+    ``v`` is a d x k orthonormal basis and ``planes`` an (n, d, d-k) stack of
+    orthonormal bases.  Entry j is True when the d x d matrix [v | planes[j]]
+    has a positive smallest singular value and condition number below the
+    threshold; all n matrices go through one stacked SVD, whose values are
+    those of n separate calls.  Non-finite input raises LinAlgError.
+    """
+    v = np.asarray(v, dtype=float)
+    planes = np.asarray(planes, dtype=float)
+    if v.ndim != 2 or planes.ndim != 3 or v.shape[0] != planes.shape[1]:
+        raise DimensionMismatch("planes must be column bases in the same space")
+    d = v.shape[0]
+    if v.shape[1] + planes.shape[2] != d:
+        raise DimensionMismatch(
+            f"dimensions {v.shape[1]} + {planes.shape[2]} do not sum to {d}"
+        )
+    pairs = np.concatenate([np.broadcast_to(v, (len(planes), d, v.shape[1])), planes], axis=2)
+    sv = np.linalg.svd(pairs, compute_uv=False)
+    positive = sv[:, -1] > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return positive & (sv[:, 0] / sv[:, -1] < cond_threshold)
+
+
 def is_transverse(
     v: np.ndarray, w: np.ndarray, cond_threshold: float = TRANSVERSALITY_COND
 ) -> bool:
     """Whether a k-plane and a (d-k)-plane span the whole space stably.
 
-    Both planes must be given by orthonormal bases; the verdict is that the
-    concatenated d x d basis matrix has condition number below the threshold.
+    One row of :func:`transverse_mask`: both planes must be given by
+    orthonormal bases, and the verdict is that the concatenated d x d basis
+    matrix has condition number below the threshold.
     """
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if v.ndim != 2 or w.ndim != 2 or v.shape[0] != w.shape[0]:
-        raise DimensionMismatch("planes must be column bases in the same space")
-    d = v.shape[0]
-    if v.shape[1] + w.shape[1] != d:
-        raise DimensionMismatch(
-            f"dimensions {v.shape[1]} + {w.shape[1]} do not sum to {d}"
-        )
-    sv = np.linalg.svd(np.hstack([v, w]), compute_uv=False)
-    if sv[-1] <= 0.0:
-        return False
-    return bool(sv[0] / sv[-1] < cond_threshold)
+    return bool(transverse_mask(v, np.asarray(w, dtype=float)[None], cond_threshold)[0])
 
 
 def normalize_to_sl(g: ScaledMatrix) -> ScaledMatrix:

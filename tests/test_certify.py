@@ -43,6 +43,7 @@ from anosov import (
     spectrum,
     subspace_angle,
     sym_power_rep,
+    track_ball_along_path,
     track_ell1_along_path,
 )
 
@@ -285,6 +286,28 @@ class TestLimitMapSample:
         assert all(s.dynamics_preserving for s in samples)
         assert audit.all_transverse
 
+    @pytest.mark.parametrize("which, k, radius", [("schottky", 1, 5), ("tau2rep", 2, 4)])
+    def test_audit_matches_per_pair_loop(self, request, which, k, radius):
+        # a threshold of 100 fails a share of the pairs (conditions run from
+        # 1 to about 1e4 here), so the failure order is exercised
+        samples = limit_map_sample(request.getfixturevalue(which), k, radius)
+        points = []
+        for s in samples:
+            points += [(s.word, s.plus_k, s.plus_dk), (s.inverse_word, s.minus_k, s.minus_dk)]
+        failures, checked = [], 0
+        for label_x, k_plane, _ in points:
+            for label_y, _, dk_plane in points:
+                if k_plane is None or dk_plane is None or label_y == label_x:
+                    continue
+                checked += 1
+                sv = np.linalg.svd(np.hstack([k_plane, dk_plane]), compute_uv=False)
+                if not (sv[-1] > 0.0 and sv[0] / sv[-1] < 100.0):
+                    failures.append((label_x, label_y))
+        audit = audit_limit_samples(samples, cond_threshold=100.0)
+        assert audit.n_pairs_checked == checked
+        assert 0 < len(failures) < checked
+        assert audit.transversality_failures == tuple(failures)
+
     def test_equivariance_on_conjugates(self, schottky):
         # attracting plane of h g h^-1 equals rho(h) times that of g
         g = parse_word("ab")
@@ -325,6 +348,14 @@ class TestTrackEll1:
                 continue
             trace = track_ell1_along_path(path, w, 1)
             assert trace.verdict == "ConstantSign", (str(w), trace.failing_step)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_ball_walk_matches_per_word_traces(self, schottky, k):
+        sym5 = sym_power_rep(schottky, 5)
+        path = perturb_path(sym5, 0.01, seed=1, steps=8)
+        traces = track_ball_along_path(path, 2, k)
+        words = [w for w in enumerate_ball(F2, 2).words() if len(w) > 0]
+        assert traces == [track_ell1_along_path(path, w, k) for w in words]
 
     def test_proximality_loss_reported(self, schottky):
         # a hand-built path with a big perturbation loses proximality for

@@ -1,7 +1,19 @@
+import csv
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from anosov import (
+    SingularInput,
+    compound_matrix,
+    enumerate_ball,
+    evaluate,
+    perturb_path,
+    spectrum,
+)
+from anosov import certify as cert
 from anosov.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -10,6 +22,8 @@ from anosov.cli import (
     build_representation,
     main,
 )
+
+DATA = Path(__file__).parent / "data"
 
 SCHOTTKY = '{"kind":"schottky","rank":2,"dilation":3.0}'
 TAU2 = '{"kind":"tau2-schottky","rank":2,"dilation":3.0,"twists":[0.3,0.7]}'
@@ -262,6 +276,14 @@ class TestOtherCommands:
         assert "limit-set takes one k" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    def test_deform_checks_k_against_dimension(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run("deform", "--construction", '{"kind":"schottky"}', "--k", "2",
+                   "--radius", "0", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: k=2 out of range for dimension 2\n"
+        assert not any(out.iterdir())
+
     def test_deform_magnitude_guard(self, tmp_path):
         code = run("deform", "--construction", SCHOTTKY, "--magnitude", "0.5",
                    "--out", str(tmp_path))
@@ -316,3 +338,106 @@ class TestReproducibility:
                 (out / "summary.json").read_bytes(),
             )
         assert runs["1"] == runs["3"]
+
+
+def reference_deform_rows(desc, k, radius, seed, steps, magnitude=0.01):
+    """deform_traces.csv rows from a word-by-word, step-by-step loop of
+    evaluate -> compound_matrix -> spectrum."""
+    rep = build_representation(json.loads(desc))
+    path = perturb_path(rep, magnitude, seed, steps)
+    rows = []
+    for w in enumerate_ball(rep.presentation, radius).words():
+        if len(w) == 0:
+            continue
+        per_step = []
+        for step in path:
+            image = evaluate(step, w)
+            per_step.append(spectrum(compound_matrix(image, k) if k > 1 else image))
+        proximal = [sp.is_proximal(1) for sp in per_step]
+        signs = [sp.top_sign or 0 for sp in per_step]
+        flips = [i for i in range(1, len(signs)) if signs[i] != signs[i - 1]]
+        if not all(proximal):
+            verdict, step = "Inconclusive", proximal.index(False)
+        elif flips:
+            verdict, step = "SignChange", flips[0]
+        else:
+            verdict, step = "ConstantSign", ""
+        text = "".join("+" if x > 0 else ("-" if x < 0 else "0") for x in signs)
+        rows.append([str(w), verdict, str(step), text])
+    return rows
+
+
+class TestDeformBatchedWalk:
+    @pytest.mark.parametrize("k", ["2", "3"])
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_csv_matches_per_word_reference(self, tmp_path, k, seed):
+        out = tmp_path / "run"
+        run("deform", "--construction", SYM5, "--k", k, "--radius", "3", "--steps", "10",
+            "--seed", seed, "--out", str(out))
+        with open(out / "deform_traces.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["word", "verdict", "failing_step", "signs"]
+        assert rows[1:] == reference_deform_rows(SYM5, int(k), 3, int(seed), 10)
+
+    def test_error_of_first_failing_word_propagates(self, tmp_path, capsys, monkeypatch):
+        # failures planted at (word 5, step 30) and (word 40, step 2): the
+        # step-major walk meets word 40 first, but the word-major error wins
+        rep = build_representation(json.loads(SYM5))
+        path = perturb_path(rep, 0.01, 0, 50)
+        words = [w for w in enumerate_ball(rep.presentation, 3).words() if len(w) > 0]
+        planted = {}
+        for w, step in ((5, 30), (40, 2)):
+            image = compound_matrix(evaluate(path[step], words[w]), 2)
+            planted[f"planted failure at word {w}, step {step}"] = image
+        raised = []
+        real_spectra = cert.spectra
+
+        def spectra(batch, eps_gap):
+            for entries, log_scale in zip(batch.entries, batch.log_scale):
+                for message, image in planted.items():
+                    if log_scale == image.log_scale and np.array_equal(entries, image.entries):
+                        raised.append(message)
+                        raise SingularInput(message)
+            return real_spectra(batch, eps_gap=eps_gap)
+
+        monkeypatch.setattr(cert, "spectra", spectra)
+        out = tmp_path / "run"
+        code = run("deform", "--construction", SYM5, "--k", "2", "--radius", "3",
+                   "--seed", "0", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert raised == ["planted failure at word 40, step 2", "planted failure at word 5, step 30"]
+        assert capsys.readouterr().err == "error: planted failure at word 5, step 30\n"
+        assert not (out / "summary.json").exists()
+
+
+class TestPinnedOutputs:
+    """Platform-stable report columns, recorded before the pair audit and the
+    deform walk were batched; they must not move."""
+
+    def test_limit_set_schottky_k1_r5(self, tmp_path):
+        out = tmp_path / "run"
+        assert run("limit-set", "--construction", SCHOTTKY, "--k", "1", "--radius", "5",
+                   "--seed", "0", "--out", str(out)) == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["audit"] == {
+            "n_boundary_points": 82,
+            "n_pairs_checked": 6642,
+            "n_samples": 41,
+            "span_dim": 2,
+            "span_rank": 2,
+            "spanning": True,
+            "transversality_failures": [],
+        }
+        with open(out / "limit_samples.csv", newline="") as fh:
+            columns = [row[:3] for row in csv.reader(fh)]
+        with open(DATA / "limit_set_schottky_k1_r5_seed0.csv", newline="") as fh:
+            assert columns == list(csv.reader(fh))
+
+    def test_deform_sym5_k2_r3(self, tmp_path):
+        out = tmp_path / "run"
+        assert run("deform", "--construction", SYM5, "--k", "2", "--radius", "3",
+                   "--steps", "10", "--seed", "1", "--out", str(out)) == EXIT_REFUTED
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["counts"] == {"ConstantSign": 38, "SignChange": 14, "Inconclusive": 0}
+        assert summary["first_non_constant"] == {"word": "B", "verdict": "SignChange", "step": 6}
+        expected = (DATA / "deform_sym5_k2_r3_steps10_seed1.csv").read_bytes()
+        assert (out / "deform_traces.csv").read_bytes() == expected

@@ -10,13 +10,20 @@ from anosov import (
     RankDeficient,
     ResourceLimit,
     ScaledMatrix,
+    Presentation,
+    SchottkyParams,
     apply_compound,
+    compound_batch,
     compound_matrix,
+    enumerate_ball,
+    evaluate_ball,
     is_transverse,
     multi_index_basis,
     plucker_hyperplane,
     plucker_point,
+    schottky_rep,
     spectrum,
+    sym_power_rep,
     symplectic_form,
     symplectic_pairing_matrix,
     wedge,
@@ -132,6 +139,34 @@ class TestCompoundMatrix:
     def test_resource_guard(self):
         with pytest.raises(ResourceLimit):
             compound_matrix(ScaledMatrix.identity(30), 15)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_batch_matches_brute_force_minors(self, k):
+        # every k x k minor from its own det call, then from_array's
+        # normalization, on the Sym^5 radius-3 ball
+        sym5 = sym_power_rep(schottky_rep(SchottkyParams(rank=2, dilation=3.0)), 5)
+        batch = evaluate_ball(sym5, enumerate_ball(Presentation.free(2), 3))
+        compound = compound_batch(batch, k)
+        subsets = list(combinations(range(6), k))
+        for i in range(len(batch)):
+            g = batch.entries[i]
+            minors = np.array(
+                [[np.linalg.det(g[np.ix_(rows, cols)]) for cols in subsets] for rows in subsets]
+            )
+            m = np.max(np.abs(minors))
+            assert np.array_equal(compound.entries[i], minors / m)
+            assert compound.log_scale[i] == k * float(batch.log_scale[i]) + math.log(m)
+            single = compound_matrix(batch[i], k)
+            assert np.array_equal(single.entries, compound.entries[i])
+            assert single.log_scale == compound.log_scale[i]
+
+    def test_batch_degree_checked(self):
+        batch = evaluate_ball(
+            schottky_rep(SchottkyParams(rank=2, dilation=3.0)),
+            enumerate_ball(Presentation.free(2), 1),
+        )
+        with pytest.raises(DegreeMismatch, match="out of range for dimension 2"):
+            compound_batch(batch, 2)
 
 
 class TestPlucker:

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import scipy.linalg
+
 from anosov import (
     DimensionMismatch,
+    EigensolveFailure,
     MarginalGapWarning,
     ScaledBatch,
     ScaledMatrix,
@@ -15,8 +18,10 @@ from anosov import (
     orthonormalize,
     proximality_report,
     singular_values,
+    spectra,
     spectrum,
     subspace_angle,
+    transverse_mask,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -255,6 +260,111 @@ class TestTransversality:
         e = np.eye(4)
         with pytest.raises(DimensionMismatch):
             is_transverse(e[:, :1], e[:, 1:3])
+
+
+class TestStackedTransversality:
+    """``transverse_mask`` against a per-pair loop of ``np.linalg.svd``."""
+
+    THRESHOLD = 50.0
+
+    @staticmethod
+    def per_pair(v, planes, threshold):
+        out = []
+        for w in planes:
+            sv = np.linalg.svd(np.hstack([v, w]), compute_uv=False)
+            out.append(bool(sv[-1] > 0.0 and sv[0] / sv[-1] < threshold))
+        return out
+
+    def adversarial_planes(self, rng):
+        # d = 4, k = 2: v = <e0, e1>; planes <cos t e0 + sin t e2, e3> have
+        # cond[v|w] = sqrt((1 + cos t) / (1 - cos t)), so t is solved for
+        # condition numbers just below and just above the threshold
+        e = np.eye(4)
+        v = e[:, :2]
+        planes = [e[:, 2:], e[:, [0, 2]], e[:, [1, 3]]]  # transverse, then exactly dependent
+        for factor in (1 - 1e-3, 1 + 1e-3, 1 - 1e-4, 1 + 1e-4):
+            c2 = (self.THRESHOLD * factor) ** 2
+            cos_t = (c2 - 1) / (c2 + 1)
+            sin_t = np.sqrt(1 - cos_t**2)
+            planes.append(np.stack([cos_t * e[0] + sin_t * e[2], e[3]], axis=1))
+        planes += [orthonormalize(rng.standard_normal((4, 2))) for _ in range(20)]
+        q = orthonormalize(rng.standard_normal((4, 4)))
+        return v, np.stack(planes), q
+
+    def test_matches_per_pair_svd(self, rng):
+        v, planes, q = self.adversarial_planes(rng)
+        assert np.linalg.svd(np.hstack([v, planes[1]]), compute_uv=False)[-1] == 0.0
+        expected = self.per_pair(v, planes, self.THRESHOLD)
+        assert expected[:7] == [True, False, False, True, False, True, False]
+        mask = transverse_mask(v, planes, self.THRESHOLD)
+        assert mask.tolist() == expected
+        assert [is_transverse(v, w, self.THRESHOLD) for w in planes] == expected
+        # the same configuration in general position
+        rotated = q @ planes
+        assert transverse_mask(q @ v, rotated, self.THRESHOLD).tolist() == self.per_pair(
+            q @ v, rotated, self.THRESHOLD
+        )
+
+    def test_nan_plane_raises_like_per_pair(self, rng):
+        v, planes, _ = self.adversarial_planes(rng)
+        planes[5, 0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError) as per_pair:
+            self.per_pair(v, planes, self.THRESHOLD)
+        with pytest.raises(np.linalg.LinAlgError) as stacked:
+            transverse_mask(v, planes, self.THRESHOLD)
+        assert str(stacked.value) == str(per_pair.value)
+
+    def test_dimension_checks(self):
+        e = np.eye(4)
+        with pytest.raises(DimensionMismatch, match="do not sum"):
+            transverse_mask(e[:, :1], np.stack([e[:, 1:3]]))
+        with pytest.raises(DimensionMismatch, match="same space"):
+            transverse_mask(e[:, :2], e[:, 2:])
+        with pytest.raises(DimensionMismatch, match="same space"):
+            is_transverse(e[:, :2], np.stack([e[:, 2:]]))
+
+
+class TestSpectraFailureOrder:
+    """``spectra`` raises what a per-matrix ``spectrum`` loop raises first."""
+
+    @pytest.mark.parametrize("singular_row, schur_row", [(1, 3), (3, 1)])
+    def test_first_failure_in_batch_order(self, rng, monkeypatch, singular_row, schur_row):
+        blocks = [sm(rng.standard_normal((3, 3)) + 3 * np.eye(3)).entries for _ in range(5)]
+        blocks[singular_row] = np.diag([1.0, 0.5, 0.0])
+        batch = ScaledBatch(np.stack(blocks), rng.standard_normal(5))
+        real_schur = scipy.linalg.schur
+
+        def schur(a, *args, **kwargs):
+            if np.array_equal(a, blocks[schur_row]):
+                raise scipy.linalg.LinAlgError(f"planted failure at row {schur_row}")
+            return real_schur(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", schur)
+        with pytest.raises((SingularInput, EigensolveFailure)) as per_matrix:
+            for i in range(len(batch)):
+                spectrum(batch[i])
+        with pytest.raises((SingularInput, EigensolveFailure)) as stacked:
+            spectra(batch)
+        expected = (
+            (SingularInput, "singular matrix")
+            if singular_row < schur_row
+            else (EigensolveFailure, f"planted failure at row {schur_row}")
+        )
+        assert (type(per_matrix.value), str(per_matrix.value)) == expected
+        assert (type(stacked.value), str(stacked.value)) == expected
+
+    def test_matches_per_matrix(self, rng):
+        batch = ScaledBatch(
+            np.stack([sm(rng.standard_normal((4, 4))).entries for _ in range(20)]),
+            rng.standard_normal(20),
+        )
+        for i, sp in enumerate(spectra(batch, eps_gap=1e-6)):
+            single = spectrum(batch[i], eps_gap=1e-6)
+            assert np.array_equal(sp.log_moduli, single.log_moduli)
+            assert (sp.top_sign, sp.is_semiproximal_positive) == (
+                single.top_sign,
+                single.is_semiproximal_positive,
+            )
 
 
 class TestNormalizeToSl:
