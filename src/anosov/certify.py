@@ -21,13 +21,14 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    DimensionMismatch,
     InsufficientRadius,
     NoProximalElements,
     NotBiproximal,
     ToolkitError,
     TransversalityFailure,
 )
-from .exterior import compound_batch, compound_matrix, plucker_point
+from .exterior import STACK_ELEMENTS, compound_batch, compound_matrix, plucker_point
 from .linalg import (
     EPS_GAP,
     TRANSVERSALITY_COND,
@@ -533,9 +534,20 @@ class SignTrace:
 
 def _top_signs(batch: ScaledBatch, k: int, eps_gap: float) -> list[tuple[bool, int]]:
     """(proximal at 1, top sign or 0) of every matrix of a batch, acting on the
-    k-th exterior power."""
-    scanned = compound_batch(batch, k) if k > 1 else batch
-    return [(sp.is_proximal(1), sp.top_sign or 0) for sp in spectra(scanned, eps_gap=eps_gap)]
+    k-th exterior power.
+
+    Read in row slices whose compounds hold at most :data:`STACK_ELEMENTS`
+    entries, so a large ball in a wide exterior power is never stacked whole.
+    """
+    d = batch.entries.shape[-1]
+    size = math.comb(d, k) if k > 1 else d  # 0 when k > d; compound_batch raises
+    step = max(1, STACK_ELEMENTS // max(1, size * size))
+    out: list[tuple[bool, int]] = []
+    for lo in range(0, len(batch), step):
+        part = batch.take(slice(lo, lo + step))
+        scanned = compound_batch(part, k) if k > 1 else part
+        out += [(sp.is_proximal(1), sp.top_sign or 0) for sp in spectra(scanned, eps_gap=eps_gap)]
+    return out
 
 
 def _sign_trace(word: str, k: int, steps: Sequence[tuple[bool, int]]) -> SignTrace:

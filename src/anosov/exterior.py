@@ -21,6 +21,10 @@ from .linalg import ScaledBatch, ScaledMatrix
 #: Largest allowed compound dimension C(d, k).
 COMPOUND_GUARD = 10_000
 
+#: Most float64 elements (4 MiB) that one batched compound or sign read stacks
+#: at once; larger batches are processed in consecutive row slices.
+STACK_ELEMENTS = 1 << 19
+
 
 @dataclass(frozen=True)
 class MultiIndexBasis:
@@ -145,9 +149,11 @@ def compound_batch(batch: ScaledBatch, k: int) -> ScaledBatch:
     """Induced action of every matrix of a batch on the k-th exterior power.
 
     Entry (I, J) of block i is the k x k minor of matrix i on rows I and
-    columns J, all from one determinant call over the (n, C, C, k, k) minor
-    stack; each block is then normalized as :meth:`ScaledMatrix.from_array`
-    normalizes it alone, with k times the input scale.
+    columns J, from determinant calls over (rows, C, C, k, k) minor stacks of
+    at most :data:`STACK_ELEMENTS` elements (at least one matrix each); each
+    block is then normalized as :meth:`ScaledMatrix.from_array` normalizes it
+    alone, with k times the input scale.  Determinants are per matrix, so the
+    slicing does not change a bit.
     """
     d = batch.entries.shape[-1]
     if not 1 <= k <= d - 1:
@@ -156,9 +162,13 @@ def compound_batch(batch: ScaledBatch, k: int) -> ScaledBatch:
     if size > COMPOUND_GUARD:
         raise ResourceLimit(f"C({d},{k}) = {size} exceeds guard {COMPOUND_GUARD}")
     rows = np.array(multi_index_basis(d, k).subsets, dtype=np.intp)
-    # sub[n, a, b] = entries[n][I_a, :][:, J_b], batched over matrices and subset pairs
-    sub = batch.entries[:, rows[:, None, :, None], rows[None, :, None, :]]
-    return ScaledBatch.from_arrays(np.linalg.det(sub), k * batch.log_scale)
+    step = max(1, STACK_ELEMENTS // (size * size * k * k))
+    minors = np.empty((len(batch), size, size))
+    for lo in range(0, len(batch), step):
+        # sub[n, a, b] = entries[n][I_a, :][:, J_b], batched over matrices and subset pairs
+        sub = batch.entries[lo : lo + step, rows[:, None, :, None], rows[None, :, None, :]]
+        minors[lo : lo + step] = np.linalg.det(sub)
+    return ScaledBatch.from_arrays(minors, k * batch.log_scale)
 
 
 def compound_matrix(g: ScaledMatrix, k: int) -> ScaledMatrix:

@@ -154,7 +154,7 @@ class ScaledBatch:
             np.stack([m.entries for m in matrices]), np.array([m.log_scale for m in matrices])
         )
 
-    def take(self, index: np.ndarray) -> "ScaledBatch":
+    def take(self, index: np.ndarray | slice) -> "ScaledBatch":
         return ScaledBatch(self.entries[index], self.log_scale[index])
 
     @classmethod

@@ -357,6 +357,24 @@ class TestTrackEll1:
         words = [w for w in enumerate_ball(F2, 2).words() if len(w) > 0]
         assert traces == [track_ell1_along_path(path, w, k) for w in words]
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_sliced_ball_walk_matches_per_word_traces(self, schottky, monkeypatch, k):
+        # a tiny stack budget reads each step's ball in many uneven slices
+        # (and the compound minors one matrix at a time)
+        sym5 = sym_power_rep(schottky, 5)
+        path = perturb_path(sym5, 0.01, seed=1, steps=8)
+        whole = track_ball_along_path(path, 3, k)
+        monkeypatch.setattr("anosov.certify.STACK_ELEMENTS", 7 * 400)
+        monkeypatch.setattr("anosov.exterior.STACK_ELEMENTS", 1)
+        assert track_ball_along_path(path, 3, k) == whole
+        words = [w for w in enumerate_ball(F2, 3).words() if len(w) > 0]
+        assert whole == [track_ell1_along_path(path, w, k) for w in words]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_degree_out_of_range(self, schottky, k):
+        with pytest.raises(DegreeMismatch, match="out of range for dimension 2"):
+            track_ell1_along_path([schottky] * 3, parse_word("ab"), k)
+
     def test_proximality_loss_reported(self, schottky):
         # a hand-built path with a big perturbation loses proximality for
         # some word; the verdict must name the failing step, never report a
@@ -412,6 +430,10 @@ class TestPingpong:
             schottky, parse_word("a"), rotation_about_i(1e-3), max_n=20
         )
         assert result is None or result.n >= 5
+
+    def test_conjugator_dimension_checked(self, schottky):
+        with pytest.raises(DimensionMismatch, match="conjugator dimension mismatch"):
+            pingpong_power(schottky, parse_word("a"), np.eye(3))
 
     def test_not_biproximal(self, schottky):
         with pytest.raises(NotBiproximal):

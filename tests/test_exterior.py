@@ -160,6 +160,19 @@ class TestCompoundMatrix:
             assert np.array_equal(single.entries, compound.entries[i])
             assert single.log_scale == compound.log_scale[i]
 
+    @pytest.mark.parametrize("k, budget", [(2, 900), (2, 5 * 900 + 1), (3, 6 * 3600)])
+    def test_batch_in_row_slices_matches_compound_matrix(self, monkeypatch, k, budget):
+        # a small stack budget splits the Sym^5 radius-4 ball into many
+        # minor stacks, the last one short; every block must keep its bits
+        sym5 = sym_power_rep(schottky_rep(SchottkyParams(rank=2, dilation=3.0)), 5)
+        batch = evaluate_ball(sym5, enumerate_ball(Presentation.free(2), 4))
+        monkeypatch.setattr("anosov.exterior.STACK_ELEMENTS", budget)
+        compound = compound_batch(batch, k)
+        for i in range(len(batch)):
+            single = compound_matrix(batch[i], k)
+            assert np.array_equal(single.entries, compound.entries[i])
+            assert single.log_scale == compound.log_scale[i]
+
     def test_batch_degree_checked(self):
         batch = evaluate_ball(
             schottky_rep(SchottkyParams(rank=2, dilation=3.0)),
