@@ -11,7 +11,7 @@ from anosov import SchottkyParams, certify_anosov, gap_profile, schottky_rep
 
 rep = schottky_rep(SchottkyParams(rank=2, dilation=3.0))
 profile = gap_profile(rep, 1, 8)
-print(f"profile: {len(profile.rows)} words up to length {profile.radius}")
+print(f"profile: {len(profile.words)} words up to length {profile.radius}")
 print("per-length minima of log(sigma_1/sigma_2):")
 for length, minimum in sorted(profile.per_length_minima().items()):
     bar = "#" * int(4 * minimum)

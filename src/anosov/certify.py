@@ -14,8 +14,8 @@ for compatibility and ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -34,7 +34,6 @@ from .linalg import (
     TRANSVERSALITY_COND,
     ScaledBatch,
     ScaledMatrix,
-    Spectrum,
     is_transverse,
     log_singular_values,
     orthonormalize,
@@ -75,31 +74,55 @@ def compound_rep(rep: Representation, k: int) -> Representation:
 # gap profiles and certificates
 
 
-@dataclass(frozen=True)
-class GapRow:
+class GapRow(NamedTuple):
     word: str
     length: int
     log_gap: float
     log_total: float
 
 
-@dataclass(frozen=True)
-class GapProfile:
-    """Per-word log singular-value gaps over a ball, at one index k."""
+class _ColumnRecord:
+    """Value equality for dataclasses with numpy columns, compared element-wise."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class GapProfile(_ColumnRecord):
+    """Per-word log singular-value gaps over a ball, at one index k.
+
+    Columns are in ball order: ``words`` (shared by every k of one scan),
+    ``lengths``, ``log_gap`` = log(sigma_k / sigma_{k+1}) clipped at 0 and
+    ``log_total`` = log(sigma_1 / sigma_d).
+    """
 
     k: int
     radius: int
     dim: int
     presentation: str
-    rows: tuple[GapRow, ...]
+    words: list[str]
+    lengths: np.ndarray
+    log_gap: np.ndarray
+    log_total: np.ndarray
+
+    @property
+    def rows(self) -> tuple[GapRow, ...]:
+        """One record per word, built on demand."""
+        return tuple(
+            map(GapRow, self.words, self.lengths.tolist(), self.log_gap.tolist(),
+                self.log_total.tolist())
+        )
 
     def per_length_minima(self, column: str = "log_gap") -> dict[int, float]:
-        out: dict[int, float] = {}
-        for row in self.rows:
-            val = getattr(row, column)
-            if row.length not in out or val < out[row.length]:
-                out[row.length] = val
-        return out
+        starts = np.flatnonzero(np.diff(self.lengths, prepend=-1))  # sphere starts
+        minima = np.minimum.reduceat(getattr(self, column), starts)
+        return dict(zip(self.lengths[starts].tolist(), minima.tolist()))
 
 
 def gap_profiles(
@@ -107,9 +130,7 @@ def gap_profiles(
 ) -> list[GapProfile]:
     """One gap profile per k in ``ks``, read from one stacked SVD of the ball.
 
-    Each profile holds log(sigma_k / sigma_{k+1}) and log(sigma_1 / sigma_d)
-    per word.  Every k is checked against the dimension before the ball is
-    enumerated.
+    Every k is checked against the dimension before the ball is enumerated.
     """
     d = rep.dim
     for k in ks:
@@ -117,20 +138,15 @@ def gap_profiles(
     ball = enumerate_ball(rep.presentation, radius)
     log_sv = log_singular_values(evaluate_ball(rep, ball))
     words, lengths = ball.word_strings(), ball.lengths()
-    totals = (log_sv[:, 0] - log_sv[:, -1]).tolist()
-    profiles = []
-    for k in ks:
-        gaps = (log_sv[:, k - 1] - log_sv[:, k]).tolist()
-        rows = tuple(
-            GapRow(word=word, length=length, log_gap=max(gap, 0.0), log_total=total)
-            for word, length, gap, total in zip(words, lengths, gaps, totals)
+    log_total = log_sv[:, 0] - log_sv[:, -1]
+    return [
+        GapProfile(
+            k=k, radius=radius, dim=d, presentation=rep.presentation.describe(), words=words,
+            lengths=lengths, log_gap=np.maximum(log_sv[:, k - 1] - log_sv[:, k], 0.0),
+            log_total=log_total,
         )
-        profiles.append(
-            GapProfile(
-                k=k, radius=radius, dim=d, presentation=rep.presentation.describe(), rows=rows
-            )
-        )
-    return profiles
+        for k in ks
+    ]
 
 
 def gap_profile(
@@ -205,14 +221,10 @@ def certify_anosov(
             f"radius {profile.radius} < ell_min + 2 = {ell_min + 2}"
         )
     fit = _envelope_fit(profile, "log_gap", ell_min)
-    refuted = any(
-        row.length >= 2 and row.log_gap < REFUTATION_TOL for row in profile.rows
-    )
-    witness = None
-    for row in profile.rows:
-        if row.length >= 1 and row.log_gap < REFUTATION_TOL:
-            witness = row.word
-            break
+    vanishing = profile.log_gap < REFUTATION_TOL
+    refuted = bool(np.any(vanishing & (profile.lengths >= 2)))
+    hits = np.flatnonzero(vanishing & (profile.lengths >= 1))
+    witness = profile.words[hits[0]] if len(hits) else None
     qie = _envelope_fit(profile, "log_total", ell_min)
     qie_passed = qie.slope >= alpha_min and _minima_nondecreasing_top_half(
         qie, profile.radius
@@ -243,18 +255,8 @@ def certify_anosov(
 # positivity scans
 
 
-@dataclass(frozen=True)
-class PositivityRow:
-    word: str
-    length: int
-    proximal: bool
-    ell1_sign: int  # +-1 when defined, 0 otherwise
-    semiproximal_positive: bool
-    log_gap: float
-
-
-@dataclass(frozen=True)
-class PositivityReport:
+@dataclass(frozen=True, eq=False)
+class PositivityReport(_ColumnRecord):
     """Positive-proximality verdict for a ball acting on an exterior power.
 
     The verdict restricts the subgroup-level notion to the scanned ball:
@@ -262,31 +264,25 @@ class PositivityReport:
     top eigenvalue, NotPositivelyProximal with the first counterexample as
     witness, NoProximalFound otherwise.  Words failing positive
     semi-proximality obstruct any invariant properly convex cone, so they
-    are collected separately.
+    are collected separately.  Per-word columns are in ball order;
+    ``ell1_sign`` is +-1 when the signed top eigenvalue is defined, else 0.
     """
 
     k: int
     radius: int
     dim_scanned: int
-    rows: tuple[PositivityRow, ...]
+    words: list[str]
+    lengths: np.ndarray
+    proximal: np.ndarray
+    ell1_sign: np.ndarray
+    semiproximal_positive: np.ndarray
+    log_gap: np.ndarray
     n_proximal: int
     n_negative: int
     verdict: str
     witness: str | None
     witness_recheck: bool
     semiproximal_failures: tuple[str, ...]
-
-
-def _positivity_row(word: str, length: int, sp: Spectrum, dim: int) -> PositivityRow:
-    proximal = sp.is_proximal(1) if dim > 1 else False
-    return PositivityRow(
-        word=word,
-        length=length,
-        proximal=proximal,
-        ell1_sign=sp.top_sign or 0,
-        semiproximal_positive=sp.is_semiproximal_positive,
-        log_gap=sp.log_gap(1) if dim > 1 else 0.0,
-    )
 
 
 def scan_positivities(
@@ -308,17 +304,14 @@ def scan_positivities(
     words, lengths = ball.word_strings(), ball.lengths()
     reports = []
     for k, crep in zip(ks, creps):
-        rows = [
-            _positivity_row(word, length, sp, crep.dim)
-            for word, length, sp in zip(
-                words, lengths, spectra(evaluate_ball(crep, ball), eps_gap=eps_gap)
-            )
-        ]
-        n_proximal = sum(1 for r in rows if r.proximal)
-        n_negative = sum(1 for r in rows if r.proximal and r.ell1_sign < 0)
-        witness = next(
-            (r.word for r in rows if r.proximal and r.ell1_sign < 0), None
-        )
+        sps = spectra(evaluate_ball(crep, ball), eps_gap=eps_gap)
+        gapped = crep.dim > 1
+        proximal = np.array([gapped and sp.is_proximal(1) for sp in sps], dtype=bool)
+        ell1_sign = np.array([sp.top_sign or 0 for sp in sps], dtype=int)
+        semiproximal = np.array([sp.is_semiproximal_positive for sp in sps], dtype=bool)
+        negative = np.flatnonzero(proximal & (ell1_sign < 0))
+        witness = words[negative[0]] if len(negative) else None
+        n_proximal = int(np.count_nonzero(proximal))
         if n_proximal == 0:
             verdict = "NoProximalFound"
         elif witness is not None:
@@ -331,19 +324,14 @@ def scan_positivities(
             lifted = compound_matrix(base, k) if k > 1 else base
             sp = spectrum(lifted, eps_gap=eps_gap)
             recheck = sp.is_proximal(1) and sp.top_sign == -1
-        failures = tuple(r.word for r in rows if not r.semiproximal_positive)
         reports.append(
             PositivityReport(
-                k=k,
-                radius=radius,
-                dim_scanned=crep.dim,
-                rows=tuple(rows),
-                n_proximal=n_proximal,
-                n_negative=n_negative,
-                verdict=verdict,
-                witness=witness,
-                witness_recheck=recheck,
-                semiproximal_failures=failures,
+                k=k, radius=radius, dim_scanned=crep.dim, words=words, lengths=lengths,
+                proximal=proximal, ell1_sign=ell1_sign, semiproximal_positive=semiproximal,
+                log_gap=np.array([sp.log_gap(1) if gapped else 0.0 for sp in sps]),
+                n_proximal=n_proximal, n_negative=len(negative), verdict=verdict,
+                witness=witness, witness_recheck=recheck,
+                semiproximal_failures=tuple(words[i] for i in np.flatnonzero(~semiproximal)),
             )
         )
     return reports

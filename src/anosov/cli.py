@@ -16,13 +16,13 @@ and it is left out of the config echo.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -45,6 +45,9 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+
+#: Rows formatted per write by :func:`_write_csv`.
+CSV_CHUNK_ROWS = 4096
 
 
 class ConfigError(Exception):
@@ -100,6 +103,8 @@ class ExperimentConfig:
             raise ConfigError("threads must be at least 1")
         if not self.k or any(kk < 1 for kk in self.k):
             raise ConfigError("k indices must be positive")
+        if len(set(self.k)) != len(self.k):
+            raise ConfigError("k indices must be distinct")
         if "kind" not in self.construction:
             raise ConfigError("construction descriptor needs a 'kind'")
 
@@ -184,12 +189,22 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+def _write_csv(path: Path, header: list[str], columns: Sequence[Sequence]) -> None:
+    """Write equal-length columns (lists or arrays) as CSV rows.
+
+    A field is ``str`` of a plain Python value, so a float is written as its
+    ``repr``; no field holds a comma, quote or newline, so none is quoted.
+    Rows are formatted and written :data:`CSV_CHUNK_ROWS` at a time, so only
+    one chunk's Python values and text are alive at once.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
+    line = ",".join(["{}"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            chunk = [c[lo : lo + CSV_CHUNK_ROWS] for c in columns]
+            chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
+            fh.write("".join(itertools.starmap(line.format, zip(*chunk))))
 
 
 def _summary_base(cfg: ExperimentConfig, command: str, rep: Representation) -> dict:
@@ -218,16 +233,12 @@ def _estimate_dict(est: cert.CertificateEstimate) -> dict:
 
 
 def _gap_csv(out: Path, profiles: list[cert.GapProfile]) -> None:
-    ks = [p.k for p in profiles]
-    header = ["word", "length"] + [f"log_gap_{k}" for k in ks] + ["log_total_ratio"]
-    by_word = [p.rows for p in profiles]
-    rows = (
-        [row.word, row.length]
-        + [repr(p_rows[i].log_gap) for p_rows in by_word]
-        + [repr(row.log_total)]
-        for i, row in enumerate(by_word[0])
+    first = profiles[0]
+    _write_csv(
+        out / "gap_profile.csv",
+        ["word", "length"] + [f"log_gap_{p.k}" for p in profiles] + ["log_total_ratio"],
+        [first.words, first.lengths] + [p.log_gap for p in profiles] + [first.log_total],
     )
-    _write_csv(out / "gap_profile.csv", header, rows)
 
 
 def cmd_certify(cfg: ExperimentConfig, rep: Representation, out: Path, profile_only: bool) -> int:
@@ -239,10 +250,10 @@ def cmd_certify(cfg: ExperimentConfig, rep: Representation, out: Path, profile_o
     summary = _summary_base(cfg, "gap-profile" if profile_only else "certify", rep)
     if profile_only:
         summary["profiles"] = [
-            {"k": p.k, "radius": p.radius, "words": len(p.rows)} for p in profiles
+            {"k": p.k, "radius": p.radius, "words": len(p.words)} for p in profiles
         ]
         _write_json(out / "summary.json", summary)
-        print(f"gap-profile: {len(profiles[0].rows)} words, k = {cfg.k}")
+        print(f"gap-profile: {len(profiles[0].words)} words, k = {cfg.k}")
         return EXIT_OK
     verdicts = {e.verdict for e in estimates}
     if "Refuted" in verdicts:
@@ -263,16 +274,12 @@ def cmd_certify(cfg: ExperimentConfig, rep: Representation, out: Path, profile_o
 
 def cmd_scan_positivity(cfg: ExperimentConfig, rep: Representation, out: Path) -> int:
     reports = cert.scan_positivities(rep, cfg.k, cfg.radius, eps_gap=cfg.eps_gap)
-    for report in reports:
-        rows = [
-            [r.word, r.length, int(r.proximal), r.ell1_sign,
-             int(r.semiproximal_positive), repr(r.log_gap)]
-            for r in report.rows
-        ]
+    for r in reports:
         _write_csv(
-            out / f"positivity_k{report.k}.csv",
+            out / f"positivity_k{r.k}.csv",
             ["word", "length", "proximal", "ell1_sign", "semiproximal_positive", "log_gap"],
-            rows,
+            [r.words, r.lengths, r.proximal.astype(int), r.ell1_sign,
+             r.semiproximal_positive.astype(int), r.log_gap],
         )
     verdicts = {r.verdict for r in reports}
     if "NotPositivelyProximal" in verdicts:
@@ -324,7 +331,8 @@ def cmd_limit_set(cfg: ExperimentConfig, rep: Representation, out: Path) -> int:
     _write_csv(
         out / "limit_samples.csv",
         ["word", "inverse_word", "dynamics_preserving", "log_gap"],
-        [[s.word, s.inverse_word, int(s.dynamics_preserving), repr(s.log_gap)] for s in samples],
+        [[s.word for s in samples], [s.inverse_word for s in samples],
+         [int(s.dynamics_preserving) for s in samples], [s.log_gap for s in samples]],
     )
     summary = _summary_base(cfg, "limit-set", rep)
     summary["audit"] = {
@@ -354,9 +362,10 @@ def cmd_deform(cfg: ExperimentConfig, rep: Representation, out: Path) -> int:
         out / "deform_traces.csv",
         ["word", "verdict", "failing_step", "signs"],
         [
-            [t.word, t.verdict, "" if t.failing_step is None else t.failing_step,
-             "".join("+" if s > 0 else ("-" if s < 0 else "0") for s in t.signs)]
-            for t in traces
+            [t.word for t in traces],
+            [t.verdict for t in traces],
+            ["" if t.failing_step is None else t.failing_step for t in traces],
+            ["".join("+" if s > 0 else ("-" if s < 0 else "0") for s in t.signs) for t in traces],
         ],
     )
     counts = {

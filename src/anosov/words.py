@@ -265,9 +265,9 @@ class Ball:
         out[0] = word_str(())
         return out
 
-    def lengths(self) -> list[int]:
+    def lengths(self) -> np.ndarray:
         """``len(w)`` of every word, in ``words()`` order."""
-        return [n for n, size in enumerate(self.sphere_sizes()) for _ in range(size)]
+        return np.repeat(np.arange(len(self.letter)), self.sphere_sizes())
 
     def sphere_sizes(self) -> tuple[int, ...]:
         return tuple(len(l) for l in self.letter)

@@ -6,6 +6,7 @@ import pytest
 from anosov import (
     DegreeMismatch,
     DimensionMismatch,
+    GapProfile,
     InsufficientRadius,
     NoProximalElements,
     NotBiproximal,
@@ -198,7 +199,7 @@ class TestScanPositivity:
 
     def test_rows_cover_ball(self, schottky):
         report = scan_positivity(schottky, 1, 3)
-        assert len(report.rows) == len(enumerate_ball(F2, 3))
+        assert len(report.words) == len(enumerate_ball(F2, 3))
 
     def test_no_proximal_found(self):
         rep = Representation.from_generators(
@@ -463,3 +464,141 @@ class TestDeterminism:
         for a, b in zip(s1, s2):
             assert a.word == b.word
             np.testing.assert_array_equal(a.plus_k, b.plus_k)
+
+
+# Per-row loops over GapRow / PositivityRow records, as the scans ran before
+# their results were held as columns; the oracles for the column scans.
+
+
+def row_loop_minima(rows, column):
+    out = {}
+    for row in rows:
+        val = getattr(row, column)
+        if row.length not in out or val < out[row.length]:
+            out[row.length] = val
+    return out
+
+
+def row_loop_verdict(rows, radius, alpha_min=0.05, ell_min=2):
+    """(verdict, witness) of certify_anosov, from per-row loops and polyfit."""
+    refuted = any(row.length >= 2 and row.log_gap < 1e-9 for row in rows)
+    witness = None
+    for row in rows:
+        if row.length >= 1 and row.log_gap < 1e-9:
+            witness = row.word
+            break
+    minima = row_loop_minima(rows, "log_gap")
+    xs = [l for l in sorted(minima) if l >= ell_min]
+    slope = np.polyfit(xs, [minima[l] for l in xs], 1)[0]
+    top = [minima[l] for l in sorted(minima) if l >= max(2, math.ceil(radius / 2))]
+    if refuted:
+        return "Refuted", witness
+    if slope >= alpha_min and all(b >= a - 1e-12 for a, b in zip(top, top[1:])):
+        return "Certified", None
+    return "Inconclusive", witness
+
+
+def synthetic_profile(lengths, log_gap, radius=4):
+    return GapProfile(
+        k=1, radius=radius, dim=2, presentation="synthetic",
+        words=[f"w{i}" for i in range(len(lengths))], lengths=np.array(lengths),
+        log_gap=np.array(log_gap, dtype=float), log_total=2.0 * np.array(log_gap, dtype=float),
+    )
+
+
+LENGTHS = [0, 1, 1, 2, 2, 3, 3, 4, 4]
+
+
+def random_profile(seed):
+    # values on a coarse grid, so that ties and vanishing gaps are common
+    rng = np.random.default_rng(seed)
+    lengths = np.repeat(np.arange(5), rng.integers(1, 5, size=5))
+    gaps = lengths * rng.choice([0.0, 0.01, 0.5], size=len(lengths), p=[0.1, 0.3, 0.6])
+    return synthetic_profile(lengths, gaps)
+
+
+class TestColumnarScansMatchRowLoops:
+    @pytest.mark.parametrize(
+        "log_gap, verdict, witness",
+        [
+            # vanishing gap only at length 1: a witness, but not Refuted
+            ([0.0, 0.0, 1.0, 0.02, 0.5, 0.03, 0.4, 0.04, 0.9], "Inconclusive", "w1"),
+            # vanishing gap only at the identity: no witness
+            ([0.0, 0.5, 0.6, 0.51, 0.7, 0.52, 0.8, 0.53, 0.9], "Inconclusive", None),
+            ([0.0, 1.0, 1.2, 2.0, 2.1, 3.0, 3.3, 4.0, 4.5], "Certified", None),
+            # tied minima, two vanishing gaps at length 2
+            ([0.0, 1.0, 1.0, 0.0, 0.0, 3.0, 3.0, 4.0, 4.0], "Refuted", "w3"),
+        ],
+        ids=["length1-only", "identity-only", "certified", "ties"],
+    )
+    def test_synthetic_profiles(self, log_gap, verdict, witness):
+        profile = synthetic_profile(LENGTHS, log_gap)
+        for column in ("log_gap", "log_total"):
+            assert profile.per_length_minima(column) == row_loop_minima(profile.rows, column)
+        est = certify_anosov(profile)
+        assert (est.verdict, est.witness) == (verdict, witness)
+        assert row_loop_verdict(profile.rows, 4) == (verdict, witness)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_synthetic_profiles(self, seed):
+        profile = random_profile(seed)
+        assert profile.per_length_minima() == row_loop_minima(profile.rows, "log_gap")
+        est = certify_anosov(profile)
+        assert (est.verdict, est.witness) == row_loop_verdict(profile.rows, 4)
+
+    def test_ball_profiles(self, schottky, tau2rep):
+        for rep, k, radius in ((schottky, 1, 6), (tau2rep, 1, 5), (tau2rep, 2, 5)):
+            profile = gap_profile(rep, k, radius)
+            rows = profile.rows
+            assert [r.word for r in rows] == [str(w) for w in enumerate_ball(F2, radius).words()]
+            for column in ("log_gap", "log_total"):
+                assert profile.per_length_minima(column) == row_loop_minima(rows, column)
+            est = certify_anosov(profile)
+            assert (est.verdict, est.witness) == row_loop_verdict(rows, radius)
+
+    def test_equality_sees_one_column_entry(self, schottky):
+        profile = gap_profile(schottky, 1, 3)
+        log_gap = profile.log_gap.copy()
+        log_gap[-1] += 1.0
+        changed = GapProfile(
+            k=1, radius=3, dim=2, presentation=profile.presentation, words=profile.words,
+            lengths=profile.lengths, log_gap=log_gap, log_total=profile.log_total,
+        )
+        assert profile == gap_profile(schottky, 1, 3)
+        assert profile != changed
+
+    @pytest.mark.parametrize("case", ["schottky-k1-r3", "sym5-k3-r4", "negative-diagonal", "dim1"])
+    def test_positivity_reports(self, schottky, case):
+        rep, k, radius = {
+            "schottky-k1-r3": (schottky, 1, 3),
+            "sym5-k3-r4": (sym_power_rep(schottky, 5), 3, 4),
+            "negative-diagonal": (sym_power_rep(Representation.from_generators(
+                Presentation.free(1), [ScaledMatrix.from_array(np.diag([-2.0, -0.5]))]), 5), 3, 2),
+            "dim1": (Representation.from_generators(
+                Presentation.free(1), [ScaledMatrix.from_array(np.array([[-2.0]]))]), 1, 2),
+        }[case]
+        crep = compound_rep(rep, k)
+        rows = []  # (word, length, proximal, ell1_sign, semiproximal_positive, log_gap)
+        for w in enumerate_ball(rep.presentation, radius).words():
+            sp = spectrum(evaluate(crep, w))
+            proximal = sp.is_proximal(1) if crep.dim > 1 else False
+            rows.append((str(w), len(w), proximal, sp.top_sign or 0,
+                         sp.is_semiproximal_positive, sp.log_gap(1) if crep.dim > 1 else 0.0))
+        n_proximal = sum(1 for r in rows if r[2])
+        n_negative = sum(1 for r in rows if r[2] and r[3] < 0)
+        witness = next((r[0] for r in rows if r[2] and r[3] < 0), None)
+        if n_proximal == 0:
+            verdict = "NoProximalFound"
+        elif witness is not None:
+            verdict = "NotPositivelyProximal"
+        else:
+            verdict = "PositivelyProximal"
+        report = scan_positivity(rep, k, radius)
+        columns = (report.words, report.lengths.tolist(), report.proximal.tolist(),
+                   report.ell1_sign.tolist(), report.semiproximal_positive.tolist(),
+                   report.log_gap.tolist())
+        assert list(zip(*columns)) == rows
+        assert (report.n_proximal, report.n_negative, report.witness, report.verdict) == (
+            n_proximal, n_negative, witness, verdict
+        )
+        assert report.semiproximal_failures == tuple(r[0] for r in rows if not r[4])

@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from anosov.cli import (
     EXIT_OK,
     EXIT_REFUTED,
     EXIT_USAGE,
+    _gap_csv,
     build_representation,
     main,
 )
@@ -95,6 +98,15 @@ class TestConfigHandling:
         code = run("construct", "--construction", json.dumps(desc), "--out", str(out))
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"error: construction {name} must be of type")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["certify", "scan-positivity"])
+    def test_repeated_k_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        code = run(command, "--construction", SCHOTTKY, "--k", "1", "1", "--radius", "4",
+                   "--out", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: k indices must be distinct\n"
         assert not out.exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
@@ -441,3 +453,78 @@ class TestPinnedOutputs:
         assert summary["first_non_constant"] == {"word": "B", "verdict": "SignChange", "step": 6}
         expected = (DATA / "deform_sym5_k2_r3_steps10_seed1.csv").read_bytes()
         assert (out / "deform_traces.csv").read_bytes() == expected
+
+
+def csv_module_bytes(header, rows):
+    """The bytes ``csv.writer`` writes for a header and rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+class TestCsvWriterOracle:
+    """Every CSV the CLI writes equals ``csv.writer`` output, with ``repr`` of
+    floats, rebuilt from the library's own return values."""
+
+    def test_gap_profile_two_k(self, tmp_path):
+        assert run("gap-profile", "--construction", TAU2, "--k", "1", "2", "--radius", "5",
+                   "--out", str(tmp_path)) == EXIT_OK
+        p1, p2 = cert.gap_profiles(build_representation(json.loads(TAU2)), [1, 2], 5)
+        expected = csv_module_bytes(
+            ["word", "length", "log_gap_1", "log_gap_2", "log_total_ratio"],
+            [[a.word, a.length, repr(a.log_gap), repr(b.log_gap), repr(a.log_total)]
+             for a, b in zip(p1.rows, p2.rows)],
+        )
+        assert (tmp_path / "gap_profile.csv").read_bytes() == expected
+
+    def test_positivity_k3(self, tmp_path):
+        assert run("scan-positivity", "--construction", SYM5, "--k", "3", "--radius", "4",
+                   "--out", str(tmp_path)) == EXIT_REFUTED
+        r = cert.scan_positivity(build_representation(json.loads(SYM5)), 3, 4)
+        expected = csv_module_bytes(
+            ["word", "length", "proximal", "ell1_sign", "semiproximal_positive", "log_gap"],
+            [[w, n, int(p), s, int(sp), repr(g)] for w, n, p, s, sp, g in zip(
+                r.words, r.lengths.tolist(), r.proximal.tolist(), r.ell1_sign.tolist(),
+                r.semiproximal_positive.tolist(), r.log_gap.tolist())],
+        )
+        assert (tmp_path / "positivity_k3.csv").read_bytes() == expected
+
+    def test_limit_samples(self, tmp_path):
+        assert run("limit-set", "--construction", TAU2, "--k", "2", "--radius", "4",
+                   "--seed", "3", "--out", str(tmp_path)) == EXIT_OK
+        samples = cert.limit_map_sample(build_representation(json.loads(TAU2)), 2, 4, seed=3)
+        expected = csv_module_bytes(
+            ["word", "inverse_word", "dynamics_preserving", "log_gap"],
+            [[s.word, s.inverse_word, int(s.dynamics_preserving), repr(s.log_gap)]
+             for s in samples],
+        )
+        assert (tmp_path / "limit_samples.csv").read_bytes() == expected
+
+    def test_deform_traces(self, tmp_path):
+        assert run("deform", "--construction", SYM5, "--k", "2", "--radius", "3",
+                   "--steps", "10", "--seed", "1", "--out", str(tmp_path)) == EXIT_REFUTED
+        path = perturb_path(build_representation(json.loads(SYM5)), 0.01, 1, 10)
+        traces = cert.track_ball_along_path(path, 3, 2)
+        expected = csv_module_bytes(
+            ["word", "verdict", "failing_step", "signs"],
+            [[t.word, t.verdict, "" if t.failing_step is None else t.failing_step,
+              "".join("+" if s > 0 else ("-" if s < 0 else "0") for s in t.signs)]
+             for t in traces],
+        )
+        assert (tmp_path / "deform_traces.csv").read_bytes() == expected
+
+
+def test_gap_csv_memory_is_bounded(tmp_path):
+    # the radius-10 Schottky profile writes a 5.7 MiB file; formatting it
+    # whole, or converting whole columns with tolist(), peaks far above 4 MiB
+    profiles = cert.gap_profiles(build_representation(json.loads(SCHOTTKY)), [1], 10)
+    tracemalloc.start()
+    try:
+        _gap_csv(tmp_path, profiles)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "gap_profile.csv").stat().st_size > 5 * 2**20
+    assert peak < 4 * 2**20

@@ -163,7 +163,7 @@ class TestEnumerateBall:
         ball = enumerate_ball(Presentation.free(rank), radius)
         assert [w.letters for w in ball.words()] == oracle
         assert ball.word_strings() == [word_str(w) for w in oracle]
-        assert ball.lengths() == [len(w) for w in oracle]
+        assert ball.lengths().tolist() == [len(w) for w in oracle]
 
     def test_surface_genus2_radius2(self):
         ball = enumerate_ball(S2, 2)
