@@ -2,8 +2,10 @@
 
 Free groups reduce by cancellation alone; surface groups also swap half of
 the cyclic commutator relator for the inverse of the other half, a move that
-includes every Dehn step.  Balls are enumerated in shortlex order with
-canonical-form deduplication.
+includes every Dehn step.  Balls are enumerated in shortlex order, one
+sphere at a time: each word is extended by every letter but the inverse of
+its last one, and a surface-group extension is kept only when it is its own
+canonical form.
 """
 
 import numpy as np

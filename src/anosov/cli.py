@@ -176,9 +176,11 @@ def build_representation(desc: dict) -> Representation:
         return direct_sum([build_representation(s) for s in summands])
     if kind == "from-file":
         path = desc.get("path")
-        if not path or not Path(path).exists():
-            raise ConfigError(f"from-file path {path!r} does not exist")
-        return Representation.load(path)
+        try:
+            return Representation.load(path)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            why = f"{type(exc).__name__}: {exc}"
+            raise ConfigError(f"from-file path {path!r} does not hold a representation ({why})")
     raise ConfigError(f"unknown construction kind {kind!r}")
 
 
@@ -522,9 +524,12 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args)
         rep = build_representation(cfg.construction)
         out = Path(cfg.out)
-        out.mkdir(parents=True, exist_ok=True)
         handler, _ = _commands()[args.command]
-        return handler(cfg, rep, out)
+        try:  # the handlers read nothing, so an OSError is an unwritable output path
+            out.mkdir(parents=True, exist_ok=True)
+            return handler(cfg, rep, out)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}")
     except (ConfigError, ToolkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,15 +18,17 @@ radii used here this yields unique canonical forms (checked in the tests
 against a pairwise word-problem oracle and Cannon's growth series).
 
 A ball is held as per-sphere arrays: each word of sphere n is a word of
-sphere n-1 (its ``parent`` index) followed by one ``letter``.  Free-group
-spheres are built from these arrays alone, with no reduction; surface-group
-spheres by canonicalizing every extension.  A ball's images are evaluated
-the same way, sphere by sphere, with one stacked multiply per letter
+sphere n-1 (its ``parent`` index) followed by one ``letter``.  Both
+families walk the same way: every word of sphere n-1 is extended by every
+letter but the inverse of its last one, and a surface-group child is kept
+only when it is its own canonical form.  A ball's images are evaluated the
+same way, sphere by sphere, with one stacked multiply per letter
 (:func:`evaluate_ball`).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -281,58 +283,46 @@ def _check_guard(total: int) -> None:
         raise ResourceLimit(f"ball size exceeds guard {BALL_GUARD}")
 
 
-def _free_spheres(p: Presentation, radius: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    # every letter but the inverse of the last one; children ordered by
-    # (parent, letter key), which is shortlex order
+def _spheres(p: Presentation, radius: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    # children are every letter but the inverse of the last one, ordered by
+    # (parent, letter key), which is shortlex order; a surface child is kept
+    # when it is its own canonical form (a prefix of a canonical word is
+    # canonical, so every canonical word is a kept child of its prefix)
     alphabet = np.array(p.letters())
     last = np.zeros(1, dtype=alphabet.dtype)
+    words: list[tuple[int, ...]] = [()]
     total = 1
     for _ in range(radius):
-        total += len(last) * len(alphabet) - np.count_nonzero(last)
-        _check_guard(total)
+        if p.family == "free":  # every child is kept: check before allocating
+            _check_guard(total + len(last) * len(alphabet) - np.count_nonzero(last))
         parent = np.repeat(np.arange(len(last)), len(alphabet))
         letter = np.tile(alphabet, len(last))
         keep = letter != -last[parent]
+        if p.family == "surface":
+            kept = zip(parent[keep].tolist(), letter[keep].tolist())
+            children = [words[i] + (l,) for i, l in kept]
+            canonical = [_surface_canonical(w, p.family, p.n) == w for w in children]
+            keep[keep] = canonical
+            words = list(itertools.compress(children, canonical))
         last = letter[keep]
+        total += len(last)
+        _check_guard(total)
         yield parent[keep], last
-
-
-def _surface_spheres(p: Presentation, radius: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    # extensions are re-canonicalized and deduplicated; a prefix of a
-    # shortlex-least geodesic is one, so every word's prefix is in the
-    # previous sphere
-    sphere: list[tuple[int, ...]] = [()]
-    total = 1
-    for target in range(1, radius + 1):
-        new: set[tuple[int, ...]] = set()
-        for w in sphere:
-            for l in p.letters():
-                if w and w[-1] == -l:
-                    continue
-                cand = reduce_word(w + (l,), p).letters
-                if len(cand) == target and cand not in new:
-                    new.add(cand)
-                    total += 1
-                    _check_guard(total)
-        index = {w: i for i, w in enumerate(sphere)}
-        sphere = sorted(new, key=shortlex_key)
-        yield np.array([index[w[:-1]] for w in sphere]), np.array([w[-1] for w in sphere])
 
 
 def enumerate_ball(p: Presentation, radius: int) -> Ball:
     """Breadth-first enumeration of canonical words of length <= radius.
 
-    Free groups extend each word by every letter but the inverse of its
-    last one.  Surface-group extensions are re-canonicalized and
-    deduplicated, so the ball is complete and duplicate-free as a set of
+    Each word is extended by every letter but the inverse of its last one.
+    For surface groups only the extensions that are their own canonical
+    form are kept, so the ball is complete and duplicate-free as a set of
     group elements.  Raises ResourceLimit when the ball would exceed
     ``BALL_GUARD`` words.
     """
     if radius < 0:
         raise InvalidParams("radius must be nonnegative")
-    spheres = _free_spheres if p.family == "free" else _surface_spheres
     parents, letters = [np.array([-1])], [np.array([0])]
-    for parent, letter in spheres(p, radius):
+    for parent, letter in _spheres(p, radius):
         parents.append(parent)
         letters.append(letter)
     return Ball(presentation=p, radius=radius, parent=tuple(parents), letter=tuple(letters))
@@ -470,11 +460,13 @@ def conjugacy_key(letters: tuple[int, ...]) -> tuple[int, ...]:
     w = cyclic_reduce(letters)
     if not w:
         return ()
+    # rotations share a length, so shortlex order between them is the order
+    # of their letter-key tuples
     candidates = []
     for base in (w, _inverse(w)):
-        for s in range(len(base)):
-            candidates.append(base[s:] + base[:s])
-    return min(candidates, key=shortlex_key)
+        keys = tuple(map(_letter_key, base))
+        candidates += [(keys[s:] + keys[:s], base[s:] + base[:s]) for s in range(len(w))]
+    return min(candidates)[1]
 
 
 def is_primitive_cyclic(letters: tuple[int, ...]) -> bool:

@@ -100,6 +100,50 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith(f"error: construction {name} must be of type")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("{bad", "JSONDecodeError"),
+            ('{"presentation": {"family": "free"}}', "KeyError: 'n'"),
+            ("<dir>", "IsADirectoryError"),
+            ("<missing>", "FileNotFoundError"),
+        ],
+        ids=["invalid-json", "missing-field", "directory", "missing-file"],
+    )
+    def test_from_file_without_representation(self, tmp_path, capsys, content, message):
+        path = tmp_path / "rep"
+        if content == "<dir>":
+            path.mkdir()
+        elif content != "<missing>":
+            path.write_text(content)
+        out = tmp_path / "run"
+        code = run("certify", "--construction",
+                   json.dumps({"kind": "from-file", "path": str(path)}), "--out", str(out))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: from-file path {str(path)!r} does not hold a representation")
+        assert message in err
+        assert not out.exists()
+
+    def test_out_naming_a_file(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.write_text("keep")
+        code = run("certify", "--construction", SCHOTTKY, "--radius", "2", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+        assert out.read_text() == "keep"
+
+    def test_emit_naming_a_directory(self, tmp_path, capsys):
+        emit = tmp_path / "emit"
+        emit.mkdir()
+        out = tmp_path / "run"
+        code = run("construct", "--construction", SCHOTTKY, "--emit", str(emit),
+                   "--out", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+        assert not any(emit.iterdir())
+        assert not any(out.rglob("*"))
+
     @pytest.mark.parametrize("command", ["certify", "scan-positivity"])
     def test_repeated_k_is_usage_error(self, tmp_path, capsys, command):
         out = tmp_path / "run"

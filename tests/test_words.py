@@ -27,10 +27,43 @@ from anosov import (
     word_str,
     words_equal,
 )
-from anosov.words import conjugacy_key, is_primitive_cyclic, shortlex_key
+from anosov.words import conjugacy_key, cyclic_reduce, is_primitive_cyclic, shortlex_key
 
 F2 = Presentation.free(2)
 S2 = Presentation.surface(2)
+
+
+def set_and_sort_spheres(p, radius):
+    """The set-and-sort surface walk that the one sphere walk replaced, as an oracle.
+
+    Every extension is reduced, deduplicated in a set, sorted by shortlex key
+    and given the index of its prefix in the previous sphere.
+    """
+    sphere = [()]
+    for target in range(1, radius + 1):
+        new = set()
+        for w in sphere:
+            for l in p.letters():
+                if w and w[-1] == -l:
+                    continue
+                cand = reduce_word(w + (l,), p).letters
+                if len(cand) == target:
+                    new.add(cand)
+        index = {w: i for i, w in enumerate(sphere)}
+        sphere = sorted(new, key=shortlex_key)
+        yield np.array([index[w[:-1]] for w in sphere]), np.array([w[-1] for w in sphere])
+
+
+def shortlex_rotation_key(letters):
+    """``conjugacy_key`` as first written: the shortlex-least of all rotations, as an oracle."""
+    w = cyclic_reduce(letters)
+    if not w:
+        return ()
+    candidates = []
+    for base in (w, tuple(-l for l in reversed(w))):
+        for s in range(len(base)):
+            candidates.append(base[s:] + base[:s])
+    return min(candidates, key=shortlex_key)
 
 
 def random_letters(rng, p, max_len=12):
@@ -194,16 +227,39 @@ class TestEnumerateBall:
             for j in range(i + 1, len(sphere3), 41):
                 assert not words_equal(sphere3[i], sphere3[j], S2)
 
+    @pytest.mark.parametrize("genus, radius", [(2, 5), (3, 3)], ids=["genus2-r5", "genus3-r3"])
+    def test_surface_walk_matches_set_and_sort_oracle(self, genus, radius):
+        p = Presentation.surface(genus)
+        ball = enumerate_ball(p, radius)
+        spheres = list(set_and_sort_spheres(p, radius))
+        assert len(ball.parent) == len(spheres) + 1
+        for n, (parent, letter) in enumerate(spheres, start=1):
+            assert np.array_equal(ball.parent[n], parent)
+            assert np.array_equal(ball.letter[n], letter)
+
     def test_sorted_within_spheres(self):
-        ball = enumerate_ball(F2, 3)
-        for sphere in ball.spheres:
-            keys = [shortlex_key(w.letters) for w in sphere]
-            assert keys == sorted(keys)
+        for ball in (enumerate_ball(F2, 3), enumerate_ball(S2, 4)):
+            for sphere in ball.spheres:
+                keys = [shortlex_key(w.letters) for w in sphere]
+                assert keys == sorted(keys)
 
     def test_guard(self, monkeypatch):
         monkeypatch.setattr("anosov.words.BALL_GUARD", 100)
         with pytest.raises(ResourceLimit):
             enumerate_ball(F2, 8)
+
+    @pytest.mark.parametrize(
+        "p, radius, size", [(F2, 3, 53), (S2, 3, 457), (S2, 4, 3193)],
+        ids=["free2-r3", "genus2-r3", "genus2-r4"],
+    )
+    def test_guard_boundary(self, monkeypatch, p, radius, size):
+        # a ball of exactly BALL_GUARD words builds, one word more raises; at
+        # genus 2 R=4, 8 of the 2,744 candidate children are not canonical
+        monkeypatch.setattr("anosov.words.BALL_GUARD", size)
+        assert len(enumerate_ball(p, radius)) == size
+        monkeypatch.setattr("anosov.words.BALL_GUARD", size - 1)
+        with pytest.raises(ResourceLimit):
+            enumerate_ball(p, radius)
 
 
 class TestEvaluate:
@@ -307,6 +363,14 @@ class TestConjugacyHelpers:
         w = parse_word("abA")
         assert conjugacy_key(w) == conjugacy_key(parse_word("b"))
         assert conjugacy_key(parse_word("ab")) == conjugacy_key(parse_word("BA"))
+
+    @pytest.mark.parametrize("p", [F2, Presentation.free(3), S2, Presentation.surface(3)],
+                             ids=["free2", "free3", "genus2", "genus3"])
+    def test_conjugacy_key_matches_shortlex_rotation_oracle(self, rng, p):
+        # powers and commutators have tied rotations
+        tied = [parse_word(t) for t in ("aaaa", "abab", "abAB", "aBaBaB", "AbAbAb")]
+        for w in tied + [random_letters(rng, p, max_len=16) for _ in range(500)]:
+            assert conjugacy_key(w) == shortlex_rotation_key(w)
 
     def test_primitive_detection(self):
         assert is_primitive_cyclic(parse_word("ab"))
