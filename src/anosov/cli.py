@@ -1,8 +1,10 @@
 """Command-line front end: experiment configuration, orchestration, reports.
 
 Subcommands: construct, certify, gap-profile, scan-positivity, limit-set,
-deform, pingpong.  Every run writes a ``summary.json`` (plus per-scan CSVs)
-into the output directory and prints a short human summary.
+deform, pingpong.  A ``cmd_*`` handler only computes a :class:`Run`;
+:func:`write_run` writes its reports and ``summary.json`` (creating the
+output directory with the first file), then ``main`` prints its lines.  So
+a run that fails while computing leaves no output directory behind.
 
 Exit codes: 0 success (Certified / PositivelyProximal / found, as the
 command requests), 1 refuted (Refuted / NotPositivelyProximal / audit
@@ -105,6 +107,8 @@ class ExperimentConfig:
             raise ConfigError("k indices must be positive")
         if len(set(self.k)) != len(self.k):
             raise ConfigError("k indices must be distinct")
+        if self.max_n < 1:
+            raise ConfigError("max_n must be at least 1")
         if "kind" not in self.construction:
             raise ConfigError("construction descriptor needs a 'kind'")
 
@@ -209,108 +213,102 @@ def _write_csv(path: Path, header: list[str], columns: Sequence[Sequence]) -> No
             fh.write("".join(itertools.starmap(line.format, zip(*chunk))))
 
 
-def _summary_base(cfg: ExperimentConfig, command: str, rep: Representation) -> dict:
-    return {
-        "command": command,
-        "config": cfg.echo(),
-        "seed": cfg.seed,
-        "presentation": rep.presentation.describe(),
-        "dimension": rep.dim,
-    }
+@dataclass
+class Run:
+    """What a command computed; ``main`` and :func:`write_run` put it out.
+
+    ``summary`` holds the command's own ``summary.json`` fields; ``reports``
+    maps a file name under ``--out`` (or an absolute path) to a CSV as
+    ``(header, columns)`` or to a JSON payload; ``lines`` go to stdout.
+    """
+
+    code: int
+    summary: dict
+    lines: list[str]
+    reports: dict = field(default_factory=dict)
 
 
-def _estimate_dict(est: cert.CertificateEstimate) -> dict:
-    return {
-        "k": est.k,
-        "radius": est.radius,
-        "verdict": est.verdict,
-        "alpha_hat": est.alpha_hat,
-        "logC_hat": est.logC_hat,
-        "min_margin": est.min_margin,
-        "witness": est.witness,
-        "qie_passed": est.qie_passed,
-        "qie_alpha_hat": est.qie.slope,
-        "qie_logC_hat": est.qie.intercept,
-    }
+def write_run(out: Path, summary: dict, reports: dict) -> None:
+    """Write a run's report files, then its ``summary.json``, creating ``out``."""
+    for name, report in reports.items():
+        if isinstance(report, dict):
+            _write_json(out / name, report)
+        else:
+            _write_csv(out / name, *report)
+    _write_json(out / "summary.json", summary)
 
 
-def _gap_csv(out: Path, profiles: list[cert.GapProfile]) -> None:
+def _overall(verdicts: set[str], refuted: str, certified: str, inconclusive: str) -> tuple:
+    """(overall verdict, exit code) of the per-k verdicts."""
+    if refuted in verdicts:
+        return refuted, EXIT_REFUTED
+    if verdicts == {certified}:
+        return certified, EXIT_OK
+    return inconclusive, EXIT_INCONCLUSIVE
+
+
+def _fields(obj, *names: str) -> dict:
+    # literal names only: the type attribute cache keeps every looked-up name
+    # alive, so names built at run time would pin heap memory from run to run
+    return {name: getattr(obj, name) for name in names}
+
+
+def cmd_certify(cfg: ExperimentConfig, rep: Representation, profile_only: bool) -> Run:
+    profiles = cert.gap_profiles(rep, cfg.k, cfg.radius)
     first = profiles[0]
-    _write_csv(
-        out / "gap_profile.csv",
+    reports = {"gap_profile.csv": (
         ["word", "length"] + [f"log_gap_{p.k}" for p in profiles] + ["log_total_ratio"],
         [first.words, first.lengths] + [p.log_gap for p in profiles] + [first.log_total],
-    )
-
-
-def cmd_certify(cfg: ExperimentConfig, rep: Representation, out: Path, profile_only: bool) -> int:
-    profiles = cert.gap_profiles(rep, cfg.k, cfg.radius)
-    estimates = [] if profile_only else [
+    )}
+    if profile_only:
+        summary = {"profiles": [
+            {"k": p.k, "radius": p.radius, "words": len(p.words)} for p in profiles
+        ]}
+        return Run(EXIT_OK, summary, [f"gap-profile: {len(first.words)} words, k = {cfg.k}"],
+                   reports)
+    estimates = [
         cert.certify_anosov(p, alpha_min=cfg.alpha_min, ell_min=cfg.ell_min) for p in profiles
     ]
-    _gap_csv(out, profiles)
-    summary = _summary_base(cfg, "gap-profile" if profile_only else "certify", rep)
-    if profile_only:
-        summary["profiles"] = [
-            {"k": p.k, "radius": p.radius, "words": len(p.words)} for p in profiles
-        ]
-        _write_json(out / "summary.json", summary)
-        print(f"gap-profile: {len(profiles[0].words)} words, k = {cfg.k}")
-        return EXIT_OK
     verdicts = {e.verdict for e in estimates}
-    if "Refuted" in verdicts:
-        overall, code = "Refuted", EXIT_REFUTED
-    elif verdicts == {"Certified"}:
-        overall, code = "Certified", EXIT_OK
-    else:
-        overall, code = "Inconclusive", EXIT_INCONCLUSIVE
-    summary["verdict"] = overall
-    summary["estimates"] = [_estimate_dict(e) for e in estimates]
-    _write_json(out / "summary.json", summary)
-    for est in estimates:
-        line = f"k={est.k}: {est.verdict} (alpha_hat={est.alpha_hat:.4f}, margin={est.min_margin:.4f}"
-        line += f", witness={est.witness})" if est.witness else ")"
-        print(line)
-    return code
+    overall, code = _overall(verdicts, "Refuted", "Certified", "Inconclusive")
+    lines = [
+        f"k={e.k}: {e.verdict} (alpha_hat={e.alpha_hat:.4f}, margin={e.min_margin:.4f}"
+        + (f", witness={e.witness})" if e.witness else ")")
+        for e in estimates
+    ]
+    summary = {"verdict": overall, "estimates": [
+        {**_fields(e, "k", "radius", "verdict", "alpha_hat", "logC_hat", "min_margin",
+                   "witness", "qie_passed"),
+         "qie_alpha_hat": e.qie.slope, "qie_logC_hat": e.qie.intercept}
+        for e in estimates
+    ]}
+    return Run(code, summary, lines, reports)
 
 
-def cmd_scan_positivity(cfg: ExperimentConfig, rep: Representation, out: Path) -> int:
-    reports = cert.scan_positivities(rep, cfg.k, cfg.radius, eps_gap=cfg.eps_gap)
-    for r in reports:
-        _write_csv(
-            out / f"positivity_k{r.k}.csv",
+def cmd_scan_positivity(cfg: ExperimentConfig, rep: Representation) -> Run:
+    scans = cert.scan_positivities(rep, cfg.k, cfg.radius, eps_gap=cfg.eps_gap)
+    overall, code = _overall({r.verdict for r in scans},
+                             "NotPositivelyProximal", "PositivelyProximal", "NoProximalFound")
+    summary = {"verdict": overall, "reports": [
+        {**_fields(r, "k", "radius", "dim_scanned", "verdict", "witness", "witness_recheck",
+                   "n_proximal", "n_negative"),
+         "n_semiproximal_failures": len(r.semiproximal_failures)}
+        for r in scans
+    ]}
+    lines = [
+        f"k={r.k} (dim {r.dim_scanned}): {r.verdict}"
+        + (f", witness={r.witness}" if r.witness else "")
+        for r in scans
+    ]
+    reports = {
+        f"positivity_k{r.k}.csv": (
             ["word", "length", "proximal", "ell1_sign", "semiproximal_positive", "log_gap"],
             [r.words, r.lengths, r.proximal.astype(int), r.ell1_sign,
              r.semiproximal_positive.astype(int), r.log_gap],
         )
-    verdicts = {r.verdict for r in reports}
-    if "NotPositivelyProximal" in verdicts:
-        overall, code = "NotPositivelyProximal", EXIT_REFUTED
-    elif verdicts == {"PositivelyProximal"}:
-        overall, code = "PositivelyProximal", EXIT_OK
-    else:
-        overall, code = "NoProximalFound", EXIT_INCONCLUSIVE
-    summary = _summary_base(cfg, "scan-positivity", rep)
-    summary["verdict"] = overall
-    summary["reports"] = [
-        {
-            "k": r.k,
-            "radius": r.radius,
-            "dim_scanned": r.dim_scanned,
-            "verdict": r.verdict,
-            "witness": r.witness,
-            "witness_recheck": r.witness_recheck,
-            "n_proximal": r.n_proximal,
-            "n_negative": r.n_negative,
-            "n_semiproximal_failures": len(r.semiproximal_failures),
-        }
-        for r in reports
-    ]
-    _write_json(out / "summary.json", summary)
-    for r in reports:
-        extra = f", witness={r.witness}" if r.witness else ""
-        print(f"k={r.k} (dim {r.dim_scanned}): {r.verdict}{extra}")
-    return code
+        for r in scans
+    }
+    return Run(code, summary, lines, reports)
 
 
 def _single_k(cfg: ExperimentConfig, command: str) -> int:
@@ -319,83 +317,65 @@ def _single_k(cfg: ExperimentConfig, command: str) -> int:
     return cfg.k[0]
 
 
-def cmd_limit_set(cfg: ExperimentConfig, rep: Representation, out: Path) -> int:
+def cmd_limit_set(cfg: ExperimentConfig, rep: Representation) -> Run:
     k = _single_k(cfg, "limit-set")
     try:
         samples = cert.limit_map_sample(rep, k, cfg.radius, eps_gap=cfg.eps_gap, seed=cfg.seed)
     except NoProximalElements as exc:
-        print(f"limit-set: {exc}")
-        summary = _summary_base(cfg, "limit-set", rep)
-        summary["error"] = str(exc)
-        _write_json(out / "summary.json", summary)
-        return EXIT_INCONCLUSIVE
+        return Run(EXIT_INCONCLUSIVE, {"error": str(exc)}, [f"limit-set: {exc}"])
     audit = cert.audit_limit_samples(samples, cond_threshold=cfg.cond_threshold)
-    _write_csv(
-        out / "limit_samples.csv",
-        ["word", "inverse_word", "dynamics_preserving", "log_gap"],
-        [[s.word for s in samples], [s.inverse_word for s in samples],
-         [int(s.dynamics_preserving) for s in samples], [s.log_gap for s in samples]],
-    )
-    summary = _summary_base(cfg, "limit-set", rep)
-    summary["audit"] = {
-        "n_samples": audit.n_samples,
-        "n_boundary_points": audit.n_boundary_points,
-        "n_pairs_checked": audit.n_pairs_checked,
+    summary = {"audit": {
+        **_fields(audit, "n_samples", "n_boundary_points", "n_pairs_checked", "span_rank",
+                  "span_dim", "spanning"),
         "transversality_failures": list(audit.transversality_failures),
-        "span_rank": audit.span_rank,
-        "span_dim": audit.span_dim,
-        "spanning": audit.spanning,
-    }
-    _write_json(out / "summary.json", summary)
-    print(
+    }}
+    line = (
         f"limit-set: {audit.n_samples} samples, {audit.n_pairs_checked} pairs, "
         f"{len(audit.transversality_failures)} failures, "
         f"span rank {audit.span_rank}/{audit.span_dim}"
     )
-    return EXIT_OK if audit.all_transverse else EXIT_REFUTED
+    reports = {"limit_samples.csv": (
+        ["word", "inverse_word", "dynamics_preserving", "log_gap"],
+        [[s.word for s in samples], [s.inverse_word for s in samples],
+         [int(s.dynamics_preserving) for s in samples], [s.log_gap for s in samples]],
+    )}
+    return Run(EXIT_OK if audit.all_transverse else EXIT_REFUTED, summary, [line], reports)
 
 
-def cmd_deform(cfg: ExperimentConfig, rep: Representation, out: Path) -> int:
+def cmd_deform(cfg: ExperimentConfig, rep: Representation) -> Run:
     k = _single_k(cfg, "deform")
     require_gap_index(k, rep.dim)
     path = perturb_path(rep, cfg.magnitude, cfg.seed, cfg.steps)
     traces = cert.track_ball_along_path(path, cfg.radius, k, eps_gap=cfg.eps_gap)
-    _write_csv(
-        out / "deform_traces.csv",
+    verdicts = [t.verdict for t in traces]
+    counts = {v: verdicts.count(v) for v in ("ConstantSign", "SignChange", "Inconclusive")}
+    first_bad = next((t for t in traces if t.verdict != "ConstantSign"), None)
+    summary = {
+        "magnitude": cfg.magnitude,
+        "steps": cfg.steps,
+        "k": k,
+        "counts": counts,
+        "first_non_constant": None if first_bad is None else {
+            "word": first_bad.word, "verdict": first_bad.verdict, "step": first_bad.failing_step
+        },
+    }
+    reports = {"deform_traces.csv": (
         ["word", "verdict", "failing_step", "signs"],
         [
             [t.word for t in traces],
-            [t.verdict for t in traces],
+            verdicts,
             ["" if t.failing_step is None else t.failing_step for t in traces],
             ["".join("+" if s > 0 else ("-" if s < 0 else "0") for s in t.signs) for t in traces],
         ],
-    )
-    counts = {
-        "ConstantSign": sum(1 for t in traces if t.verdict == "ConstantSign"),
-        "SignChange": sum(1 for t in traces if t.verdict == "SignChange"),
-        "Inconclusive": sum(1 for t in traces if t.verdict == "Inconclusive"),
-    }
-    summary = _summary_base(cfg, "deform", rep)
-    summary["magnitude"] = cfg.magnitude
-    summary["steps"] = cfg.steps
-    summary["k"] = k
-    summary["counts"] = counts
-    first_bad = next((t for t in traces if t.verdict != "ConstantSign"), None)
-    summary["first_non_constant"] = (
-        None
-        if first_bad is None
-        else {"word": first_bad.word, "verdict": first_bad.verdict, "step": first_bad.failing_step}
-    )
-    _write_json(out / "summary.json", summary)
-    print(f"deform: {counts}")
-    if counts["SignChange"]:
-        return EXIT_REFUTED
-    if counts["Inconclusive"]:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    )}
+    code = EXIT_REFUTED if counts["SignChange"] else (
+        EXIT_INCONCLUSIVE if counts["Inconclusive"] else EXIT_OK)
+    return Run(code, summary, [f"deform: {counts}"], reports)
 
 
-def cmd_pingpong(cfg: ExperimentConfig, rep: Representation, out: Path) -> int:
+def cmd_pingpong(cfg: ExperimentConfig, rep: Representation) -> Run:
+    if cfg.t_rotation is not None and cfg.t_word is not None:
+        raise ConfigError("pingpong takes --t or --t-rotation, not both")
     g = reduce_word(parse_word(cfg.g_word), rep.presentation)
     t: Word | np.ndarray
     if cfg.t_rotation is not None:
@@ -411,31 +391,25 @@ def cmd_pingpong(cfg: ExperimentConfig, rep: Representation, out: Path) -> int:
     result = cert.pingpong_power(
         rep, g, t, max_n=cfg.max_n, eps_gap=cfg.eps_gap, cond_threshold=cfg.cond_threshold
     )
-    summary = _summary_base(cfg, "pingpong", rep)
-    summary["g"] = str(g)
-    summary["t"] = cfg.t_word if cfg.t_rotation is None else f"rotation({cfg.t_rotation})"
-    summary["max_n"] = cfg.max_n
-    summary["found"] = result is not None
-    if result is not None:
-        summary["n"] = result.n
-        summary["delta"] = result.delta
-    _write_json(out / "summary.json", summary)
+    summary = {
+        "g": str(g),
+        "t": cfg.t_word if cfg.t_rotation is None else f"rotation({cfg.t_rotation})",
+        "max_n": cfg.max_n,
+        "found": result is not None,
+    }
     if result is None:
-        print(f"pingpong: no power up to {cfg.max_n} satisfies the criterion")
-        return EXIT_INCONCLUSIVE
-    print(f"pingpong: N = {result.n} at delta = {result.delta:.4f}")
-    return EXIT_OK
+        line = f"pingpong: no power up to {cfg.max_n} satisfies the criterion"
+        return Run(EXIT_INCONCLUSIVE, summary, [line])
+    summary["n"] = result.n
+    summary["delta"] = result.delta
+    return Run(EXIT_OK, summary, [f"pingpong: N = {result.n} at delta = {result.delta:.4f}"])
 
 
-def cmd_construct(cfg: ExperimentConfig, rep: Representation, out: Path) -> int:
-    target = Path(cfg.emit) if cfg.emit else out / "representation.json"
-    target.parent.mkdir(parents=True, exist_ok=True)
-    rep.save(target)
-    summary = _summary_base(cfg, "construct", rep)
-    summary["emitted"] = str(target)
-    _write_json(out / "summary.json", summary)
-    print(f"construct: {rep.presentation.describe()} in dimension {rep.dim} -> {target}")
-    return EXIT_OK
+def cmd_construct(cfg: ExperimentConfig, rep: Representation) -> Run:
+    target = Path(cfg.emit) if cfg.emit else Path(cfg.out) / "representation.json"
+    line = f"construct: {rep.presentation.describe()} in dimension {rep.dim} -> {target}"
+    return Run(EXIT_OK, {"emitted": str(target)}, [line],
+               {target.absolute(): rep.to_json_dict()})
 
 
 def _commands() -> dict:
@@ -524,15 +498,29 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args)
         rep = build_representation(cfg.construction)
         out = Path(cfg.out)
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"cannot write output: {existing} is not a directory")
         handler, _ = _commands()[args.command]
-        try:  # the handlers read nothing, so an OSError is an unwritable output path
-            out.mkdir(parents=True, exist_ok=True)
-            return handler(cfg, rep, out)
+        run = handler(cfg, rep)
+        summary = {
+            "command": args.command,
+            "config": cfg.echo(),
+            "seed": cfg.seed,
+            "presentation": rep.presentation.describe(),
+            "dimension": rep.dim,
+            **run.summary,
+        }
+        try:
+            write_run(out, summary, run.reports)
         except OSError as exc:
             raise ConfigError(f"cannot write output: {exc}")
     except (ConfigError, ToolkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    for line in run.lines:
+        print(line)
+    return run.code
 
 
 if __name__ == "__main__":

@@ -169,14 +169,14 @@ def _inverse(letters: Sequence[int]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _half_table(family: str, n: int):
-    """(half the relator length, exactly-half replacements) for the relator.
+def _half_table(genus: int):
+    """(half the relator length, exactly-half replacements) for the surface relator.
 
     Keys are the first halves of rotations of the relator and its inverse;
     each maps to its freely-equal complement of the same length.  The relator
     holds every letter once, so no half starts two rotations.
     """
-    r = Presentation(family, n).relator
+    r = Presentation.surface(genus).relator
     half = len(r) // 2
     halves: dict[tuple[int, ...], tuple[int, ...]] = {}
     for base in (r, _inverse(r)):
@@ -186,8 +186,8 @@ def _half_table(family: str, n: int):
     return half, halves
 
 
-def _surface_canonical(letters: tuple[int, ...], family: str, n: int) -> tuple[int, ...]:
-    half, halves = _half_table(family, n)
+def _surface_canonical(letters: tuple[int, ...], genus: int) -> tuple[int, ...]:
+    half, halves = _half_table(genus)
     w = _free_reduce(letters)
     while True:
         # close under half-relator replacements; restart from a shorter word
@@ -223,7 +223,7 @@ def reduce_word(letters: Iterable[int] | Word, p: Presentation) -> Word:
     seq = p.check_letters(letters)
     if p.family == "free":
         return Word(_free_reduce(seq))
-    return Word(_surface_canonical(seq, p.family, p.n))
+    return Word(_surface_canonical(seq, p.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,7 +301,7 @@ def _spheres(p: Presentation, radius: int) -> Iterator[tuple[np.ndarray, np.ndar
         if p.family == "surface":
             kept = zip(parent[keep].tolist(), letter[keep].tolist())
             children = [words[i] + (l,) for i, l in kept]
-            canonical = [_surface_canonical(w, p.family, p.n) == w for w in children]
+            canonical = [_surface_canonical(w, p.n) == w for w in children]
             keep[keep] = canonical
             words = list(itertools.compress(children, canonical))
         last = letter[keep]

@@ -21,9 +21,14 @@ from anosov.cli import (
     EXIT_OK,
     EXIT_REFUTED,
     EXIT_USAGE,
-    _gap_csv,
+    ExperimentConfig,
+    _commands,
+    _parser,
     build_representation,
+    cmd_certify,
+    load_config,
     main,
+    write_run,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -133,6 +138,18 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith("error: cannot write output: ")
         assert out.read_text() == "keep"
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
+    def test_unwritable_out_fails_before_the_command(self, tmp_path, capsys, below):
+        # radius 3 is too small to certify: the handler would fail with its own message
+        blocker = tmp_path / "run"
+        blocker.write_text("keep")
+        code = run("certify", "--construction", SCHOTTKY, "--radius", "3",
+                   "--out", str(blocker / below))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write output: {blocker} is not a directory\n"
+        assert blocker.read_text() == "keep"
+
     def test_emit_naming_a_directory(self, tmp_path, capsys):
         emit = tmp_path / "emit"
         emit.mkdir()
@@ -229,6 +246,37 @@ class TestCertifyCommand:
                    "--radius", "3", "--out", str(out))
         assert code == EXIT_OK
         assert (out / "gap_profile.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct"],
+        ["certify", "--radius", "4"],
+        ["gap-profile", "--radius", "3"],
+        ["scan-positivity", "--radius", "2"],
+        ["limit-set", "--radius", "3"],
+        ["deform", "--radius", "2", "--steps", "3"],
+        ["pingpong", "--g", "a", "--t", "b"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_handlers_compute_and_main_puts_out(tmp_path, monkeypatch, capsys, argv):
+    # a handler writes and prints nothing; main writes its reports and
+    # summary.json and prints its lines
+    argv = argv + ["--construction", SCHOTTKY, "--out", "run"]
+    cfg = load_config(_parser().parse_args(argv))
+    handler, _ = _commands()[argv[0]]
+    monkeypatch.chdir(tmp_path)
+    result = handler(cfg, build_representation(cfg.construction))
+    assert capsys.readouterr().out == "" and not any(tmp_path.iterdir())
+    assert main(argv) == result.code
+    assert capsys.readouterr().out == "".join(line + "\n" for line in result.lines)
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["command"] == argv[0] and summary.items() >= result.summary.items()
+    out = tmp_path / "run"
+    expected = {(out / name).resolve() for name in [*result.reports, "summary.json"]}
+    assert {p.resolve() for p in out.iterdir()} == expected
 
 
 class TestOtherCommands:
@@ -338,7 +386,7 @@ class TestOtherCommands:
                    "--radius", "0", "--out", str(out))
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: k=2 out of range for dimension 2\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_deform_magnitude_guard(self, tmp_path):
         code = run("deform", "--construction", SCHOTTKY, "--magnitude", "0.5",
@@ -357,6 +405,36 @@ class TestOtherCommands:
         code = run("pingpong", "--construction", SCHOTTKY, "--g", "a",
                    "--out", str(tmp_path))
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("max_n", ["0", "-3"])
+    def test_pingpong_rejects_max_n_below_one(self, tmp_path, capsys, max_n):
+        out = tmp_path / "run"
+        code = run("pingpong", "--construction", SCHOTTKY, "--g", "a", "--t", "b",
+                   "--max-n", max_n, "--out", str(out))
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: max_n must be at least 1\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_pingpong_rejects_word_and_rotation(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run("pingpong", "--construction", SCHOTTKY, "--g", "a", "--t", "b",
+                   "--t-rotation", "1.5", "--out", str(out))
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--t " in captured.err and "--t-rotation" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_failed_run_leaves_no_out(self, tmp_path, capsys):
+        # Sym^5 at radius 4 exceeds the condition limit (ROADMAP item 1)
+        out = tmp_path / "run"
+        code = run("certify", "--construction", SYM5, "--k", "1", "--radius", "4",
+                   "--out", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_scan_positivity_several_k_match_separate_runs(self, tmp_path):
         both = tmp_path / "both"
@@ -563,10 +641,11 @@ class TestCsvWriterOracle:
 def test_gap_csv_memory_is_bounded(tmp_path):
     # the radius-10 Schottky profile writes a 5.7 MiB file; formatting it
     # whole, or converting whole columns with tolist(), peaks far above 4 MiB
-    profiles = cert.gap_profiles(build_representation(json.loads(SCHOTTKY)), [1], 10)
+    cfg = ExperimentConfig(construction=json.loads(SCHOTTKY), radius=10)
+    result = cmd_certify(cfg, build_representation(cfg.construction), profile_only=True)
     tracemalloc.start()
     try:
-        _gap_csv(tmp_path, profiles)
+        write_run(tmp_path, result.summary, result.reports)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 
@@ -64,6 +65,77 @@ def shortlex_rotation_key(letters):
         for s in range(len(base)):
             candidates.append(base[s:] + base[:s])
     return min(candidates, key=shortlex_key)
+
+
+def surface_relator(genus):
+    """[a1,b1]...[ag,bg] over letters 1..2g (a negative letter is an inverse)."""
+    return tuple(l for i in range(genus) for l in (2 * i + 1, 2 * i + 2, -2 * i - 1, -2 * i - 2))
+
+
+def inverse_letters(w):
+    return tuple(-l for l in reversed(w))
+
+
+@functools.lru_cache(maxsize=None)
+def dehn_pieces(genus):
+    """rho[:m] -> (rho[m:])^-1 for rotations rho of the relator and its inverse, m > half."""
+    r = surface_relator(genus)
+    pieces = {}
+    for base in (r, inverse_letters(r)):
+        for s in range(len(r)):
+            rho = base[s:] + base[:s]
+            for m in range(len(r) // 2 + 1, len(r) + 1):
+                pieces[rho[:m]] = inverse_letters(rho[m:])
+    return pieces
+
+
+def dehn_trivial(letters, genus):
+    """Dehn's algorithm: whether a word is the identity of the genus-g surface group.
+
+    Free- and cyclically reduce the word, then replace any cyclic subword
+    ``rho[:m]`` with ``m > len(rho) / 2``, ``rho`` a cyclic conjugate of the
+    relator or its inverse, by ``rho[m:]`` inverted, until none is left.  The
+    presentation is C'(1/6) for g >= 2, so by Greendlinger's lemma the word is
+    trivial iff this ends empty.  Shares no code with ``reduce_word``.
+    """
+    pieces = dehn_pieces(genus)
+    n = 4 * genus
+    w = list(letters)
+    while True:
+        stack = []
+        for l in w:  # free reduction
+            if stack and stack[-1] == -l:
+                stack.pop()
+            else:
+                stack.append(l)
+        while len(stack) > 1 and stack[0] == -stack[-1]:  # cyclic reduction
+            stack = stack[1:-1]
+        w = tuple(stack)
+        doubled = w + w
+        found = next(
+            ((i, m) for m in range(n // 2 + 1, min(n, len(w)) + 1) for i in range(len(w))
+             if doubled[i : i + m] in pieces),
+            None,
+        )
+        if found is None:
+            return not w
+        i, m = found
+        rotated = w[i:] + w[:i]
+        w = pieces[rotated[:m]] + rotated[m:]
+
+
+def random_surface_word(rng, genus):
+    """Letters and cyclic subwords of the relator or its inverse, concatenated."""
+    r = surface_relator(genus)
+    out = ()
+    for _ in range(int(rng.integers(1, 5))):
+        if rng.random() < 0.5:
+            out += (int(rng.choice([l for g in range(1, 2 * genus + 1) for l in (g, -g)])),)
+        else:
+            base = r if rng.random() < 0.5 else inverse_letters(r)
+            s, m = int(rng.integers(len(r))), int(rng.integers(1, len(r) + 1))
+            out += (base[s:] + base[:s])[:m]
+    return out
 
 
 def random_letters(rng, p, max_len=12):
@@ -161,6 +233,32 @@ class TestReduceWord:
             a = evaluate(fuchsian2, w).array()
             b = evaluate(fuchsian2, reduce_word(w, S2)).array()
             assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(a)
+
+
+class TestDehnOracle:
+    """``reduce_word`` and the ball against Dehn's algorithm (see ``dehn_trivial``)."""
+
+    @pytest.mark.parametrize("genus", [2, 3])
+    def test_relator_is_trivial(self, genus):
+        r = surface_relator(genus)
+        assert dehn_trivial(r, genus)
+        assert dehn_trivial(inverse_letters(r), genus)
+        assert not dehn_trivial(r[:5], genus)
+
+    def test_ball_words_are_distinct_elements(self):
+        words = [w.letters for w in enumerate_ball(S2, 3).words()]
+        assert len(words) == 457
+        inverses = [inverse_letters(w) for w in words]
+        for i, u in enumerate(words):
+            for v in inverses[i + 1 :]:
+                assert not dehn_trivial(u + v, 2)
+
+    @pytest.mark.parametrize("genus", [2, 3])
+    def test_reduction_keeps_the_element(self, rng, genus):
+        p = Presentation.surface(genus)
+        for _ in range(2000):
+            w = random_surface_word(rng, genus)
+            assert dehn_trivial(w + inverse_letters(reduce_word(w, p).letters), genus)
 
 
 class TestEnumerateBall:
