@@ -21,14 +21,15 @@ A ball is held as per-sphere arrays: each word of sphere n is a word of
 sphere n-1 (its ``parent`` index) followed by one ``letter``.  Both
 families walk the same way: every word of sphere n-1 is extended by every
 letter but the inverse of its last one, and a surface-group child is kept
-only when it is its own canonical form.  A ball's images are evaluated the
-same way, sphere by sphere, with one stacked multiply per letter
-(:func:`evaluate_ball`).
+only when it is its own canonical form.  A surface child reaches the closure
+search only when it holds a half-relator window; this is exact, since a child
+is freely reduced and without such a window admits no move.  A ball's images
+are evaluated the same way, sphere by sphere, with one stacked multiply per
+letter (:func:`evaluate_ball`).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -283,31 +284,61 @@ def _check_guard(total: int) -> None:
         raise ResourceLimit(f"ball size exceeds guard {BALL_GUARD}")
 
 
+def _rebuild(parents: list, letters: list, rows: np.ndarray) -> list[tuple[int, ...]]:
+    """Letter tuples of the given rows of the last sphere of (parent, letter) arrays."""
+    columns = []
+    for parent, letter in zip(reversed(parents), reversed(letters)):
+        columns.append(letter[rows].tolist())
+        rows = parent[rows]
+    return list(zip(*reversed(columns)))
+
+
 def _spheres(p: Presentation, radius: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     # children are every letter but the inverse of the last one, ordered by
     # (parent, letter key), which is shortlex order; a surface child is kept
     # when it is its own canonical form (a prefix of a canonical word is
-    # canonical, so every canonical word is a kept child of its prefix)
+    # canonical, so every canonical word is a kept child of its prefix).
+    # The closure search runs only on children holding a half-relator window:
+    # the others are freely reduced and admit no move.  A child's 2g-letter
+    # windows are its parent's and its last 2g letters, so per word ``tail``
+    # codes the last 2g-1 letter keys in base B = 4g and ``held`` flags a
+    # half-relator window.  Codes are below B^(2g), and are held in the
+    # smallest type that holds B^(2g) (Python ints past genus 6).
     alphabet = np.array(p.letters())
     last = np.zeros(1, dtype=alphabet.dtype)
-    words: list[tuple[int, ...]] = [()]
     total = 1
-    for _ in range(radius):
+    if p.family == "surface":
+        half, halves = _half_table(p.n)
+        base = len(alphabet)
+        codes = [sum(_letter_key(l) * base**i for i, l in enumerate(reversed(h))) for h in halves]
+        code_type = np.min_scalar_type(base**half)
+        keys = np.arange(base, dtype=code_type)  # the alphabet is in letter-key order
+        tail, held = np.zeros(1, dtype=code_type), np.zeros(1, dtype=bool)
+    parents: list[np.ndarray] = []
+    letters: list[np.ndarray] = []
+    for n in range(1, radius + 1):
         if p.family == "free":  # every child is kept: check before allocating
             _check_guard(total + len(last) * len(alphabet) - np.count_nonzero(last))
         parent = np.repeat(np.arange(len(last)), len(alphabet))
         letter = np.tile(alphabet, len(last))
         keep = letter != -last[parent]
         if p.family == "surface":
-            kept = zip(parent[keep].tolist(), letter[keep].tolist())
-            children = [words[i] + (l,) for i, l in kept]
-            canonical = [_surface_canonical(w, p.n) == w for w in children]
-            keep[keep] = canonical
-            words = list(itertools.compress(children, canonical))
-        last = letter[keep]
+            window = (tail[:, None] * base + keys).ravel()
+            flag = np.repeat(held, base)
+            if n >= half:
+                flag |= np.isin(window, codes)
+            search = np.flatnonzero(flag & keep)
+            words = _rebuild(parents + [parent], letters + [letter], search)
+            keep[search] = [_surface_canonical(w, p.n) == w for w in words]
+            tail = window[keep]
+            tail %= base ** min(n, half - 1)
+            held = flag[keep]
+        parent, last = parent[keep], letter[keep]
         total += len(last)
         _check_guard(total)
-        yield parent[keep], last
+        parents.append(parent)
+        letters.append(last)
+        yield parent, last
 
 
 def enumerate_ball(p: Presentation, radius: int) -> Ball:
@@ -316,8 +347,10 @@ def enumerate_ball(p: Presentation, radius: int) -> Ball:
     Each word is extended by every letter but the inverse of its last one.
     For surface groups only the extensions that are their own canonical
     form are kept, so the ball is complete and duplicate-free as a set of
-    group elements.  Raises ResourceLimit when the ball would exceed
-    ``BALL_GUARD`` words.
+    group elements.  Only an extension holding a half-relator window goes
+    to the closure search: any other one is freely reduced and admits no
+    move, so it is its own canonical form.  Raises ResourceLimit when the
+    ball would exceed ``BALL_GUARD`` words.
     """
     if radius < 0:
         raise InvalidParams("radius must be nonnegative")
@@ -399,11 +432,6 @@ class Representation:
                 raise DimensionMismatch("generator block has wrong shape")
             mats.append(ScaledMatrix.from_array(entries, float(gen["log_scale"])))
         return cls.from_generators(pres, mats)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "Representation":

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import anosov.words
 from anosov import (
     Ball,
     DimensionMismatch,
@@ -28,6 +29,7 @@ from anosov import (
     word_str,
     words_equal,
 )
+from anosov.cli import ExperimentConfig, cmd_construct, write_run
 from anosov.words import conjugacy_key, cyclic_reduce, is_primitive_cyclic, shortlex_key
 
 F2 = Presentation.free(2)
@@ -301,7 +303,11 @@ class TestEnumerateBall:
         assert ball.sphere_sizes() == (1, 8, 56)
         assert len(ball) == 65
 
-    @pytest.mark.parametrize("genus, radius", [(2, 5), (3, 3)], ids=["genus2-r5", "genus3-r3"])
+    @pytest.mark.parametrize(
+        "genus, radius",
+        [(2, 5), (2, 6), (3, 3), (13, 2)],
+        ids=["genus2-r5", "genus2-r6", "genus3-r3", "genus13-r2"],
+    )
     def test_surface_spheres_follow_cannon_series(self, genus, radius):
         # Cannon's growth series of the genus-g surface group:
         # (1 + 2z + ... + 2z^(2g-1) + z^(2g)) / (1 - (4g-2)(z + ... + z^(2g-1)) + z^(2g))
@@ -313,19 +319,46 @@ class TestEnumerateBall:
             acc -= sum(den[j] * series[n - j] for j in range(1, min(n, len(den) - 1) + 1))
             series.append(acc)
         if genus == 2:
-            assert series == [1, 8, 56, 392, 2736, 19096]
+            assert series == [1, 8, 56, 392, 2736, 19096, 133288][: radius + 1]
         ball = enumerate_ball(Presentation.surface(genus), radius)
         assert list(ball.sphere_sizes()) == series
 
     def test_surface_sphere_pairwise_distinct(self):
-        # Dehn word-problem oracle confirms no duplicates at radius 3
-        ball = enumerate_ball(S2, 3)
-        sphere3 = [w.letters for w in ball.spheres[3]]
-        for i in range(0, len(sphere3), 37):  # spot-check a spread of pairs
-            for j in range(i + 1, len(sphere3), 41):
-                assert not words_equal(sphere3[i], sphere3[j], S2)
+        # Dehn's algorithm, which shares no code with reduce_word, finds no
+        # duplicates on sphere 4, the first length where one element has two
+        # reduced spellings
+        sphere4 = [w.letters for w in enumerate_ball(S2, 4).spheres[4]]
+        assert len(sphere4) == 2736
+        for i in range(0, len(sphere4), 37):  # spot-check a spread of pairs
+            for j in range(i + 1, len(sphere4), 41):
+                assert not dehn_trivial(sphere4[i] + inverse_letters(sphere4[j]), 2)
 
-    @pytest.mark.parametrize("genus, radius", [(2, 5), (3, 3)], ids=["genus2-r5", "genus3-r3"])
+    @pytest.mark.parametrize("radius, searched", [(3, 0), (4, 16), (5, 168), (6, 1512)])
+    def test_surface_walk_searches_only_half_relator_windows(self, monkeypatch, radius, searched):
+        # the closure search runs only on children holding a half-relator
+        # window: 16 such words of length 4 at genus 2, none shorter
+        calls = []
+        canonical = anosov.words._surface_canonical
+        monkeypatch.setattr(
+            "anosov.words._surface_canonical",
+            lambda letters, genus: calls.append(letters) or canonical(letters, genus),
+        )
+        ball = enumerate_ball(S2, radius)
+        assert len(calls) == searched
+        r = surface_relator(2)
+        halves = {(base[s:] + base[:s])[:4] for base in (r, inverse_letters(r)) for s in range(8)}
+        children = [
+            w.letters + (l,)
+            for sphere in ball.spheres[:-1]
+            for w in sphere
+            for l in S2.letters()
+            if not w.letters or w.letters[-1] != -l
+        ]
+        assert calls == [w for w in children if any(w[i : i + 4] in halves for i in range(len(w)))]
+
+    @pytest.mark.parametrize(
+        "genus, radius", [(2, 5), (2, 6), (3, 3)], ids=["genus2-r5", "genus2-r6", "genus3-r3"]
+    )
     def test_surface_walk_matches_set_and_sort_oracle(self, genus, radius):
         p = Presentation.surface(genus)
         ball = enumerate_ball(p, radius)
@@ -445,8 +478,11 @@ class TestRepresentation:
             Representation.from_generators(F2, [ScaledMatrix.identity(2)])
 
     def test_json_round_trip(self, schottky2, tmp_path):
+        # written the way the program writes it: construct's report, through write_run
         path = tmp_path / "rep.json"
-        schottky2.save(path)
+        cfg = ExperimentConfig(construction={"kind": "schottky"}, emit=str(path))
+        run = cmd_construct(cfg, schottky2)
+        write_run(tmp_path / "out", run.summary, run.reports)
         back = Representation.load(path)
         assert back.presentation == schottky2.presentation
         for a, b in zip(schottky2.images, back.images):
