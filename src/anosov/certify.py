@@ -304,11 +304,10 @@ def scan_positivities(
     words, lengths = ball.word_strings(), ball.lengths()
     reports = []
     for k, crep in zip(ks, creps):
-        sps = spectra(evaluate_ball(crep, ball), eps_gap=eps_gap)
+        log_moduli, ell1_sign, semiproximal = spectra(evaluate_ball(crep, ball), eps_gap=eps_gap)
         gapped = crep.dim > 1
-        proximal = np.array([gapped and sp.is_proximal(1) for sp in sps], dtype=bool)
-        ell1_sign = np.array([sp.top_sign or 0 for sp in sps], dtype=int)
-        semiproximal = np.array([sp.is_semiproximal_positive for sp in sps], dtype=bool)
+        log_gap = log_moduli[:, 0] - log_moduli[:, 1] if gapped else np.zeros(len(words))
+        proximal = gapped & (log_gap > math.log1p(eps_gap))
         negative = np.flatnonzero(proximal & (ell1_sign < 0))
         witness = words[negative[0]] if len(negative) else None
         n_proximal = int(np.count_nonzero(proximal))
@@ -328,7 +327,7 @@ def scan_positivities(
             PositivityReport(
                 k=k, radius=radius, dim_scanned=crep.dim, words=words, lengths=lengths,
                 proximal=proximal, ell1_sign=ell1_sign, semiproximal_positive=semiproximal,
-                log_gap=np.array([sp.log_gap(1) if gapped else 0.0 for sp in sps]),
+                log_gap=log_gap,
                 n_proximal=n_proximal, n_negative=len(negative), verdict=verdict,
                 witness=witness, witness_recheck=recheck,
                 semiproximal_failures=tuple(words[i] for i in np.flatnonzero(~semiproximal)),
@@ -385,6 +384,7 @@ def limit_map_sample(
     """
     if radius < 2:
         raise InsufficientRadius("limit sampling needs radius >= 2")
+    require_gap_index(k, rep.dim)
     ball = enumerate_ball(rep.presentation, radius)
     images = evaluate_ball(rep, ball)
     samples: list[LimitSample] = []
@@ -520,9 +520,9 @@ class SignTrace:
     failing_step: int | None
 
 
-def _top_signs(batch: ScaledBatch, k: int, eps_gap: float) -> list[tuple[bool, int]]:
-    """(proximal at 1, top sign or 0) of every matrix of a batch, acting on the
-    k-th exterior power.
+def _top_signs(batch: ScaledBatch, k: int, eps_gap: float) -> tuple[list[bool], list[int]]:
+    """Proximality at 1 and top sign (or 0) of every matrix of a batch, acting
+    on the k-th exterior power, as two columns.
 
     Read in row slices whose compounds hold at most :data:`STACK_ELEMENTS`
     entries, so a large ball in a wide exterior power is never stacked whole.
@@ -530,17 +530,19 @@ def _top_signs(batch: ScaledBatch, k: int, eps_gap: float) -> list[tuple[bool, i
     d = batch.entries.shape[-1]
     size = math.comb(d, k) if k > 1 else d  # 0 when k > d; compound_batch raises
     step = max(1, STACK_ELEMENTS // max(1, size * size))
-    out: list[tuple[bool, int]] = []
+    proximal, signs = [], []
     for lo in range(0, len(batch), step):
         part = batch.take(slice(lo, lo + step))
         scanned = compound_batch(part, k) if k > 1 else part
-        out += [(sp.is_proximal(1), sp.top_sign or 0) for sp in spectra(scanned, eps_gap=eps_gap)]
-    return out
+        log_moduli, top_sign, _ = spectra(scanned, eps_gap=eps_gap)
+        if size < 2:
+            raise DimensionMismatch("gap index 1 out of range")
+        proximal += (log_moduli[:, 0] - log_moduli[:, 1] > math.log1p(eps_gap)).tolist()
+        signs += top_sign.tolist()
+    return proximal, signs
 
 
-def _sign_trace(word: str, k: int, steps: Sequence[tuple[bool, int]]) -> SignTrace:
-    proximal = [p for p, _ in steps]
-    signs = [s for _, s in steps]
+def _sign_trace(word: str, k: int, proximal: list[bool], signs: list[int]) -> SignTrace:
     failing: int | None = None
     if not all(proximal):
         verdict = "Inconclusive"
@@ -572,7 +574,7 @@ def track_ell1_along_path(
     batch, compounded to degree k and read by one :func:`spectra` call."""
     images = ScaledBatch.stack([evaluate(rep, word) for rep in path])
     letters = word.letters if isinstance(word, Word) else tuple(word)
-    return _sign_trace(word_str(letters), k, _top_signs(images, k, eps_gap))
+    return _sign_trace(word_str(letters), k, *_top_signs(images, k, eps_gap))
 
 
 def track_ball_along_path(
@@ -602,7 +604,7 @@ def track_ball_along_path(
                 track_ell1_along_path(path, w, k, eps_gap)
         raise
     return [
-        _sign_trace(word, k, [step[i] for step in per_step])
+        _sign_trace(word, k, [p[i] for p, _ in per_step], [s[i] for _, s in per_step])
         for i, word in enumerate(ball.word_strings()[1:])
     ]
 

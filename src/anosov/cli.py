@@ -168,8 +168,6 @@ def build_representation(desc: dict) -> Representation:
         return realify_rep(schottky_rep(_schottky_params(desc, force_complex=True)))
     if kind == "sym-power":
         base = desc.get("base", {"kind": "schottky"})
-        if base.get("kind") != "schottky" or base.get("field", "real") != "real":
-            raise ConfigError("sym-power expects a real schottky base")
         return sym_power_rep(build_representation(base), desc.get("m", 5))
     if kind == "fuchsian-surface":
         return fuchsian_surface_rep(desc.get("genus", 2))

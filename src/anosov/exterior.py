@@ -150,10 +150,10 @@ def compound_batch(batch: ScaledBatch, k: int) -> ScaledBatch:
 
     Entry (I, J) of block i is the k x k minor of matrix i on rows I and
     columns J, from determinant calls over (rows, C, C, k, k) minor stacks of
-    at most :data:`STACK_ELEMENTS` elements (at least one matrix each); each
-    block is then normalized as :meth:`ScaledMatrix.from_array` normalizes it
-    alone, with k times the input scale.  Determinants are per matrix, so the
-    slicing does not change a bit.
+    at most :data:`STACK_ELEMENTS` elements (at least one matrix each); the
+    blocks are then normalized by :meth:`ScaledBatch.from_arrays`, with k
+    times the input scale.  Determinants are per matrix, so the slicing does
+    not change a bit.
     """
     d = batch.entries.shape[-1]
     if not 1 <= k <= d - 1:

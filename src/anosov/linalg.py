@@ -73,15 +73,11 @@ class ScaledMatrix:
 
     @classmethod
     def from_array(cls, a: np.ndarray, log_scale: float = 0.0) -> "ScaledMatrix":
-        a = np.asarray(a, dtype=float)
+        """Normalize one matrix: the one-row case of :meth:`ScaledBatch.from_arrays`."""
+        a = np.array(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise SingularInput("matrix has non-finite entries")
-        m = float(np.max(np.abs(a)))
-        if m == 0.0:
-            raise SingularInput("zero matrix cannot be log-scaled")
-        return cls(_as_readonly(a / m), log_scale + math.log(m))
+        return ScaledBatch.from_arrays(a[None], np.array([log_scale], dtype=float))[0]
 
     @classmethod
     def identity(cls, dim: int) -> "ScaledMatrix":
@@ -98,9 +94,7 @@ class ScaledMatrix:
     def __matmul__(self, other: "ScaledMatrix") -> "ScaledMatrix":
         if self.dim != other.dim:
             raise DimensionMismatch(f"{self.dim} != {other.dim}")
-        return ScaledMatrix.from_array(
-            self.entries @ other.entries, self.log_scale + other.log_scale
-        )
+        return (ScaledBatch.stack([self]) @ other)[0]
 
     def inverse(self) -> "ScaledMatrix":
         sign, _ = np.linalg.slogdet(self.entries)
@@ -134,9 +128,9 @@ class ScaledMatrix:
 class ScaledBatch:
     """A stack of matrices ``exp(log_scale[i]) * entries[i]``.
 
-    A product ``batch @ g`` normalizes each block exactly as
-    :meth:`ScaledMatrix.from_array` would normalize it alone, so ``(batch @
-    g)[i]`` is bit-identical to ``batch[i] @ g``.
+    :meth:`from_arrays` is the one place where a scale is computed:
+    :meth:`ScaledMatrix.from_array` and ``ScaledMatrix @`` are its one-row
+    case, so ``(batch @ g)[i]`` is bit-identical to ``batch[i] @ g``.
     """
 
     entries: np.ndarray  # (n, d, d)
@@ -159,8 +153,8 @@ class ScaledBatch:
 
     @classmethod
     def from_arrays(cls, a: np.ndarray, log_scale: np.ndarray) -> "ScaledBatch":
-        """Normalize each block of an (n, d, d) stack in place, as
-        :meth:`ScaledMatrix.from_array` normalizes one matrix."""
+        """Normalize each block of an (n, d, d) stack in place to max |entry|
+        1, moving the factor into ``log_scale``."""
         m = np.maximum(a.max(axis=(1, 2)), -a.min(axis=(1, 2)))  # max |entry|, NaN-propagating
         if not np.all(np.isfinite(m)):
             raise SingularInput("matrix has non-finite entries")
@@ -297,71 +291,66 @@ def singular_values(g: ScaledMatrix) -> SingularValues:
     return SingularValues(log_values=_as_readonly(log_singular_values(ScaledBatch.stack([g]))[0]))
 
 
-def _real_schur_eigendata(t: np.ndarray) -> list[tuple[float, bool, float]]:
-    """(log-modulus, is_real, signed value or 0) per eigenvalue of a real Schur form."""
-    d = t.shape[0]
-    out: list[tuple[float, bool, float]] = []
-    i = 0
+def _schur_row(entries: np.ndarray, eps_gap: float) -> tuple[list[float], int, bool]:
+    """Nonincreasing log moduli of ``entries``, top sign (0 if undefined) and
+    semi-proximal positivity, read off one real Schur form."""
+    try:
+        t, _ = scipy.linalg.schur(entries, output="real")
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise EigensolveFailure(str(exc)) from exc
+    eigs: list[tuple[float, bool, float]] = []  # (log-modulus, is_real, signed value or 0)
+    d, i = t.shape[0], 0
     while i < d:
         if i + 1 < d and t[i + 1, i] != 0.0:
             # standardized 2x2 block, complex conjugate pair
             det = t[i, i] * t[i + 1, i + 1] - t[i, i + 1] * t[i + 1, i]
             if det <= 0.0:
                 raise EigensolveFailure("non-standard 2x2 Schur block")
-            lm = 0.5 * math.log(det)
-            out.append((lm, False, 0.0))
-            out.append((lm, False, 0.0))
+            eigs += [(0.5 * math.log(det), False, 0.0)] * 2
             i += 2
         else:
             val = float(t[i, i])
             if val == 0.0:
                 raise SingularInput("zero eigenvalue")
-            out.append((math.log(abs(val)), True, val))
+            eigs.append((math.log(abs(val)), True, val))
             i += 1
-    return out
-
-
-def _schur_spectrum(entries: np.ndarray, log_scale: float, eps_gap: float) -> Spectrum:
-    try:
-        t, _ = scipy.linalg.schur(entries, output="real")
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise EigensolveFailure(str(exc)) from exc
-    eigs = _real_schur_eigendata(t)
     eigs.sort(key=lambda e: -e[0])
-    log_moduli = np.array([e[0] + log_scale for e in eigs])
     tol = math.log1p(eps_gap)
     attained = [e for e in eigs if eigs[0][0] - e[0] <= tol]
-    top_sign: int | None = None
+    top_sign = 0
     if len(attained) == 1 and attained[0][1]:
         top_sign = 1 if attained[0][2] > 0 else -1
     semi_positive = any(e[1] and e[2] > 0 for e in attained)
-    return Spectrum(
-        log_moduli=_as_readonly(log_moduli),
-        top_sign=top_sign,
-        is_semiproximal_positive=semi_positive,
-        eps_gap=eps_gap,
-    )
+    return [e[0] for e in eigs], top_sign, semi_positive
 
 
-def spectra(batch: ScaledBatch, eps_gap: float = EPS_GAP) -> list[Spectrum]:
-    """The :func:`spectrum` of every matrix of a batch, in batch order.
+def spectra(batch: ScaledBatch, eps_gap: float = EPS_GAP) -> tuple[np.ndarray, ...]:
+    """Eigenvalue data of every matrix of a batch, as three per-word columns.
+
+    Returns the log moduli ``(n, d)``, nonincreasing per row; the top sign
+    ``(n,)``, +-1, or 0 where :attr:`Spectrum.top_sign` is None; and
+    semi-proximal positivity ``(n,)``.  The gap at 1 is ``log_moduli[:, 0] -
+    log_moduli[:, 1]``, proximal when above ``math.log1p(eps_gap)``, exactly
+    as :meth:`Spectrum.log_gap` and :meth:`Spectrum.is_proximal` compute it.
 
     One stacked singularity check, then one real Schur decomposition per
     matrix.  The first matrix that fails either stage raises, with the error
     :func:`spectrum` raises for it alone.
     """
     _, n_ok, error = _singular_value_check(batch.entries)
-    out = [
-        _schur_spectrum(batch.entries[i], log_scale, eps_gap)
-        for i, log_scale in enumerate(batch.log_scale[:n_ok].tolist())
-    ]
+    n, d = len(batch), batch.entries.shape[-1]
+    log_moduli = np.empty((n, d))
+    top_sign = np.zeros(n, dtype=int)
+    semi_positive = np.zeros(n, dtype=bool)
+    for i in range(n_ok):
+        log_moduli[i], top_sign[i], semi_positive[i] = _schur_row(batch.entries[i], eps_gap)
     if error is not None:
         raise error
-    return out
+    return log_moduli + batch.log_scale[:, None], top_sign, semi_positive
 
 
 def spectrum(g: ScaledMatrix, eps_gap: float = EPS_GAP) -> Spectrum:
-    """Eigenvalue moduli via a real Schur decomposition; one row of :func:`spectra`.
+    """Eigenvalue moduli via a real Schur decomposition; row 0 of :func:`spectra`.
 
     Complex pairs are read off the standardized 2x2 blocks, so no complex
     arithmetic is involved.  The signed top eigenvalue is reported only when
@@ -374,7 +363,8 @@ def spectrum(g: ScaledMatrix, eps_gap: float = EPS_GAP) -> Spectrum:
     diagonal entry that underflows to 0 raises ``SingularInput("zero
     eigenvalue")``.
     """
-    return spectra(ScaledBatch.stack([g]), eps_gap)[0]
+    log_moduli, sign, semi = spectra(ScaledBatch.stack([g]), eps_gap)
+    return Spectrum(_as_readonly(log_moduli[0]), int(sign[0]) or None, bool(semi[0]), eps_gap)
 
 
 def orthonormalize(a: np.ndarray) -> np.ndarray:

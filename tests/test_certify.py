@@ -233,6 +233,19 @@ class TestScanPositivity:
         with pytest.raises(DegreeMismatch):
             scan_positivities(sym_power_rep(schottky, 5), [1, 6], 3)
 
+    def test_columns_build_no_spectrum(self, schottky, monkeypatch):
+        # scans and ball walks read spectra's columns, never per-word records
+        import anosov.linalg
+
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("Spectrum record built")
+
+        monkeypatch.setattr(anosov.linalg, "Spectrum", no_spectrum)
+        s5 = sym_power_rep(schottky, 5)
+        assert [r.witness for r in scan_positivities(s5, [1, 2], 3)] == [None, None]
+        traces = track_ball_along_path(perturb_path(s5, 0.01, seed=1, steps=4), 2, 2)
+        assert len(traces) == len(enumerate_ball(F2, 2)) - 1
+
     def test_compound_rep_consistent_with_lifted_products(self, schottky):
         crep = compound_rep(sym_power_rep(schottky, 3), 2)
         w = (1, 2, -1)
@@ -242,7 +255,55 @@ class TestScanPositivity:
         np.testing.assert_allclose(via_lift.entries * scale, via_products.entries, rtol=1e-9)
 
 
+class TestSym5TraceOracle:
+    """Lambda^k Sym^5 of a hyperbolic 2x2 image with trace t has gap at 1
+    equal to its translation length 2 acosh(|t|/2) and top sign sign(t)^k;
+    t comes from the 2x2 product alone, sharing no code with the Schur path."""
+
+    @pytest.fixture(scope="class")
+    def reports(self, schottky):
+        return scan_positivities(sym_power_rep(schottky, 5), [1, 2, 3], 4)
+
+    @staticmethod
+    def base_trace(schottky, word):
+        mats = [g.array() for g in schottky.images]
+        product = np.eye(2)
+        for ch in word:
+            m = mats[ord(ch.lower()) - ord("a")]
+            product = product @ (np.linalg.inv(m) if ch.isupper() else m)
+        return float(np.trace(product))
+
+    def test_signs_and_flags_through_r4(self, schottky, reports):
+        for report in reports:
+            k = report.k
+            assert report.words[0] == "<id>" and not report.proximal[0]
+            traces = np.array([self.base_trace(schottky, w) for w in report.words[1:]])
+            assert np.all(np.abs(traces) > 2.0)
+            sign = np.sign(traces).astype(int) ** k
+            assert report.proximal[1:].all()
+            assert report.ell1_sign[1:].tolist() == sign.tolist()
+            assert report.semiproximal_positive[1:].tolist() == (sign > 0).tolist()
+
+    def test_gaps_through_r2(self, schottky, reports):
+        for report in reports:
+            rows = [i for i in range(1, len(report.words)) if report.lengths[i] <= 2]
+            assert len(rows) == 16
+            for i in rows:
+                ell = 2.0 * math.acosh(abs(self.base_trace(schottky, report.words[i])) / 2.0)
+                assert report.log_gap[i] == pytest.approx(ell, rel=1e-8), (report.k, i)
+
+
 class TestLimitMapSample:
+    def test_out_of_range_k_fails_before_enumeration(self, schottky, monkeypatch):
+        import anosov.certify
+
+        def no_enumeration(*args):
+            raise AssertionError("ball enumerated before k was checked")
+
+        monkeypatch.setattr(anosov.certify, "enumerate_ball", no_enumeration)
+        with pytest.raises(DimensionMismatch, match="k=2 out of range for dimension 2"):
+            limit_map_sample(schottky, 2, 10)
+
     def test_schottky_samples_transverse_and_spanning(self, schottky):
         samples = limit_map_sample(schottky, 1, 4)
         audit = audit_limit_samples(samples)
@@ -375,6 +436,13 @@ class TestTrackEll1:
     def test_degree_out_of_range(self, schottky, k):
         with pytest.raises(DegreeMismatch, match="out of range for dimension 2"):
             track_ell1_along_path([schottky] * 3, parse_word("ab"), k)
+
+    def test_one_dimensional_image_has_no_gap(self):
+        line = Representation.from_generators(
+            Presentation.free(1), [ScaledMatrix.from_array(np.array([[-2.0]]))]
+        )
+        with pytest.raises(DimensionMismatch, match="gap index 1 out of range"):
+            track_ell1_along_path([line] * 3, (1,), 1)
 
     def test_proximality_loss_reported(self, schottky):
         # a hand-built path with a big perturbation loses proximality for

@@ -294,6 +294,27 @@ class TestOtherCommands:
             "--k", "1", "--radius", "4", "--out", str(out3))
         assert (out2 / "gap_profile.csv").read_bytes() == (out3 / "gap_profile.csv").read_bytes()
 
+    def test_sym_power_over_from_file_base(self, tmp_path):
+        emitted = tmp_path / "rep.json"
+        assert run("construct", "--construction", SCHOTTKY, "--emit", str(emitted),
+                   "--out", str(tmp_path / "c")) == EXIT_OK
+        csvs = []
+        for base in (json.loads(SCHOTTKY), {"kind": "from-file", "path": str(emitted)}):
+            out = tmp_path / f"run{len(csvs)}"
+            desc = json.dumps({"kind": "sym-power", "m": 3, "base": base})
+            assert run("certify", "--construction", desc, "--k", "1", "--radius", "4",
+                       "--out", str(out)) == EXIT_OK
+            csvs.append((out / "gap_profile.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_sym_power_over_four_dimensional_base(self, tmp_path, capsys):
+        desc = json.dumps({"kind": "sym-power", "m": 5, "base": json.loads(TAU2)})
+        out = tmp_path / "run"
+        assert run("certify", "--construction", desc, "--k", "1", "--radius", "2",
+                   "--out", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: base representation must be 2-dimensional\n"
+        assert not out.exists()
+
     def test_scan_positivity_exit1(self, tmp_path):
         out = tmp_path / "run"
         desc = json.dumps(
@@ -318,6 +339,14 @@ class TestOtherCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["audit"]["transversality_failures"] == []
         assert summary["audit"]["span_rank"] == 2
+
+    def test_limit_set_checks_k_before_the_ball(self, tmp_path, capsys):
+        # the radius-12 ball is over the enumeration guard: k must fail first
+        out = tmp_path / "run"
+        assert run("limit-set", "--construction", SCHOTTKY, "--k", "2", "--radius", "12",
+                   "--out", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: k=2 out of range for dimension 2\n"
+        assert not out.exists()
 
     def test_limit_set_without_proximal_element_exit2(self, tmp_path):
         out = tmp_path / "run"

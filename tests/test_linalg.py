@@ -358,13 +358,18 @@ class TestSpectraFailureOrder:
             np.stack([sm(rng.standard_normal((4, 4))).entries for _ in range(20)]),
             rng.standard_normal(20),
         )
-        for i, sp in enumerate(spectra(batch, eps_gap=1e-6)):
+        log_moduli, top_sign, semi_positive = spectra(batch, eps_gap=1e-6)
+        for i in range(len(batch)):
             single = spectrum(batch[i], eps_gap=1e-6)
-            assert np.array_equal(sp.log_moduli, single.log_moduli)
-            assert (sp.top_sign, sp.is_semiproximal_positive) == (
+            assert np.array_equal(log_moduli[i], single.log_moduli)
+            assert (top_sign[i] or None, semi_positive[i]) == (
                 single.top_sign,
                 single.is_semiproximal_positive,
             )
+
+    def test_empty_batch_gives_empty_columns(self):
+        log_moduli, top_sign, semi_positive = spectra(ScaledBatch(np.empty((0, 3, 3)), np.empty(0)))
+        assert (log_moduli.shape, top_sign.shape, semi_positive.shape) == ((0, 3), (0,), (0,))
 
 
 class TestNormalizeToSl:
