@@ -16,10 +16,11 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -291,37 +292,95 @@ def singular_values(g: ScaledMatrix) -> SingularValues:
     return SingularValues(log_values=_as_readonly(log_singular_values(ScaledBatch.stack([g]))[0]))
 
 
-def _schur_row(entries: np.ndarray, eps_gap: float) -> tuple[list[float], int, bool]:
-    """Nonincreasing log moduli of ``entries``, top sign (0 if undefined) and
-    semi-proximal positivity, read off one real Schur form."""
-    try:
-        t, _ = scipy.linalg.schur(entries, output="real")
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise EigensolveFailure(str(exc)) from exc
-    eigs: list[tuple[float, bool, float]] = []  # (log-modulus, is_real, signed value or 0)
-    d, i = t.shape[0], 0
-    while i < d:
-        if i + 1 < d and t[i + 1, i] != 0.0:
-            # standardized 2x2 block, complex conjugate pair
-            det = t[i, i] * t[i + 1, i + 1] - t[i, i + 1] * t[i + 1, i]
-            if det <= 0.0:
-                raise EigensolveFailure("non-standard 2x2 Schur block")
-            eigs += [(0.5 * math.log(det), False, 0.0)] * 2
-            i += 2
-        else:
-            val = float(t[i, i])
-            if val == 0.0:
-                raise SingularInput("zero eigenvalue")
-            eigs.append((math.log(abs(val)), True, val))
-            i += 1
-    eigs.sort(key=lambda e: -e[0])
-    tol = math.log1p(eps_gap)
-    attained = [e for e in eigs if eigs[0][0] - e[0] <= tol]
-    top_sign = 0
-    if len(attained) == 1 and attained[0][1]:
-        top_sign = 1 if attained[0][2] > 0 else -1
-    semi_positive = any(e[1] and e[2] > 0 for e in attained)
-    return [e[0] for e in eigs], top_sign, semi_positive
+#: LAPACK's double-precision real Schur routine, looked up once.
+_GEES = scipy.linalg.get_lapack_funcs(("gees",), (np.empty((1, 1)),))[0]
+
+
+def _no_select(re: float, im: float) -> None:
+    return None
+
+
+def _real_schur(
+    a: np.ndarray, compute_v: int = 0, select: Callable[[float, float], bool] | None = None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Real Schur form ``a = z t z^T`` of a finite float64 square matrix:
+    ``(t, z, sdim)`` from one LAPACK ``gees`` call; ``a`` is not overwritten.
+
+    With ``select(re, im)`` the eigenvalues it accepts are moved to the top
+    left and ``sdim`` counts them; ``z`` is only computed with ``compute_v=1``.
+    The workspace is the minimal ``3d``, so there is no workspace query;
+    failures raise :class:`EigensolveFailure` with the messages of SciPy's
+    ``schur`` wrapper, which also validates its input and queries first.
+    """
+    d = a.shape[0]
+    t, sdim, _, _, z, _, info = _GEES(
+        select or _no_select,
+        a,
+        compute_v=compute_v,
+        sort_t=int(select is not None),
+        lwork=max(1, 3 * d),
+    )
+    if info < 0:
+        raise EigensolveFailure(f"illegal value in {-info}-th argument of internal gees")
+    if info == d + 1:
+        raise EigensolveFailure("Eigenvalues could not be separated for reordering.")
+    if info == d + 2:
+        raise EigensolveFailure("Leading eigenvalues do not satisfy sort condition.")
+    if info > 0:
+        raise EigensolveFailure("Schur form not found. Possibly ill-conditioned.")
+    return t, z, sdim
+
+
+@functools.cache
+def _band_index(d: int) -> np.ndarray:
+    """Column-major flat positions of the diagonal, subdiagonal and
+    superdiagonal of a d x d matrix; the last two are padded to length d by
+    position 0, which the caller zeroes."""
+    i = np.arange(d)
+    index = np.concatenate([i * (d + 1), i[:-1] * (d + 1) + 1, [0], i[1:] * (d + 1) - 1, [0]])
+    index.setflags(write=False)
+    return index
+
+
+def _classify_bands(bands: np.ndarray, eps_gap: float) -> tuple[np.ndarray, ...]:
+    """The three columns of :func:`spectra` from real Schur forms held as
+    bands: row i of the (n, 3d) array is form i's diagonal, subdiagonal and
+    superdiagonal, the last two zero-padded.
+
+    Each row is read as a walk down the diagonal reads it: a nonzero
+    subdiagonal entry opens a standardized 2x2 block (a complex pair, modulus
+    sqrt(det)) unless it closes the previous one; every other diagonal entry
+    is a real eigenvalue.  The first bad block (det <= 0) or zero real
+    eigenvalue, in row-major order, raises.
+    """
+    n, d = bands.shape[0], bands.shape[1] // 3
+    diag, sub, sup = bands[:, :d], bands[:, d : 2 * d], bands[:, 2 * d :]
+    opens = sub != 0.0
+    for j in range(1, d):
+        opens[:, j] &= ~opens[:, j - 1]
+    real = ~opens
+    real[:, 1:] &= ~opens[:, :-1]
+    det = np.zeros((n, d))
+    det[:, :-1] = diag[:, :-1] * diag[:, 1:] - sup[:, :-1] * sub[:, :-1]
+    bad = (opens & (det <= 0.0)) | (real & (diag == 0.0))
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), d)
+        if real[i, j]:
+            raise SingularInput("zero eigenvalue")
+        raise EigensolveFailure("non-standard 2x2 Schur block")
+    pair = np.where(opens, det, 0.0)
+    pair[:, 1:] += pair[:, :-1]  # each block's det at both of its columns
+    x = np.where(real, np.abs(diag), pair)
+    # math.log, not np.log: the two can differ in the last ulp
+    logs = np.fromiter(map(math.log, x.ravel().tolist()), float, n * d).reshape(n, d)
+    logs[~real] *= 0.5
+    rows, order = np.arange(n)[:, None], np.argsort(-logs, axis=1, kind="stable")
+    log_moduli, real, diag = logs[rows, order], real[rows, order], diag[rows, order]
+    positive = real & (diag > 0.0)
+    attained = log_moduli[:, :1] - log_moduli <= math.log1p(eps_gap)
+    single = (attained.sum(axis=1) == 1) & real[:, 0]
+    top_sign = np.where(single, np.where(positive[:, 0], 1, -1), 0)
+    return log_moduli, top_sign, (attained & positive).any(axis=1)
 
 
 def spectra(batch: ScaledBatch, eps_gap: float = EPS_GAP) -> tuple[np.ndarray, ...]:
@@ -333,26 +392,35 @@ def spectra(batch: ScaledBatch, eps_gap: float = EPS_GAP) -> tuple[np.ndarray, .
     log_moduli[:, 1]``, proximal when above ``math.log1p(eps_gap)``, exactly
     as :meth:`Spectrum.log_gap` and :meth:`Spectrum.is_proximal` compute it.
 
-    One stacked singularity check, then one real Schur decomposition per
-    matrix.  The first matrix that fails either stage raises, with the error
+    One stacked singularity check; then one direct LAPACK ``gees`` call per
+    matrix, without Schur vectors, of whose Schur form only the three bands
+    are kept; then the whole batch's bands are classified at once.  The
+    first matrix that fails any stage raises, with the error
     :func:`spectrum` raises for it alone.
     """
     _, n_ok, error = _singular_value_check(batch.entries)
-    n, d = len(batch), batch.entries.shape[-1]
-    log_moduli = np.empty((n, d))
-    top_sign = np.zeros(n, dtype=int)
-    semi_positive = np.zeros(n, dtype=bool)
+    d = batch.entries.shape[-1]
+    index = _band_index(d)
+    bands = np.empty((n_ok, 3 * d))
     for i in range(n_ok):
-        log_moduli[i], top_sign[i], semi_positive[i] = _schur_row(batch.entries[i], eps_gap)
+        try:
+            t = _real_schur(batch.entries[i])[0]
+        except EigensolveFailure as exc:
+            bands, error = bands[:i], exc
+            break
+        bands[i] = t.ravel(order="F")[index]
+    bands[:, 2 * d - 1 :: d] = 0.0  # the sub- and superdiagonal pads
+    log_moduli, top_sign, semi_positive = _classify_bands(bands, eps_gap)
     if error is not None:
         raise error
     return log_moduli + batch.log_scale[:, None], top_sign, semi_positive
 
 
 def spectrum(g: ScaledMatrix, eps_gap: float = EPS_GAP) -> Spectrum:
-    """Eigenvalue moduli via a real Schur decomposition; row 0 of :func:`spectra`.
+    """Eigenvalue moduli via a real Schur form; row 0 of :func:`spectra`.
 
-    Complex pairs are read off the standardized 2x2 blocks, so no complex
+    One direct LAPACK ``gees`` call without Schur vectors; complex pairs are
+    read off the standardized 2x2 blocks of its bands, so no complex
     arithmetic is involved.  The signed top eigenvalue is reported only when
     the maximum modulus is attained exactly once (within relative eps_gap)
     and by a real eigenvalue.
@@ -393,10 +461,7 @@ def _invariant_plane(entries: np.ndarray, log_thresh: float, count: int, top: bo
         sort = lambda x, y: math.hypot(x, y) > thr  # noqa: E731
     else:
         sort = lambda x, y: math.hypot(x, y) < thr  # noqa: E731
-    try:
-        _, z, sdim = scipy.linalg.schur(entries, output="real", sort=sort)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise EigensolveFailure(str(exc)) from exc
+    _, z, sdim = _real_schur(entries, compute_v=1, select=sort)
     if sdim != count:
         raise EigensolveFailure(
             f"ordered Schur selected {sdim} eigenvalues, expected {count}"

@@ -5,13 +5,18 @@ import pytest
 
 import scipy.linalg
 
+import anosov.linalg as linalg
 from anosov import (
+    EPS_GAP,
     DimensionMismatch,
     EigensolveFailure,
     MarginalGapWarning,
     ScaledBatch,
     ScaledMatrix,
     SingularInput,
+    compound_rep,
+    enumerate_ball,
+    evaluate_ball,
     is_transverse,
     log_singular_values,
     normalize_to_sl,
@@ -21,6 +26,7 @@ from anosov import (
     spectra,
     spectrum,
     subspace_angle,
+    sym_power_rep,
     transverse_mask,
 )
 
@@ -324,6 +330,54 @@ class TestStackedTransversality:
             is_transverse(e[:, :2], np.stack([e[:, 2:]]))
 
 
+def read_schur_form(t, eps_gap):
+    """Log moduli, top sign (0 if undefined) and semi-proximal positivity of
+    one real Schur form, read by walking down its diagonal: the per-matrix
+    reader ``spectra`` used before it classified a batch's bands at once."""
+    eigs = []  # (log-modulus, is_real, signed value or 0)
+    d, i = t.shape[0], 0
+    while i < d:
+        if i + 1 < d and t[i + 1, i] != 0.0:
+            det = t[i, i] * t[i + 1, i + 1] - t[i, i + 1] * t[i + 1, i]
+            if det <= 0.0:
+                raise EigensolveFailure("non-standard 2x2 Schur block")
+            eigs += [(0.5 * math.log(det), False, 0.0)] * 2
+            i += 2
+        else:
+            val = float(t[i, i])
+            if val == 0.0:
+                raise SingularInput("zero eigenvalue")
+            eigs.append((math.log(abs(val)), True, val))
+            i += 1
+    eigs.sort(key=lambda e: -e[0])
+    tol = math.log1p(eps_gap)
+    attained = [e for e in eigs if eigs[0][0] - e[0] <= tol]
+    top_sign = 0
+    if len(attained) == 1 and attained[0][1]:
+        top_sign = 1 if attained[0][2] > 0 else -1
+    return [e[0] for e in eigs], top_sign, any(e[1] and e[2] > 0 for e in attained)
+
+
+def spectra_oracle(batch, eps_gap=EPS_GAP, forms=None):
+    """The columns of ``spectra`` from one ``scipy.linalg.schur`` per matrix
+    (or the planted ``forms[i]``), read row by row."""
+    rows = []
+    for i, a in enumerate(batch.entries):
+        t = (forms or {}).get(i)
+        rows.append(read_schur_form(scipy.linalg.schur(a, output="real")[0] if t is None else t, eps_gap))
+    d = batch.entries.shape[-1]
+    log_moduli = np.array([r[0] for r in rows]).reshape(len(rows), d) + batch.log_scale[:, None]
+    return (
+        log_moduli,
+        np.array([r[1] for r in rows], dtype=int),
+        np.array([r[2] for r in rows], dtype=bool),
+    )
+
+
+def rotation(r, theta):
+    return r * np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
 class TestSpectraFailureOrder:
     """``spectra`` raises what a per-matrix ``spectrum`` loop raises first."""
 
@@ -332,14 +386,14 @@ class TestSpectraFailureOrder:
         blocks = [sm(rng.standard_normal((3, 3)) + 3 * np.eye(3)).entries for _ in range(5)]
         blocks[singular_row] = np.diag([1.0, 0.5, 0.0])
         batch = ScaledBatch(np.stack(blocks), rng.standard_normal(5))
-        real_schur = scipy.linalg.schur
+        real_schur = linalg._real_schur
 
         def schur(a, *args, **kwargs):
             if np.array_equal(a, blocks[schur_row]):
-                raise scipy.linalg.LinAlgError(f"planted failure at row {schur_row}")
+                raise EigensolveFailure(f"planted failure at row {schur_row}")
             return real_schur(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "schur", schur)
+        monkeypatch.setattr(linalg, "_real_schur", schur)
         with pytest.raises((SingularInput, EigensolveFailure)) as per_matrix:
             for i in range(len(batch)):
                 spectrum(batch[i])
@@ -368,8 +422,177 @@ class TestSpectraFailureOrder:
             )
 
     def test_empty_batch_gives_empty_columns(self):
-        log_moduli, top_sign, semi_positive = spectra(ScaledBatch(np.empty((0, 3, 3)), np.empty(0)))
+        batch = ScaledBatch(np.empty((0, 3, 3)), np.empty(0))
+        log_moduli, top_sign, semi_positive = TestSpectraOracle.assert_columns_equal(batch)
         assert (log_moduli.shape, top_sign.shape, semi_positive.shape) == ((0, 3), (0,), (0,))
+
+
+class TestSpectraOracle:
+    """``spectra``'s batched band classification equals the per-matrix reader
+    over ``scipy.linalg.schur``, bit for bit."""
+
+    @staticmethod
+    def batch(rng, matrices):
+        entries = np.stack([sm(a).entries for a in matrices])
+        return ScaledBatch(entries, rng.standard_normal(len(matrices)))
+
+    @staticmethod
+    def conjugated(rng, *blocks):
+        a = scipy.linalg.block_diag(*blocks)
+        q = orthonormalize(rng.standard_normal(a.shape))
+        return q @ a @ q.T
+
+    @staticmethod
+    def assert_columns_equal(batch, eps_gap=EPS_GAP):
+        columns = spectra(batch, eps_gap)
+        expected = spectra_oracle(batch, eps_gap)
+        for got, want in zip(columns, expected):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        return columns
+
+    @pytest.mark.parametrize(
+        "case, top_signs",
+        [
+            ("complex-pair-top", [0, 0, 0]),
+            ("negative-real-top", [-1, -1, -1]),
+            ("moduli-within-eps-gap", [0, 0, 0]),
+            ("equal-moduli", [0, 0, 0]),
+        ],
+    )
+    def test_constructed_spectra(self, rng, case, top_signs):
+        make = {
+            "complex-pair-top": lambda: self.conjugated(
+                rng, rotation(3.0, rng.uniform(0.2, 3.0)), np.diag([1.0, -0.5])
+            ),
+            "negative-real-top": lambda: self.conjugated(
+                rng, np.diag([-3.0, 1.5]), rotation(0.7, rng.uniform(0.2, 3.0))
+            ),
+            "moduli-within-eps-gap": lambda: self.conjugated(
+                rng, np.diag([2.0, 2.0 * (1 + 1e-10), -0.5, 0.3])
+            ),
+            "equal-moduli": lambda: np.diag(rng.permutation([-2.0, 2.0, 0.5, -0.5])),
+        }[case]
+        columns = self.assert_columns_equal(self.batch(rng, [make() for _ in range(3)]))
+        assert columns[1].tolist() == top_signs
+
+    def test_exactly_equal_moduli(self):
+        # a complex pair and two reals of modulus 2 tie at the top
+        a = scipy.linalg.block_diag(np.diag([0.5, -2.0]), rotation(2.0, math.pi / 2), [[2.0]])
+        batch = ScaledBatch(np.stack([a / 2]), np.array([math.log(2)]))
+        log_moduli, top_sign, semi_positive = self.assert_columns_equal(batch)
+        assert (top_sign[0], semi_positive[0]) == (0, True)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_small_dimensions(self, rng, d):
+        matrices = [rng.standard_normal((d, d)) for _ in range(20)]
+        if d == 2:
+            matrices += [rotation(2.0, 1.0), np.diag([-3.0, 0.5]), np.array([[1.0, 2.0], [0.0, 1.0]])]
+        self.assert_columns_equal(self.batch(rng, matrices))
+
+    def test_random_batch(self, rng):
+        # 2,000 moduli: enough that np.log would differ from math.log somewhere
+        self.assert_columns_equal(self.batch(rng, rng.standard_normal((400, 5, 5))), eps_gap=1e-3)
+
+    def test_sym5_third_compound_ball(self, schottky2):
+        sym5 = sym_power_rep(schottky2, 5)
+        batch = evaluate_ball(compound_rep(sym5, 3), enumerate_ball(sym5.presentation, 4))
+        assert batch.entries.shape[1:] == (20, 20)
+        self.assert_columns_equal(batch)
+
+    def test_sym5_third_compound_r6_zero_eigenvalue(self, schottky2):
+        sym5 = sym_power_rep(schottky2, 5)
+        batch = evaluate_ball(compound_rep(sym5, 3), enumerate_ball(sym5.presentation, 6))
+        with pytest.raises(SingularInput) as stacked:
+            spectra(batch)
+        with pytest.raises(SingularInput) as per_matrix:
+            spectra_oracle(batch)
+        assert str(stacked.value) == str(per_matrix.value) == "zero eigenvalue"
+
+    BAD_BLOCK = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])  # det 0, then 0
+    ZERO_FIRST = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 3.0, 1.0]])  # 0, then det -5
+    # two nonzero subdiagonal entries in a row: the second belongs to the block
+    # the first opens, so the form reads as a pair of modulus sqrt(3), then 3
+    ADJACENT = np.array([[1.0, -2.0, 0.0], [1.0, 1.0, 0.0], [0.0, 7.0, 3.0]])
+
+    def planted_batch(self, rng, monkeypatch, plants):
+        """A batch of five matrices whose Schur forms at rows ``plants`` are replaced."""
+        batch = self.batch(rng, [rng.standard_normal((3, 3)) + 3 * np.eye(3) for _ in range(5)])
+        forms = {row: getattr(self, name) for row, name in plants.items()}
+        real_schur = linalg._real_schur
+
+        def schur(a, *args, **kwargs):
+            for row, t in forms.items():
+                if np.array_equal(a, batch.entries[row]):
+                    return t, None, 0
+            return real_schur(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_real_schur", schur)
+        return batch, forms
+
+    @pytest.mark.parametrize(
+        "plants, expected",
+        [
+            ({1: "BAD_BLOCK", 3: "ZERO_FIRST"}, (EigensolveFailure, "non-standard 2x2 Schur block")),
+            ({1: "ZERO_FIRST", 3: "BAD_BLOCK"}, (SingularInput, "zero eigenvalue")),
+        ],
+    )
+    def test_planted_schur_forms_fail_in_order(self, rng, monkeypatch, plants, expected):
+        batch, forms = self.planted_batch(rng, monkeypatch, plants)
+        with pytest.raises((SingularInput, EigensolveFailure)) as stacked:
+            spectra(batch)
+        with pytest.raises((SingularInput, EigensolveFailure)) as per_matrix:
+            spectra_oracle(batch, forms=forms)
+        assert (type(stacked.value), str(stacked.value)) == expected
+        assert (type(per_matrix.value), str(per_matrix.value)) == expected
+
+    def test_adjacent_subdiagonal_entries_read_as_one_block(self, rng, monkeypatch):
+        batch, forms = self.planted_batch(rng, monkeypatch, {2: "ADJACENT"})
+        for got, want in zip(spectra(batch), spectra_oracle(batch, forms=forms)):
+            assert np.array_equal(got, want)
+
+
+class TestOrderedSchur:
+    """``_invariant_plane`` runs the ordered Schur of ``scipy.linalg.schur``."""
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (3, 2)])
+    def test_planes_match_scipy(self, schottky2, m, k):
+        rep = sym_power_rep(schottky2, m) if m > 1 else schottky2
+        images = evaluate_ball(rep, enumerate_ball(rep.presentation, 3))
+        for i in range(1, len(images)):
+            g = images[i]
+            lm = spectrum(g).log_moduli - g.log_scale
+            thr = 0.5 * (lm[k - 1] + lm[k])
+            for top, count in ((True, k), (False, g.dim - k)):
+                plane = linalg._invariant_plane(g.entries, thr, count, top)
+                if top:
+                    sort = lambda x, y: math.hypot(x, y) > math.exp(thr)  # noqa: E731
+                else:
+                    sort = lambda x, y: math.hypot(x, y) < math.exp(thr)  # noqa: E731
+                _, z, sdim = scipy.linalg.schur(g.entries, output="real", sort=sort)
+                assert sdim == count
+                assert np.array_equal(plane, z[:, :count])
+
+    @pytest.mark.parametrize(
+        "info, message",
+        [
+            (4, "Eigenvalues could not be separated for reordering."),
+            (5, "Leading eigenvalues do not satisfy sort condition."),
+            (2, "Schur form not found. Possibly ill-conditioned."),
+            (-3, "illegal value in 3-th argument of internal gees"),
+        ],
+    )
+    def test_lapack_failures(self, monkeypatch, info, message):
+        a = np.diag([2.0, 1.0, 0.5])
+        monkeypatch.setattr(linalg, "_GEES", lambda *args, **kwargs: (a, 0, a[0], a[0], a, a[0], info))
+        with pytest.raises(EigensolveFailure) as exc:
+            linalg._invariant_plane(a, 0.0, 1, True)
+        assert str(exc.value) == message
+
+    def test_selected_count_mismatch(self):
+        with pytest.raises(EigensolveFailure) as exc:
+            linalg._invariant_plane(np.diag([2.0, 1.0, 0.5]), math.log(0.75), 1, True)
+        assert str(exc.value) == "ordered Schur selected 2 eigenvalues, expected 1"
 
 
 class TestNormalizeToSl:
