@@ -35,6 +35,7 @@ from .linalg import (
     normalize_to_sl,
     orthonormalize,
     proximality_report,
+    proximality_reports,
     singular_values,
     spectra,
     spectrum,

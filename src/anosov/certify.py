@@ -38,6 +38,7 @@ from .linalg import (
     log_singular_values,
     orthonormalize,
     proximality_report,
+    proximality_reports,
     require_gap_index,
     spectra,
     spectrum,
@@ -380,17 +381,23 @@ def limit_map_sample(
 ) -> list[LimitSample]:
     """One sample per conjugacy-distinct primitive ball word (cyclic dedup).
 
-    Raises NoProximalElements when no sampled word is proximal at k.
+    The sampled words are classified by one :func:`proximality_reports`
+    call, the i-th with power-iteration audit generator
+    ``default_rng([seed, i])``; the biproximal ones are inverted as one
+    stack (:meth:`ScaledBatch.inverse`) and read by one more call, without
+    the audit.  When either stage fails, the per-word loop is rerun so that
+    the error raised is that of the first failing word, its forward report
+    before its inverse's.  Raises NoProximalElements when no sampled word is
+    proximal at k.
     """
     if radius < 2:
         raise InsufficientRadius("limit sampling needs radius >= 2")
     require_gap_index(k, rep.dim)
     ball = enumerate_ball(rep.presentation, radius)
     images = evaluate_ball(rep, ball)
-    samples: list[LimitSample] = []
+    rows: list[int] = []
+    words: list[Word] = []
     seen: set[tuple[int, ...]] = set()
-    any_proximal = False
-    index = 0
     for i, w in enumerate(ball.words()):
         if len(w) == 0 or not is_primitive_cyclic(w.letters):
             continue
@@ -398,36 +405,34 @@ def limit_map_sample(
         if key in seen:
             continue
         seen.add(key)
-        m = images[i]
-        rng = np.random.default_rng([seed, index])
-        index += 1
-        fwd = proximality_report(m, k, eps_gap=eps_gap, rng=rng)
-        plus_k = minus_dk = minus_k = plus_dk = None
-        dynamics = False
-        log_gap = fwd.log_gap
-        if fwd.is_proximal:
-            any_proximal = True
-            plus_k, minus_dk = fwd.attracting_plane, fwd.repelling_plane
-            dynamics = True
-        if fwd.is_biproximal:
-            bwd = proximality_report(
-                m.inverse(), k, eps_gap=eps_gap, rng=rng, verify=False
-            )
-            minus_k, plus_dk = bwd.attracting_plane, bwd.repelling_plane
-        samples.append(
-            LimitSample(
-                word=str(w),
-                inverse_word=word_str(w.inverse().letters),
-                dynamics_preserving=dynamics,
-                log_gap=log_gap,
-                plus_k=plus_k,
-                minus_dk=minus_dk,
-                minus_k=minus_k,
-                plus_dk=plus_dk,
-            )
-        )
-    if not any_proximal:
+        rows.append(i)
+        words.append(w)
+    sampled = images.take(rows)
+    rngs = [np.random.default_rng([seed, index]) for index in range(len(rows))]
+    try:
+        fwd = proximality_reports(sampled, k, eps_gap=eps_gap, rngs=rngs)
+        biproximal = [j for j, report in enumerate(fwd) if report.is_biproximal]
+        inverses = sampled.take(biproximal).inverse()
+        bwd = proximality_reports(inverses, k, eps_gap=eps_gap, verify=False)
+    except ToolkitError:
+        for index in range(len(rows)):
+            m = sampled[index]
+            rng = np.random.default_rng([seed, index])
+            if proximality_report(m, k, eps_gap=eps_gap, rng=rng).is_biproximal:
+                proximality_report(m.inverse(), k, eps_gap=eps_gap, rng=rng, verify=False)
+        raise
+    if not any(report.is_proximal for report in fwd):
         raise NoProximalElements(f"no P_{k}-proximal element in the radius-{radius} ball")
+    inverse_planes = {j: (r.attracting_plane, r.repelling_plane) for j, r in zip(biproximal, bwd)}
+    samples = []
+    for j, (w, report) in enumerate(zip(words, fwd)):
+        minus_k, plus_dk = inverse_planes.get(j, (None, None))
+        samples.append(LimitSample(
+            word=str(w), inverse_word=word_str(w.inverse().letters),
+            dynamics_preserving=report.is_proximal, log_gap=report.log_gap,
+            plus_k=report.attracting_plane, minus_dk=report.repelling_plane,
+            minus_k=minus_k, plus_dk=plus_dk,
+        ))
     return samples
 
 
@@ -643,22 +648,34 @@ def _direction_samples(d: int, count: int = 8192) -> np.ndarray:
     return dirs
 
 
-def _contraction_sup(
-    entries: np.ndarray, x: np.ndarray, normal: np.ndarray, delta: float, dirs: np.ndarray
-) -> float:
-    """Numeric sup of dist(m u, x) over directions with dist(u, hyperplane) >= delta.
+def _contraction_sines(entries: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """dist(m u, x) for every sample direction u, m the matrix of ``entries``.
 
-    Sampled, hence an empirical bound; in dimension 2 the dense grid makes it
-    effectively exact.
+    Computed once per power of a map, for all directions at once; a
+    direction whose image vanishes gets -inf, so that no maximum picks it.
     """
-    mask = np.abs(dirs @ normal) >= delta
-    if not np.any(mask):
-        return 0.0
-    images = dirs[mask] @ entries.T
+    images = dirs @ entries.T
     norms = np.linalg.norm(images, axis=1)
     good = norms > 0
     projections = (images[good] @ x) / norms[good]
-    return float(np.sqrt(np.maximum(0.0, 1.0 - projections**2)).max())
+    sines = np.full(len(dirs), -np.inf)
+    sines[good] = np.sqrt(np.maximum(0.0, 1.0 - projections**2))
+    return sines
+
+
+def _contraction_sup(sines: np.ndarray, separation: np.ndarray, delta: float) -> float:
+    """Numeric sup of dist(m u, x) over directions with dist(u, hyperplane) >= delta.
+
+    ``sines`` comes from :func:`_contraction_sines` and ``separation`` holds
+    |u . normal| for the same directions, so each query of the bisection is
+    one masked maximum; 0.0 when no direction is that far from the
+    hyperplane.  Sampled, hence an empirical bound; in dimension 2 the dense
+    grid makes it effectively exact.
+    """
+    mask = separation >= delta
+    if not np.any(mask):
+        return 0.0
+    return float(sines[mask].max())
 
 
 def _conjugator(
@@ -690,7 +707,10 @@ def pingpong_power(
 
     ``t`` may be a word of the group or an explicit conjugating matrix (for
     example a rotation moving the axis of g onto a transverse axis).
-    Returns None when no N <= max_n satisfies the criterion.
+    Returns None when no N <= max_n satisfies the criterion; raises
+    NotBiproximal when g is not biproximal at k = 1 or the report of its
+    inverse finds no gap.  The sines of all sample directions are computed
+    once per player and power, so each bisection query is one masked maximum.
     """
     mg = evaluate(rep, g)
     fwd = proximality_report(mg, 1, eps_gap=eps_gap, verify=False)
@@ -700,7 +720,10 @@ def pingpong_power(
     if conj.dim != mg.dim:
         raise DimensionMismatch("conjugator dimension mismatch")
 
-    bwd = proximality_report(mg.inverse(), 1, eps_gap=eps_gap, verify=False)
+    mg_inv = mg.inverse()
+    bwd = proximality_report(mg_inv, 1, eps_gap=eps_gap, verify=False)
+    if not bwd.is_proximal:
+        raise NotBiproximal("inverse of the base element is not proximal at k = 1")
     b_mat = conj @ mg @ conj.inverse()
 
     def transported(point: np.ndarray, plane: np.ndarray):
@@ -708,7 +731,7 @@ def pingpong_power(
         return p / np.linalg.norm(p), orthonormalize(conj.entries @ plane)
 
     players = []  # (name, base matrix, attracting point, repelling plane, its normal)
-    for name, base, report in (("g", mg, fwd), ("g^-1", mg.inverse(), bwd)):
+    for name, base, report in (("g", mg, fwd), ("g^-1", mg_inv, bwd)):
         x = report.attracting_plane[:, 0]
         plane = report.repelling_plane
         players.append((name, base, x, plane, _hyperplane_normal(plane)))
@@ -741,23 +764,25 @@ def pingpong_power(
         raise TransversalityFailure("degenerate fixed-point configuration")
 
     dirs = _direction_samples(mg.dim)
+    # |u . normal| of every sample direction u, per player: fixed across powers
+    dir_separations = [np.abs(dirs @ n) for _, _, _, _, n in players]
 
-    def worst(delta: float, powers: list[ScaledMatrix]) -> float:
-        return max(
-            _contraction_sup(p.entries, x, n, delta, dirs)
-            for p, (_, _, x, _, n) in zip(powers, players)
-        )
+    def worst(delta: float, sines: list[np.ndarray]) -> float:
+        return max(_contraction_sup(s, sep, delta) for s, sep in zip(sines, dir_separations))
 
     for n_power in range(1, max_n + 1):
-        powers = [base.power(n_power) for _, base, _, _, _ in players]
-        if worst(delta_cap, powers) > delta_cap:
+        sines = [
+            _contraction_sines(base.power(n_power).entries, x, dirs)
+            for _, base, x, _, _ in players
+        ]
+        if worst(delta_cap, sines) > delta_cap:
             continue
         lo, hi = 0.0, delta_cap
         for _ in range(60):
             mid = (lo + hi) / 2.0
             if mid == lo or mid == hi:
                 break
-            if worst(mid, powers) <= mid:
+            if worst(mid, sines) <= mid:
                 hi = mid
             else:
                 lo = mid

@@ -98,10 +98,7 @@ class ScaledMatrix:
         return (ScaledBatch.stack([self]) @ other)[0]
 
     def inverse(self) -> "ScaledMatrix":
-        sign, _ = np.linalg.slogdet(self.entries)
-        if sign == 0.0:
-            raise SingularInput("matrix is singular")
-        return ScaledMatrix.from_array(np.linalg.inv(self.entries), -self.log_scale)
+        return ScaledBatch.stack([self]).inverse()[0]
 
     def power(self, n: int) -> "ScaledMatrix":
         if n < 0:
@@ -130,8 +127,10 @@ class ScaledBatch:
     """A stack of matrices ``exp(log_scale[i]) * entries[i]``.
 
     :meth:`from_arrays` is the one place where a scale is computed:
-    :meth:`ScaledMatrix.from_array` and ``ScaledMatrix @`` are its one-row
-    case, so ``(batch @ g)[i]`` is bit-identical to ``batch[i] @ g``.
+    :meth:`ScaledMatrix.from_array`, ``ScaledMatrix @`` and
+    :meth:`ScaledMatrix.inverse` are its one-row case, so ``(batch @ g)[i]``
+    is bit-identical to ``batch[i] @ g`` and ``batch.inverse()[i]`` to
+    ``batch[i].inverse()``.
     """
 
     entries: np.ndarray  # (n, d, d)
@@ -171,6 +170,14 @@ class ScaledBatch:
         return ScaledBatch.from_arrays(
             self.entries @ other.entries, self.log_scale + other.log_scale
         )
+
+    def inverse(self) -> "ScaledBatch":
+        """Every matrix of the stack inverted by one stacked ``inv``; raises
+        when any determinant vanishes."""
+        sign, _ = np.linalg.slogdet(self.entries)
+        if not np.all(sign):
+            raise SingularInput("matrix is singular")
+        return ScaledBatch.from_arrays(np.linalg.inv(self.entries), -self.log_scale)
 
 
 @dataclass(frozen=True)
@@ -436,22 +443,27 @@ def spectrum(g: ScaledMatrix, eps_gap: float = EPS_GAP) -> Spectrum:
 
 
 def orthonormalize(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span, deterministic up to column signs."""
+    """Orthonormal basis of the column span, deterministic up to column signs.
+
+    A stack of matrices gives the stack of their bases, from one stacked QR.
+    """
     q, r = np.linalg.qr(np.asarray(a, dtype=float))
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0
-    return q * signs
+    return q * signs[..., None, :]
 
 
-def subspace_angle(a: np.ndarray, b: np.ndarray) -> float:
+def subspace_angle(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Sine of the largest principal angle between two equal-dimension planes.
 
-    Both arguments must already carry orthonormal columns.
+    Both arguments must already carry orthonormal columns.  Two stacks of
+    planes give one sine per pair, from one stacked matrix norm.
     """
     if a.shape != b.shape:
         raise DimensionMismatch(f"plane shapes {a.shape} != {b.shape}")
-    resid = a - b @ (b.T @ a)
-    return float(np.linalg.norm(resid, 2))
+    resid = a - b @ (np.swapaxes(b, -1, -2) @ a)
+    sines = np.linalg.norm(resid, 2, axis=(-2, -1))
+    return float(sines) if sines.ndim == 0 else sines
 
 
 def _invariant_plane(entries: np.ndarray, log_thresh: float, count: int, top: bool) -> np.ndarray:
@@ -507,6 +519,95 @@ def require_gap_index(k: int, d: int) -> None:
         raise DimensionMismatch(f"k={k} out of range for dimension {d}")
 
 
+def _proximality_reports(
+    batch: ScaledBatch,
+    k: int,
+    eps_gap: float,
+    rngs: Sequence[np.random.Generator] | None,
+    verify: bool,
+) -> list[ProximalityReport]:
+    """The body of :func:`proximality_reports`; its warnings name the line
+    that called the public function."""
+    d = batch.entries.shape[-1]
+    require_gap_index(k, d)
+    log_moduli, top_sign, _ = spectra(batch, eps_gap=eps_gap)
+    log_gap = (log_moduli[:, k - 1] - log_moduli[:, k]).tolist()
+    inverse_gap = (log_moduli[:, d - k - 1] - log_moduli[:, d - k]).tolist()
+    lm_entries = log_moduli - batch.log_scale[:, None]
+    log_thresh = 0.5 * (lm_entries[:, k - 1] + lm_entries[:, k])
+    tol = math.log1p(eps_gap)
+    proximal = [i for i, gap in enumerate(log_gap) if gap > tol]
+    attracting = np.empty((len(proximal), d, k))
+    repelling = np.empty((len(proximal), d, d - k))
+    for j, i in enumerate(proximal):
+        attracting[j] = _invariant_plane(batch.entries[i], log_thresh[i], k, top=True)
+        repelling[j] = _invariant_plane(batch.entries[i], log_thresh[i], d - k, top=False)
+    entries = batch.entries[proximal]
+    for planes in (attracting, repelling):
+        image = orthonormalize(entries @ planes)
+        if np.any(subspace_angle(image, planes) > _INVARIANCE_TOL):
+            raise EigensolveFailure("computed plane is not invariant")
+    gap_eig = [math.exp(gap) if gap < 700 else math.inf for gap in log_gap]
+    if verify:
+        for j, i in enumerate(proximal):
+            if gap_eig[i] >= _VERIFIABLE_GAP:
+                rng = rngs[i] if rngs is not None else np.random.default_rng(0)
+                _power_iteration_check(entries[j], attracting[j], repelling[j], rng)
+    planes_of = dict(zip(proximal, zip(attracting, repelling)))
+    reports = []
+    for i, gap in enumerate(log_gap):
+        is_proximal = gap > tol
+        plus, minus = planes_of.get(i, (None, None))
+        reports.append(ProximalityReport(
+            k=k,
+            gap_eig=gap_eig[i],
+            log_gap=gap,
+            is_proximal=is_proximal,
+            is_biproximal=is_proximal and inverse_gap[i] > tol,
+            is_positively_proximal=bool(is_proximal and top_sign[i] == 1) if k == 1 else None,
+            attracting_plane=plus,
+            repelling_plane=minus,
+        ))
+    decade = math.log1p(10 * eps_gap)
+    for gap in log_gap:
+        if tol < gap <= decade:
+            warnings.warn(
+                f"gap at k={k} is within a decade of eps_gap; verdict is marginal",
+                MarginalGapWarning,
+                stacklevel=3,
+            )
+    return reports
+
+
+def proximality_reports(
+    batch: ScaledBatch,
+    k: int,
+    eps_gap: float = EPS_GAP,
+    rngs: Sequence[np.random.Generator] | None = None,
+    verify: bool = True,
+) -> list[ProximalityReport]:
+    """Classify proximality of every matrix of a batch at gap index ``k``.
+
+    One report per row.  When a row is proximal, its attracting plane spans
+    the generalized eigenspaces of the k largest-modulus eigenvalues and its
+    repelling plane the complementary invariant subspace.  Invariance of both
+    planes is always checked; with ``verify`` the attracting plane is also
+    audited by power iteration from a random start, drawn from ``rngs[i]``
+    (``default_rng(0)`` when ``rngs`` is None), whenever the gap is large
+    enough for 200 iterations to converge.
+
+    The stages run over the whole batch in turn: one :func:`spectra` call;
+    the two ordered-Schur planes of each proximal row; both invariance
+    checks as stacked products, QRs and norms; the power-iteration audits,
+    row by row.  The first row that fails a stage raises, so with several
+    failing rows the error need not be that of the first failing row;
+    callers that need it rerun the rows one by one.  A MarginalGapWarning
+    is emitted per row whose open gap is within a decade of ``eps_gap``,
+    once every row has passed.
+    """
+    return _proximality_reports(batch, k, eps_gap, rngs, verify)
+
+
 def proximality_report(
     g: ScaledMatrix,
     k: int,
@@ -514,60 +615,10 @@ def proximality_report(
     rng: np.random.Generator | None = None,
     verify: bool = True,
 ) -> ProximalityReport:
-    """Classify proximality of ``g`` at gap index ``k`` and extract planes.
-
-    When proximal, the attracting plane spans the generalized eigenspaces of
-    the k largest-modulus eigenvalues and the repelling plane the
-    complementary invariant subspace.  With ``verify`` the attracting plane
-    is additionally audited by power iteration from a random start whenever
-    the gap is large enough for 200 iterations to converge; invariance of
-    both planes is always checked.
-    """
-    d = g.dim
-    require_gap_index(k, d)
-    spec = spectrum(g, eps_gap=eps_gap)
-    log_gap = spec.log_gap(k)
-    gap_eig = math.exp(log_gap) if log_gap < 700 else math.inf
-    tol = math.log1p(eps_gap)
-    is_proximal = log_gap > tol
-    if tol < log_gap <= math.log1p(10 * eps_gap):
-        warnings.warn(
-            f"gap at k={k} is within a decade of eps_gap; verdict is marginal",
-            MarginalGapWarning,
-            stacklevel=2,
-        )
-    is_biproximal = is_proximal and spec.log_gap(d - k) > tol
-    positively: bool | None = None
-    if k == 1:
-        positively = bool(is_proximal and spec.top_sign == 1)
-
-    attracting = repelling = None
-    if is_proximal:
-        lm_entries = spec.log_moduli - g.log_scale
-        log_thresh = 0.5 * (lm_entries[k - 1] + lm_entries[k])
-        attracting = _invariant_plane(g.entries, log_thresh, k, top=True)
-        repelling = _invariant_plane(g.entries, log_thresh, d - k, top=False)
-        for plane in (attracting, repelling):
-            image = orthonormalize(g.entries @ plane)
-            if subspace_angle(image, plane) > _INVARIANCE_TOL:
-                raise EigensolveFailure("computed plane is not invariant")
-        if verify and gap_eig >= _VERIFIABLE_GAP:
-            _power_iteration_check(
-                g.entries,
-                attracting,
-                repelling,
-                rng if rng is not None else np.random.default_rng(0),
-            )
-    return ProximalityReport(
-        k=k,
-        gap_eig=gap_eig,
-        log_gap=log_gap,
-        is_proximal=is_proximal,
-        is_biproximal=is_biproximal,
-        is_positively_proximal=positively,
-        attracting_plane=attracting,
-        repelling_plane=repelling,
-    )
+    """Classify proximality of ``g`` at gap index ``k`` and extract planes:
+    the one-row case of :func:`proximality_reports`."""
+    rngs = None if rng is None else [rng]
+    return _proximality_reports(ScaledBatch.stack([g]), k, eps_gap, rngs, verify)[0]
 
 
 def transverse_mask(

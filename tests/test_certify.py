@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -383,6 +384,117 @@ class TestLimitMapSample:
             assert subspace_angle(transported, conj.attracting_plane) < 1e-6
 
 
+def per_word_limit_samples(rep, k, radius, eps_gap=1e-8, seed=0):
+    """The sampling loop as it ran before the batched reports: one forward
+    report per sampled word, then one for its inverse; the oracle for
+    limit_map_sample."""
+    from anosov.words import conjugacy_key, is_primitive_cyclic, word_str
+
+    ball = enumerate_ball(rep.presentation, radius)
+    images = evaluate_ball(rep, ball)
+    samples, seen, index = [], set(), 0
+    for i, w in enumerate(ball.words()):
+        if len(w) == 0 or not is_primitive_cyclic(w.letters):
+            continue
+        key = conjugacy_key(w.letters)
+        if key in seen:
+            continue
+        seen.add(key)
+        m = images[i]
+        rng = np.random.default_rng([seed, index])
+        index += 1
+        fwd = proximality_report(m, k, eps_gap=eps_gap, rng=rng)
+        minus_k = plus_dk = None
+        if fwd.is_biproximal:
+            bwd = proximality_report(m.inverse(), k, eps_gap=eps_gap, rng=rng, verify=False)
+            minus_k, plus_dk = bwd.attracting_plane, bwd.repelling_plane
+        samples.append((str(w), word_str(w.inverse().letters), fwd.is_proximal, fwd.log_gap,
+                        fwd.attracting_plane, fwd.repelling_plane, minus_k, plus_dk))
+    return samples
+
+
+def marginal_rep():
+    """Two hyperbolic generators whose short words have gaps within a decade
+    of eps_gap, so that their reports warn."""
+    lam = math.sqrt(1 + 3e-8)
+    c, s = math.cos(0.9), math.sin(0.9)
+    rot = np.array([[c, -s], [s, c]])
+    b = rot @ np.diag([lam**3, lam**-3]) @ rot.T
+    return Representation.from_generators(
+        F2, [ScaledMatrix.from_array(np.diag([lam, 1 / lam])), ScaledMatrix.from_array(b)]
+    )
+
+
+def warned_messages(fn, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args, **kwargs)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestLimitMapSampleOracle:
+    def assert_matches_oracle(self, rep, k, radius, seed=0):
+        samples, warned = warned_messages(limit_map_sample, rep, k, radius, seed=seed)
+        expected, expected_warned = warned_messages(per_word_limit_samples, rep, k, radius,
+                                                    seed=seed)
+        assert len(samples) == len(expected)
+        for s, e in zip(samples, expected):
+            assert (s.word, s.inverse_word, s.dynamics_preserving) == e[:3]
+            assert np.array_equal(s.log_gap, e[3])
+            for plane, oracle in zip((s.plus_k, s.minus_dk, s.minus_k, s.plus_dk), e[4:]):
+                assert (plane is None) == (oracle is None), s.word
+                if plane is not None:
+                    assert np.array_equal(plane, oracle), s.word
+        assert warned == expected_warned
+        return samples, warned
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_schottky_every_benchmark_seed(self, schottky, seed):
+        self.assert_matches_oracle(schottky, 1, 5, seed=seed)
+
+    def test_tau2_middle_index(self, tau2rep):
+        samples, _ = self.assert_matches_oracle(tau2rep, 2, 4)
+        assert any(s.minus_k is not None for s in samples)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_sym5_compounds_free(self, schottky, k):
+        self.assert_matches_oracle(sym_power_rep(schottky, 5), k, 2)
+
+    def test_marginal_gaps_warn_as_per_word(self):
+        samples, warned = self.assert_matches_oracle(marginal_rep(), 1, 3)
+        # the four samples with gaps below log1p(1e-7) warn forward and
+        # for their inverse
+        marginal = [s for s in samples if s.log_gap <= math.log1p(1e-7)]
+        assert len(warned) == 2 * len(marginal) == 8
+
+    def test_forward_failure_later_loses_to_backward_failure_earlier(
+        self, schottky, monkeypatch
+    ):
+        import anosov.linalg
+        from anosov import EigensolveFailure
+
+        # "a" is sampled before "ab"; the batch meets the forward failure of
+        # "ab" before it inverts anything, the per-word order meets A first
+        planted = {
+            evaluate(schottky, parse_word("a")).inverse().entries.tobytes(): "backward of a",
+            evaluate(schottky, parse_word("ab")).entries.tobytes(): "forward of ab",
+        }
+        real = anosov.linalg._invariant_plane
+
+        def failing(entries, *args, **kwargs):
+            message = planted.get(np.ascontiguousarray(entries).tobytes())
+            if message is not None:
+                raise EigensolveFailure(message)
+            return real(entries, *args, **kwargs)
+
+        monkeypatch.setattr(anosov.linalg, "_invariant_plane", failing)
+        with pytest.raises(EigensolveFailure, match="^backward of a$"):
+            limit_map_sample(schottky, 1, 3)
+        del planted[evaluate(schottky, parse_word("a")).inverse().entries.tobytes()]
+        with pytest.raises(EigensolveFailure, match="^forward of ab$"):
+            limit_map_sample(schottky, 1, 3)
+
+
 class TestTrackEll1:
     def test_constant_path(self, schottky):
         path = [schottky] * 5
@@ -518,6 +630,72 @@ class TestPingpong:
         sub = pingpong_subgroup(schottky, parse_word("a"), rotation_about_i(math.pi / 2), result.n)
         est = certify_anosov(gap_profile(sub, 1, 4))
         assert est.verdict == "Certified"
+
+
+def contraction_sup_oracle(entries, x, normal, delta, dirs):
+    """One bisection query as it ran before the sines were computed once per
+    power: mask, multiply and measure the far directions afresh."""
+    mask = np.abs(dirs @ normal) >= delta
+    if not np.any(mask):
+        return 0.0
+    images = dirs[mask] @ entries.T
+    norms = np.linalg.norm(images, axis=1)
+    good = norms > 0
+    projections = (images[good] @ x) / norms[good]
+    return float(np.sqrt(np.maximum(0.0, 1.0 - projections**2)).max())
+
+
+# (construction, g, t, expected (n, delta)); the values are those of the
+# per-query search
+PINGPONG_CASES = {
+    "quarter-rotation": (lambda rep: rep, "a", rotation_about_i(math.pi / 2),
+                         (1, 0.3162259484789114)),
+    "t-word": (lambda rep: rep, "a", parse_word("b"), (3, 0.036833722679266434)),
+    "sym2-random-directions": (lambda rep: sym_power_rep(rep, 2), "a", parse_word("b"),
+                               (4, 0.012217462078606498)),
+}
+
+
+class TestPingpongOracle:
+    @pytest.mark.parametrize("case", list(PINGPONG_CASES))
+    def test_every_query_matches_per_query_oracle(self, schottky, monkeypatch, case):
+        import anosov.certify as certify
+
+        build, g, t, expected = PINGPONG_CASES[case]
+        normals, made, queries = [], {}, []
+        real_normal = certify._hyperplane_normal
+        real_sines = certify._contraction_sines
+        real_sup = certify._contraction_sup
+
+        def spy_normal(plane):
+            normals.append(real_normal(plane))
+            return normals[-1]
+
+        def spy_sines(entries, x, dirs):
+            sines = real_sines(entries, x, dirs)
+            made[id(sines)] = (sines, entries, x, dirs)
+            return sines
+
+        def spy_sup(sines, separation, delta):
+            _, entries, x, dirs = made[id(sines)]
+            (normal,) = [n for n in normals if np.array_equal(np.abs(dirs @ n), separation)]
+            value = real_sup(sines, separation, delta)
+            assert value == contraction_sup_oracle(entries, x, normal, delta, dirs)
+            queries.append(delta)
+            return value
+
+        monkeypatch.setattr(certify, "_hyperplane_normal", spy_normal)
+        monkeypatch.setattr(certify, "_contraction_sines", spy_sines)
+        monkeypatch.setattr(certify, "_contraction_sup", spy_sup)
+        result = pingpong_power(build(schottky), parse_word(g), t)
+        assert (result.n, result.delta) == expected
+        assert len(queries) > 100 and len(queries) % 4 == 0
+
+    def test_empty_mask_reads_zero(self):
+        from anosov.certify import _contraction_sup
+
+        assert _contraction_sup(np.array([0.5, 0.25]), np.array([0.1, 0.2]), 0.3) == 0.0
+        assert _contraction_sup(np.array([0.5, 0.25]), np.array([0.1, 0.2]), 0.15) == 0.25
 
 
 class TestDeterminism:

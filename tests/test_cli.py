@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import tracemalloc
@@ -429,6 +430,38 @@ class TestOtherCommands:
         assert code == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n"] == 1
+
+    def test_pingpong_inverse_without_gap_exit3(self, tmp_path, capsys, monkeypatch):
+        # the base element is biproximal but its inverse's own report is not
+        # proximal: a numerical failure, not a traceback
+        real = cert.proximality_report
+        calls = []
+
+        def inverse_loses_its_gap(g, k, **kwargs):
+            calls.append(g)
+            report = real(g, k, **kwargs)
+            if len(calls) == 2:
+                report = dataclasses.replace(report, is_proximal=False, is_biproximal=False,
+                                             attracting_plane=None, repelling_plane=None)
+            return report
+
+        monkeypatch.setattr(cert, "proximality_report", inverse_loses_its_gap)
+        out = tmp_path / "run"
+        code = run("pingpong", "--construction", SCHOTTKY, "--g", "a",
+                   "--t-rotation", "1.5707963", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: inverse of the base element is not proximal at k = 1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["1", "3"])
+    def test_sym5_limit_set_plane_failure_exit3(self, tmp_path, capsys, k):
+        out = tmp_path / "run"
+        code = run("limit-set", "--construction", SYM5, "--k", k, "--radius", "3",
+                   "--out", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: computed plane is not invariant\n"
+        assert not out.exists()
 
     def test_pingpong_needs_conjugator(self, tmp_path):
         code = run("pingpong", "--construction", SCHOTTKY, "--g", "a",

@@ -22,6 +22,7 @@ from anosov import (
     normalize_to_sl,
     orthonormalize,
     proximality_report,
+    proximality_reports,
     singular_values,
     spectra,
     spectrum,
@@ -63,6 +64,13 @@ class TestScaledMatrix:
         assert ident.distance_to_identity() < 1e-12
         np.testing.assert_allclose(a.power(3).array(), a.array() @ a.array() @ a.array(), rtol=1e-10)
         np.testing.assert_allclose(a.power(-2).array(), np.linalg.inv(a.array() @ a.array()), rtol=1e-9)
+
+    def test_singular_row_fails_the_batch_inverse(self):
+        batch = ScaledBatch.stack([sm(np.eye(2)), sm([[1.0, 2.0], [2.0, 4.0]])])
+        with pytest.raises(SingularInput, match="^matrix is singular$"):
+            batch.inverse()
+        with pytest.raises(SingularInput, match="^matrix is singular$"):
+            batch[1].inverse()
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(SingularInput):
@@ -243,7 +251,98 @@ class TestProximalityReport:
             g = sm(rng.standard_normal((d, d)))
             sp = spectrum(g)
             for k in range(1, d):
-                assert proximality_report(g, k, verify=False).is_proximal == sp.is_proximal(k)
+                report = proximality_report(g, k, verify=False)
+                assert report.is_proximal == sp.is_proximal(k)
+                assert report.is_biproximal == (sp.is_proximal(k) and sp.is_proximal(d - k))
+
+
+def report_fields(report):
+    return (report.k, report.gap_eig, report.log_gap, report.is_proximal,
+            report.is_biproximal, report.is_positively_proximal)
+
+
+def assert_same_report(report, expected):
+    assert report_fields(report) == report_fields(expected)
+    for plane, oracle in ((report.attracting_plane, expected.attracting_plane),
+                          (report.repelling_plane, expected.repelling_plane)):
+        assert (plane is None) == (oracle is None)
+        if plane is not None:
+            assert np.array_equal(plane, oracle)
+
+
+class TestProximalityReports:
+    @pytest.mark.parametrize("m, k", [(1, 1), (3, 1), (3, 2), (5, 3)])
+    def test_rows_are_one_row_reports(self, schottky2, m, k):
+        rep = sym_power_rep(schottky2, m) if m > 1 else schottky2
+        batch = evaluate_ball(rep, enumerate_ball(rep.presentation, 2))
+        batch = batch.take(slice(1, None))  # the identity has no planes to compare
+        reports = proximality_reports(batch, k)
+        assert len(reports) == len(batch)
+        assert any(r.is_proximal for r in reports)
+        for i, report in enumerate(reports):
+            assert_same_report(report, proximality_report(batch[i], k))
+
+    def test_random_rows_and_inverses(self, rng):
+        batch = ScaledBatch.stack([sm(rng.standard_normal((5, 5))) for _ in range(60)])
+        inverses = batch.inverse()
+        for i in range(len(batch)):
+            # the one-row inverse as it was computed before ScaledBatch.inverse
+            inverse = ScaledMatrix.from_array(np.linalg.inv(batch[i].entries), -batch[i].log_scale)
+            assert np.array_equal(inverses.entries[i], inverse.entries)
+            assert inverses.log_scale[i] == inverse.log_scale
+        for k in (1, 2, 4):
+            for stack in (batch, inverses):
+                reports = proximality_reports(stack, k, verify=False)
+                for i, report in enumerate(reports):
+                    assert_same_report(report, proximality_report(stack[i], k, verify=False))
+
+    def test_each_row_audits_with_its_own_generator(self):
+        # gaps 2 (audited), 1.05 (below the verifiable gap) and none
+        batch = ScaledBatch.stack([sm(np.diag([2.0, 1.0])), sm(np.diag([1.05, 1.0])),
+                                   sm([[0.0, -1.0], [1.0, 0.0]])])
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        proximality_reports(batch, 1, rngs=rngs)
+        fresh = [np.random.default_rng(i).bit_generator.state for i in range(3)]
+        drawn = [r.bit_generator.state != f for r, f in zip(rngs, fresh)]
+        assert drawn == [True, False, False]
+
+    def test_empty_batch(self):
+        assert proximality_reports(ScaledBatch.stack([sm(np.eye(3))]).take(slice(0)), 1) == []
+
+    def test_one_warning_per_marginal_row(self):
+        batch = ScaledBatch.stack([sm(np.diag([1.0 + 5e-8, 1.0])), sm(np.diag([2.0, 1.0])),
+                                   sm(np.diag([1.0 + 3e-8, 1.0]))])
+        with pytest.warns(MarginalGapWarning) as caught:
+            proximality_reports(batch, 1)
+        assert len(caught) == 2
+        with pytest.warns(MarginalGapWarning) as caught_one:
+            proximality_report(batch[0], 1)
+        # both name the line that called them
+        assert all(w.filename == __file__ for w in [*caught, *caught_one])
+
+    def test_failing_batch_raises_without_warning(self, monkeypatch):
+        import warnings
+
+        batch = ScaledBatch.stack([sm(np.diag([1.0 + 5e-8, 1.0])), sm(np.diag([3.0, 1.0]))])
+
+        def failing(entries, *args, **kwargs):
+            raise EigensolveFailure("planted")
+
+        monkeypatch.setattr(linalg, "_invariant_plane", failing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigensolveFailure, match="planted"):
+                proximality_reports(batch, 1)
+
+    def test_stacked_qr_and_angles_match_per_matrix(self, rng):
+        a = rng.standard_normal((40, 6, 3))
+        q = orthonormalize(a)
+        b = orthonormalize(rng.standard_normal((40, 6, 3)))
+        sines = subspace_angle(q, b)
+        assert sines.shape == (40,)
+        for i in range(40):
+            assert np.array_equal(q[i], orthonormalize(a[i]))
+            assert sines[i] == subspace_angle(q[i], b[i])
 
 
 class TestTransversality:
