@@ -8,7 +8,9 @@ a run that fails while computing leaves no output directory behind.
 
 Exit codes: 0 success (Certified / PositivelyProximal / found, as the
 command requests), 1 refuted (Refuted / NotPositivelyProximal / audit
-failure), 2 inconclusive, 3 usage or configuration error.
+failure), 2 inconclusive, 3 usage or configuration error, which includes
+every input a command cannot use: argument errors, non-finite thresholds,
+negative seeds and construction keys the kind does not read.
 
 All randomness flows through the single seed recorded in the summary.  Runs
 are single-threaded: ``--threads`` is accepted for compatibility and ignored,
@@ -21,6 +23,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -99,8 +102,13 @@ class ExperimentConfig:
         if self.radius < 0:
             raise ConfigError("radius must be nonnegative")
         for name in ("eps_gap", "alpha_min", "cond_threshold"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if value <= 0:
                 raise ConfigError(f"{name} must be positive")
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
         if not self.k or any(kk < 1 for kk in self.k):
@@ -140,6 +148,16 @@ _DESCRIPTOR_TYPES = {
     "path": "str",
 }
 
+#: Descriptor keys each construction kind reads besides ``kind``; any other is an error.
+_KIND_KEYS = {
+    "schottky": {"rank", "dilation", "angles", "field", "trace_signs", "twists"},
+    "tau2-schottky": {"rank", "dilation", "angles", "trace_signs", "twists"},
+    "sym-power": {"base", "m"},
+    "fuchsian-surface": {"genus"},
+    "direct-sum": {"summands"},
+    "from-file": {"path"},
+}
+
 
 def _schottky_params(desc: dict, force_complex: bool = False) -> SchottkyParams:
     return SchottkyParams(
@@ -153,12 +171,17 @@ def _schottky_params(desc: dict, force_complex: bool = False) -> SchottkyParams:
 
 
 def build_representation(desc: dict) -> Representation:
+    kind = desc.get("kind")
+    if not isinstance(kind, str) or kind not in _KIND_KEYS:
+        raise ConfigError(f"unknown construction kind {kind!r}")
+    unread = sorted(desc.keys() - _KIND_KEYS[kind] - {"kind"})
+    if unread:
+        raise ConfigError(f"construction kind {kind!r} does not read {', '.join(unread)}")
     for name, annotation in _DESCRIPTOR_TYPES.items():
         if name in desc and not _has_type(desc[name], annotation):
             raise ConfigError(
                 f"construction {name} must be of type {annotation}, got {desc[name]!r}"
             )
-    kind = desc.get("kind")
     if kind == "schottky":
         rep = schottky_rep(_schottky_params(desc))
         if isinstance(rep, ComplexRepresentation):
@@ -176,14 +199,12 @@ def build_representation(desc: dict) -> Representation:
         if not summands:
             raise ConfigError("direct-sum needs a 'summands' list")
         return direct_sum([build_representation(s) for s in summands])
-    if kind == "from-file":
-        path = desc.get("path")
-        try:
-            return Representation.load(path)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            why = f"{type(exc).__name__}: {exc}"
-            raise ConfigError(f"from-file path {path!r} does not hold a representation ({why})")
-    raise ConfigError(f"unknown construction kind {kind!r}")
+    path = desc.get("path")  # the one kind left: from-file
+    try:
+        return Representation.load(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        why = f"{type(exc).__name__}: {exc}"
+        raise ConfigError(f"from-file path {path!r} does not hold a representation ({why})")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -431,8 +452,15 @@ def _commands() -> dict:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command-line error as a :class:`ConfigError` (exit 3), not exit 2."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="anosov",
         description="Numerical certification experiments for matrix representations "
         "of free and surface groups.",
@@ -491,8 +519,8 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         cfg = load_config(args)
         rep = build_representation(cfg.construction)
         out = Path(cfg.out)

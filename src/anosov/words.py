@@ -285,60 +285,12 @@ def _check_guard(total: int) -> None:
 
 
 def _rebuild(parents: list, letters: list, rows: np.ndarray) -> list[tuple[int, ...]]:
-    """Letter tuples of the given rows of the last sphere of (parent, letter) arrays."""
+    """Letter tuples of the given rows of the last sphere of a ball's (parent, letter) arrays."""
     columns = []
-    for parent, letter in zip(reversed(parents), reversed(letters)):
+    for parent, letter in zip(parents[:0:-1], letters[:0:-1]):  # spheres n..1
         columns.append(letter[rows].tolist())
         rows = parent[rows]
     return list(zip(*reversed(columns)))
-
-
-def _spheres(p: Presentation, radius: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    # children are every letter but the inverse of the last one, ordered by
-    # (parent, letter key), which is shortlex order; a surface child is kept
-    # when it is its own canonical form (a prefix of a canonical word is
-    # canonical, so every canonical word is a kept child of its prefix).
-    # The closure search runs only on children holding a half-relator window:
-    # the others are freely reduced and admit no move.  A child's 2g-letter
-    # windows are its parent's and its last 2g letters, so per word ``tail``
-    # codes the last 2g-1 letter keys in base B = 4g and ``held`` flags a
-    # half-relator window.  Codes are below B^(2g), and are held in the
-    # smallest type that holds B^(2g) (Python ints past genus 6).
-    alphabet = np.array(p.letters())
-    last = np.zeros(1, dtype=alphabet.dtype)
-    total = 1
-    if p.family == "surface":
-        half, halves = _half_table(p.n)
-        base = len(alphabet)
-        codes = [sum(_letter_key(l) * base**i for i, l in enumerate(reversed(h))) for h in halves]
-        code_type = np.min_scalar_type(base**half)
-        keys = np.arange(base, dtype=code_type)  # the alphabet is in letter-key order
-        tail, held = np.zeros(1, dtype=code_type), np.zeros(1, dtype=bool)
-    parents: list[np.ndarray] = []
-    letters: list[np.ndarray] = []
-    for n in range(1, radius + 1):
-        if p.family == "free":  # every child is kept: check before allocating
-            _check_guard(total + len(last) * len(alphabet) - np.count_nonzero(last))
-        parent = np.repeat(np.arange(len(last)), len(alphabet))
-        letter = np.tile(alphabet, len(last))
-        keep = letter != -last[parent]
-        if p.family == "surface":
-            window = (tail[:, None] * base + keys).ravel()
-            flag = np.repeat(held, base)
-            if n >= half:
-                flag |= np.isin(window, codes)
-            search = np.flatnonzero(flag & keep)
-            words = _rebuild(parents + [parent], letters + [letter], search)
-            keep[search] = [_surface_canonical(w, p.n) == w for w in words]
-            tail = window[keep]
-            tail %= base ** min(n, half - 1)
-            held = flag[keep]
-        parent, last = parent[keep], letter[keep]
-        total += len(last)
-        _check_guard(total)
-        parents.append(parent)
-        letters.append(last)
-        yield parent, last
 
 
 def enumerate_ball(p: Presentation, radius: int) -> Ball:
@@ -350,14 +302,58 @@ def enumerate_ball(p: Presentation, radius: int) -> Ball:
     group elements.  Only an extension holding a half-relator window goes
     to the closure search: any other one is freely reduced and admits no
     move, so it is its own canonical form.  Raises ResourceLimit when the
-    ball would exceed ``BALL_GUARD`` words.
+    ball would exceed ``BALL_GUARD`` words, checked once per sphere: before
+    the sphere's candidates are stacked while every candidate is kept (free
+    groups, and surface spheres shorter than 2g, where no window fits), and
+    after the keep test otherwise.
     """
     if radius < 0:
         raise InvalidParams("radius must be nonnegative")
+    # children are every letter but the inverse of the last one, ordered by
+    # (parent, letter key), which is shortlex order; a surface child is kept
+    # when it is its own canonical form (a prefix of a canonical word is
+    # canonical, so every canonical word is a kept child of its prefix).
+    # The closure search runs only on children holding a half-relator window:
+    # the others are freely reduced and admit no move.  A child's 2g-letter
+    # windows are its parent's and its last 2g letters, so per word ``tail``
+    # codes the last 2g-1 letter keys in base B = 4g and ``held`` flags a
+    # half-relator window.  Codes are below B^(2g), and are held in the
+    # smallest type that holds B^(2g) (Python ints past genus 6).
+    alphabet = np.array(p.letters())
+    surface = p.family == "surface"
+    if surface:
+        half, halves = _half_table(p.n)
+        base = len(alphabet)
+        codes = [sum(_letter_key(l) * base**i for i, l in enumerate(reversed(h))) for h in halves]
+        code_type = np.min_scalar_type(base**half)
+        keys = np.arange(base, dtype=code_type)  # the alphabet is in letter-key order
+        tail, held = np.zeros(1, dtype=code_type), np.zeros(1, dtype=bool)
     parents, letters = [np.array([-1])], [np.array([0])]
-    for parent, letter in _spheres(p, radius):
-        parents.append(parent)
-        letters.append(letter)
+    total = 1
+    for n in range(1, radius + 1):
+        last = letters[-1]
+        screened = surface and n >= half  # may a child be rejected?
+        if not screened:  # every child is kept: check before stacking them
+            _check_guard(total + len(last) * len(alphabet) - np.count_nonzero(last))
+        parent = np.repeat(np.arange(len(last)), len(alphabet))
+        letter = np.tile(alphabet, len(last))
+        keep = letter != -last[parent]
+        if surface:
+            window = (tail[:, None] * base + keys).ravel()
+            flag = np.repeat(held, base)
+            if screened:
+                flag |= np.isin(window, codes)
+            search = np.flatnonzero(flag & keep)
+            words = _rebuild(parents + [parent], letters + [letter], search)
+            keep[search] = [_surface_canonical(w, p.n) == w for w in words]
+            tail = window[keep]
+            tail %= base ** min(n, half - 1)
+            held = flag[keep]
+        parents.append(parent[keep])
+        letters.append(letter[keep])
+        total += len(letters[-1])
+        if screened:
+            _check_guard(total)
     return Ball(presentation=p, radius=radius, parent=tuple(parents), letter=tuple(letters))
 
 

@@ -189,6 +189,96 @@ class TestConfigHandling:
         with pytest.raises(Exception):
             build_representation({"kind": "moebius"})
 
+    @pytest.mark.parametrize("kind", ["moebius", ["schottky"], None])
+    def test_unknown_construction_kind_exits_3(self, tmp_path, capsys, kind):
+        out = tmp_path / "run"
+        code = run("construct", "--construction", json.dumps({"kind": kind}), "--out", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: unknown construction kind {kind!r}\n"
+        assert not out.exists()
+
+
+class TestInvalidInputExits3:
+    """Input the CLI cannot use is a usage error, never a verdict exit code."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["certify", "--construction", SCHOTTKY, "--bogus"],
+             "unrecognized arguments: --bogus"),
+            (["certify", "--construction", SCHOTTKY, "--k", "x"],
+             "argument --k: invalid int value: 'x'"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["unknown-flag", "non-integer-k", "no-subcommand"],
+    )
+    def test_parser_error(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)  # the default --out
+        assert run(*argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"]], ids=["top", "command"])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: anosov")
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("limit-set", "--cond-threshold"), ("scan-positivity", "--eps-gap"),
+         ("certify", "--alpha-min")],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_threshold(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "run"
+        code = run(command, "--construction", SCHOTTKY, "--radius", "3", flag, value,
+                   "--out", str(out))
+        assert code == EXIT_USAGE
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    @pytest.mark.parametrize("name", ["eps_gap", "alpha_min", "cond_threshold"])
+    def test_non_finite_threshold_in_config_file(self, tmp_path, capsys, name, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"construction": json.loads(SCHOTTKY), name: value}))
+        out = tmp_path / "run"
+        assert run("certify", "--config", str(cfg), "--radius", "3", "--out", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {name} must be finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["deform", "limit-set"])
+    def test_negative_seed(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        code = run(command, "--construction", SCHOTTKY, "--radius", "3", "--seed", "-1",
+                   "--out", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "desc, kind, unread",
+        [
+            ({"kind": "schottky", "dilaton": 5.0}, "schottky", "dilaton"),
+            ({"kind": "tau2-schottky", "field": "complex"}, "tau2-schottky", "field"),
+            ({"kind": "sym-power", "base": {"kind": "schottky", "rnak": 2}}, "schottky", "rnak"),
+            ({"kind": "direct-sum", "summands": [{"kind": "schottky"},
+                                                 {"kind": "fuchsian-surface", "rank": 2}]},
+             "fuchsian-surface", "rank"),
+        ],
+        ids=["top-level", "field-of-tau2", "nested-base", "nested-summand"],
+    )
+    def test_unread_construction_key(self, tmp_path, capsys, desc, kind, unread):
+        out = tmp_path / "run"
+        code = run("gap-profile", "--construction", json.dumps(desc), "--radius", "2",
+                   "--out", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: construction kind {kind!r} does not read {unread}\n"
+        assert not out.exists()
+
 
 class TestCertifyCommand:
     def test_schottky_certified_exit0(self, tmp_path):

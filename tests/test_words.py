@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,8 +306,8 @@ class TestEnumerateBall:
 
     @pytest.mark.parametrize(
         "genus, radius",
-        [(2, 5), (2, 6), (3, 3), (13, 2)],
-        ids=["genus2-r5", "genus2-r6", "genus3-r3", "genus13-r2"],
+        [(2, 5), (2, 6), (3, 3), (3, 5), (4, 4), (13, 2)],
+        ids=["genus2-r5", "genus2-r6", "genus3-r3", "genus3-r5", "genus4-r4", "genus13-r2"],
     )
     def test_surface_spheres_follow_cannon_series(self, genus, radius):
         # Cannon's growth series of the genus-g surface group:
@@ -391,6 +392,29 @@ class TestEnumerateBall:
         monkeypatch.setattr("anosov.words.BALL_GUARD", size - 1)
         with pytest.raises(ResourceLimit):
             enumerate_ball(p, radius)
+
+    def test_one_guard_check_per_sphere(self, monkeypatch):
+        checks = []
+        check = anosov.words._check_guard
+        monkeypatch.setattr(
+            "anosov.words._check_guard", lambda total: checks.append(total) or check(total)
+        )
+        for p, radius in [(F2, 6), (S2, 6), (Presentation.surface(3), 3)]:
+            checks.clear()
+            ball = enumerate_ball(p, radius)
+            assert checks == np.cumsum(ball.sphere_sizes()).tolist()[1:]
+
+    def test_refusal_before_stacking_the_sphere(self):
+        # genus 5 has 20 letters and no half-relator window below length 10,
+        # so sphere 5 (about 2.6M children) is refused before it is stacked
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit):
+                enumerate_ball(Presentation.surface(5), 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestEvaluate:
