@@ -28,14 +28,14 @@ from .errors import (
     ToolkitError,
     TransversalityFailure,
 )
-from .exterior import STACK_ELEMENTS, compound_batch, compound_matrix, plucker_point
+from .exterior import STACK_ELEMENTS, compound_batch, compound_matrix
 from .linalg import (
     EPS_GAP,
     TRANSVERSALITY_COND,
     ScaledBatch,
     ScaledMatrix,
-    is_transverse,
     log_singular_values,
+    maximal_minors,
     orthonormalize,
     proximality_report,
     proximality_reports,
@@ -296,9 +296,10 @@ def scan_positivities(
 
     Every compound representation is built before the ball is enumerated,
     so an out-of-range k fails first; the ball is then enumerated once and
-    walked once per k with that k's compound generator images.  A
-    NotPositivelyProximal witness is re-verified through the independent
-    route (compound of the base-dimension product, fresh eigensolve).
+    walked once per k with that k's compound generator images.  A negative
+    witness is re-verified through the independent route (compound of the
+    base-dimension product, fresh eigensolve): the verdict is
+    NotPositivelyProximal when the recheck confirms it, Inconclusive when not.
     """
     creps = [compound_rep(rep, k) for k in ks]
     ball = enumerate_ball(rep.presentation, radius)
@@ -312,18 +313,18 @@ def scan_positivities(
         negative = np.flatnonzero(proximal & (ell1_sign < 0))
         witness = words[negative[0]] if len(negative) else None
         n_proximal = int(np.count_nonzero(proximal))
-        if n_proximal == 0:
-            verdict = "NoProximalFound"
-        elif witness is not None:
-            verdict = "NotPositivelyProximal"
-        else:
-            verdict = "PositivelyProximal"
         recheck = False
         if witness is not None:
             base = evaluate(rep, parse_word(witness))
             lifted = compound_matrix(base, k) if k > 1 else base
             sp = spectrum(lifted, eps_gap=eps_gap)
             recheck = sp.is_proximal(1) and sp.top_sign == -1
+        if n_proximal == 0:
+            verdict = "NoProximalFound"
+        elif witness is not None:
+            verdict = "NotPositivelyProximal" if recheck else "Inconclusive"
+        else:
+            verdict = "PositivelyProximal"
         reports.append(
             PositivityReport(
                 k=k, radius=radius, dim_scanned=crep.dim, words=words, lengths=lengths,
@@ -462,32 +463,33 @@ def audit_limit_samples(
 ) -> LimitAudit:
     """Check pairwise transversality of (k, d-k)-plane pairs and span rank.
 
-    Each boundary point's k-plane is tested against the (d-k)-plane of every
-    other label with one :func:`transverse_mask` call, whose verdicts are
-    those of per-pair :func:`is_transverse` calls; failures are listed in
-    (x, y) order.
+    Every boundary point's k-plane is tested against the (d-k)-plane of every
+    other label in one :func:`transverse_mask` call, whose verdicts are those
+    of per-pair :func:`is_transverse` calls; failures are listed in (x, y)
+    row-major order.  The span rank is read from the same stacked Pluecker
+    minors, each row scaled to unit norm with a positive largest entry, as
+    :meth:`ExteriorVector.unit` scales it.
     """
-    points: list[tuple[str, np.ndarray | None, np.ndarray | None]] = []
+    points = []
     for s in samples:
-        points.append((s.word, s.plus_k, s.plus_dk))
-        points.append((s.inverse_word, s.minus_k, s.minus_dk))
+        points += [(s.word, s.plus_k, s.plus_dk), (s.inverse_word, s.minus_k, s.minus_dk)]
+    k_labels = np.array([label for label, p, _ in points if p is not None])
     k_planes = [p for _, p, _ in points if p is not None]
-    dk_points = [(label, p) for label, _, p in points if p is not None]
-    failures: list[tuple[str, str]] = []
-    checked = 0
-    if k_planes and dk_points:
-        dk_labels = np.array([label for label, _ in dk_points])
-        dk_planes = np.stack([p for _, p in dk_points])
-        for label_x, k_plane, _ in points:
-            if k_plane is None:
-                continue
-            others = np.flatnonzero(dk_labels != label_x)
-            ok = transverse_mask(k_plane, dk_planes[others], cond_threshold)
-            checked += len(others)
-            failures += [(label_x, label_y) for label_y in dk_labels[others[~ok]].tolist()]
+    dk_labels = np.array([label for label, _, p in points if p is not None])
+    dk_planes = [p for _, _, p in points if p is not None]
+    failures, checked = [], 0
+    if k_planes and dk_planes:
+        others = k_labels[:, None] != dk_labels[None, :]
+        ok = transverse_mask(np.stack(k_planes), np.stack(dk_planes), cond_threshold, others)
+        checked = int(np.count_nonzero(others))
+        x, y = np.nonzero(others & ~ok)
+        failures = list(zip(k_labels[x].tolist(), dk_labels[y].tolist()))
     span_rank, span_dim = 0, 0
     if k_planes:
-        coords = np.stack([plucker_point(p).unit().coeffs for p in k_planes])
+        coords = maximal_minors(np.stack(k_planes))
+        coords /= np.linalg.norm(coords, axis=1)[:, None]
+        lead = np.take_along_axis(coords, np.abs(coords).argmax(axis=1)[:, None], axis=1)
+        coords *= np.where(lead < 0, -1.0, 1.0)
         span_dim = coords.shape[1]
         sv = np.linalg.svd(coords, compute_uv=False)
         span_rank = int(np.sum(sv > 1e-8 * sv[0]))
@@ -742,20 +744,12 @@ def pingpong_power(
         x, plane = transported(report.attracting_plane[:, 0], report.repelling_plane)
         players.append((name, base, x, plane, _hyperplane_normal(plane)))
 
-    inverse_of = {0: 1, 1: 0, 2: 3, 3: 2}
-    separations: list[float] = []
-    for i, (_, _, x_i, _, _) in enumerate(players):
-        for j, (_, _, _, plane_j, n_j) in enumerate(players):
-            if j == inverse_of[i]:
-                continue
-            sep = abs(float(x_i @ n_j))
-            if sep == 0.0 or not is_transverse(
-                x_i.reshape(-1, 1), plane_j, cond_threshold
-            ):
-                raise TransversalityFailure(
-                    "attracting/repelling data is not pairwise transverse"
-                )
-            separations.append(sep)
+    where = np.arange(4) != np.array([1, 0, 3, 2])[:, None]  # no player against its inverse
+    points, planes, normals = (np.stack([p[c] for p in players]) for c in (2, 3, 4))
+    separations = [abs(float(points[i] @ normals[j])) for i, j in zip(*np.nonzero(where))]
+    transverse = transverse_mask(points[:, :, None], planes, cond_threshold, where)
+    if 0.0 in separations or not transverse[where].all():
+        raise TransversalityFailure("attracting/repelling data is not pairwise transverse")
     for i in range(len(players)):
         for j in range(i + 1, len(players)):
             separations.append(_sin_distance_points(players[i][2], players[j][2]))

@@ -99,24 +99,20 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if not _has_type(value, f.type):
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
-        if self.radius < 0:
-            raise ConfigError("radius must be nonnegative")
+        # ell_min >= 1: a fit from length 0 would run through the identity
+        for name, low in (("radius", 0), ("ell_min", 1), ("seed", 0), ("threads", 1), ("max_n", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be {'at least 1' if low else 'nonnegative'}")
         for name in ("eps_gap", "alpha_min", "cond_threshold"):
             value = getattr(self, name)
             if value <= 0:
                 raise ConfigError(f"{name} must be positive")
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
         if not self.k or any(kk < 1 for kk in self.k):
             raise ConfigError("k indices must be positive")
         if len(set(self.k)) != len(self.k):
             raise ConfigError("k indices must be distinct")
-        if self.max_n < 1:
-            raise ConfigError("max_n must be at least 1")
         if "kind" not in self.construction:
             raise ConfigError("construction descriptor needs a 'kind'")
 
@@ -306,8 +302,9 @@ def cmd_certify(cfg: ExperimentConfig, rep: Representation, profile_only: bool) 
 
 def cmd_scan_positivity(cfg: ExperimentConfig, rep: Representation) -> Run:
     scans = cert.scan_positivities(rep, cfg.k, cfg.radius, eps_gap=cfg.eps_gap)
-    overall, code = _overall({r.verdict for r in scans},
-                             "NotPositivelyProximal", "PositivelyProximal", "NoProximalFound")
+    verdicts = {r.verdict for r in scans}
+    inconclusive = "Inconclusive" if "Inconclusive" in verdicts else "NoProximalFound"
+    overall, code = _overall(verdicts, "NotPositivelyProximal", "PositivelyProximal", inconclusive)
     summary = {"verdict": overall, "reports": [
         {**_fields(r, "k", "radius", "dim_scanned", "verdict", "witness", "witness_recheck",
                    "n_proximal", "n_negative"),

@@ -10,72 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
 from .errors import DegreeMismatch, DimensionMismatch, RankDeficient, ResourceLimit
-from .linalg import ScaledBatch, ScaledMatrix
-
-#: Largest allowed compound dimension C(d, k).
-COMPOUND_GUARD = 10_000
-
-#: Most float64 elements (4 MiB) that one batched compound or sign read stacks
-#: at once; larger batches are processed in consecutive row slices.
-STACK_ELEMENTS = 1 << 19
-
-
-@dataclass(frozen=True)
-class MultiIndexBasis:
-    """All sorted k-subsets of {0..d-1} in lexicographic order."""
-
-    d: int
-    k: int
-    subsets: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.subsets)
-
-
-@lru_cache(maxsize=None)
-def multi_index_basis(d: int, k: int) -> MultiIndexBasis:
-    if not 0 <= k <= d:
-        raise DegreeMismatch(f"degree {k} out of range for dimension {d}")
-    return MultiIndexBasis(d=d, k=k, subsets=tuple(combinations(range(d), k)))
-
-
-@lru_cache(maxsize=None)
-def _subset_positions(d: int, k: int) -> dict[tuple[int, ...], int]:
-    return {s: i for i, s in enumerate(multi_index_basis(d, k).subsets)}
-
-
-def merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
-    """Parity sign of sorting the concatenation of two sorted disjoint tuples."""
-    inversions = 0
-    for i in left:
-        for j in right:
-            if j < i:
-                inversions += 1
-    return -1 if inversions % 2 else 1
-
-
-@lru_cache(maxsize=None)
-def _complement_table(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each k-subset I: position of its complement in the (d-k)-basis,
-    and the sign of e_I wedge e_{I^c} against e_0 wedge ... wedge e_{d-1}."""
-    basis = multi_index_basis(d, k)
-    pos = _subset_positions(d, d - k)
-    comp = np.empty(basis.size, dtype=np.intp)
-    signs = np.empty(basis.size, dtype=np.int8)
-    for a, subset in enumerate(basis.subsets):
-        rest = tuple(sorted(set(range(d)) - set(subset)))
-        comp[a] = pos[rest]
-        signs[a] = merge_sign(subset, rest)
-    comp.setflags(write=False)
-    signs.setflags(write=False)
-    return comp, signs
+from .linalg import COMPOUND_GUARD, STACK_ELEMENTS, ScaledBatch, ScaledMatrix, maximal_minors
+from .linalg import _complement_table, _subset_positions, multi_index_basis
+from .linalg import MultiIndexBasis, merge_sign  # the index tables moved to linalg
 
 
 @dataclass(frozen=True)
@@ -198,13 +139,6 @@ def apply_compound(g: ScaledMatrix, v: ExteriorVector) -> ExteriorVector:
 _RANK_TOL = 1e-12
 
 
-def _minor_vector(columns: np.ndarray) -> np.ndarray:
-    """All maximal minors of a d x k matrix, ordered by row subset."""
-    d, k = columns.shape
-    rows = np.array(multi_index_basis(d, k).subsets, dtype=np.intp)
-    return np.linalg.det(columns[rows, :])
-
-
 def plucker_point(v: np.ndarray) -> ExteriorVector:
     """Pluecker coordinates of the span of the columns of ``v``.
 
@@ -217,10 +151,7 @@ def plucker_point(v: np.ndarray) -> ExteriorVector:
     sv = np.linalg.svd(v, compute_uv=False)
     if sv[-1] <= sv[0] * _RANK_TOL:
         raise RankDeficient("basis columns are linearly dependent")
-    d, k = v.shape
-    if math.comb(d, k) > COMPOUND_GUARD:
-        raise ResourceLimit(f"C({d},{k}) exceeds guard {COMPOUND_GUARD}")
-    return ExteriorVector.from_coeffs(d, k, _minor_vector(v))
+    return ExteriorVector.from_coeffs(*v.shape, maximal_minors(v[None])[0])
 
 
 def top_coefficient(a: ExteriorVector, b: ExteriorVector) -> float:

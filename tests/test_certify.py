@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -370,6 +371,48 @@ class TestLimitMapSample:
         assert audit.n_pairs_checked == checked
         assert 0 < len(failures) < checked
         assert audit.transversality_failures == tuple(failures)
+
+    @pytest.mark.parametrize("threshold", [1e8, 1e3, 30.0])
+    @pytest.mark.parametrize("which, k, radius", [("schottky", 1, 5), ("tau2rep", 2, 4)])
+    def test_audit_matches_per_label_svd_loop(self, request, monkeypatch, which, k, radius,
+                                              threshold):
+        import anosov.linalg
+
+        samples = limit_map_sample(request.getfixturevalue(which), k, radius)
+        points = []
+        for s in samples:
+            points += [(s.word, s.plus_k, s.plus_dk), (s.inverse_word, s.minus_k, s.minus_dk)]
+        failures, checked, coords = [], 0, []
+        for label_x, k_plane, _ in points:
+            if k_plane is None:
+                continue
+            minors = np.array([np.linalg.det(k_plane[list(rows)])
+                               for rows in itertools.combinations(range(len(k_plane)), k)])
+            coords.append(minors / np.linalg.norm(minors))
+            for label_y, _, dk_plane in points:
+                if dk_plane is None or label_y == label_x:
+                    continue
+                checked += 1
+                sv = np.linalg.svd(np.hstack([k_plane, dk_plane]), compute_uv=False)
+                if not (sv[-1] > 0.0 and sv[0] / sv[-1] < threshold):
+                    failures.append((label_x, label_y))
+        sv = np.linalg.svd(np.array(coords), compute_uv=False)
+        sent = []
+        rule = anosov.linalg._condition_rule
+        monkeypatch.setattr(anosov.linalg, "_condition_rule",
+                            lambda pairs, t: sent.append(len(pairs)) or rule(pairs, t))
+        audit = audit_limit_samples(samples, cond_threshold=threshold)
+        assert audit.n_pairs_checked == checked
+        assert audit.transversality_failures == tuple(failures)
+        span = (int(np.sum(sv > 1e-8 * sv[0])), len(coords[0]))
+        assert (audit.span_rank, audit.span_dim) == span
+        if threshold == 1e8:
+            assert not failures
+            if which == "schottky":
+                assert sum(sent) == 0  # every pair decided by its determinant
+        else:
+            assert 0 < len(failures) < checked
+            assert 0 < sum(sent) < checked
 
     def test_equivariance_on_conjugates(self, schottky):
         # attracting plane of h g h^-1 equals rho(h) times that of g

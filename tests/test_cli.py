@@ -250,6 +250,16 @@ class TestInvalidInputExits3:
         assert capsys.readouterr().err == f"error: {name} must be finite\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_ell_min_below_one(self, tmp_path, capsys, value):
+        # a fit from length 0 would run through the identity, whose log gap is 0
+        out = tmp_path / "run"
+        code = run("certify", "--construction", SCHOTTKY, "--radius", "2", "--ell-min", value,
+                   "--out", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: ell_min must be at least 1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["deform", "limit-set"])
     def test_negative_seed(self, tmp_path, capsys, command):
         out = tmp_path / "run"
@@ -421,6 +431,24 @@ class TestOtherCommands:
         assert report["witness"] == "abAB"
         assert report["witness_recheck"] is True
         assert (out / "positivity_k3.csv").exists()
+
+    def test_scan_positivity_unconfirmed_witness_exit2(self, tmp_path):
+        # Sym^9 at k=5: the ball scan finds a negative top eigenvalue at AB
+        # that the independent recheck does not confirm, so no refutation
+        out = tmp_path / "run"
+        desc = json.dumps(
+            {"kind": "sym-power", "m": 9,
+             "base": {"kind": "schottky", "rank": 2, "dilation": 3.0}}
+        )
+        code = run("scan-positivity", "--construction", desc, "--k", "5",
+                   "--radius", "2", "--out", str(out))
+        assert code == EXIT_INCONCLUSIVE
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["verdict"] == "Inconclusive"
+        report = summary["reports"][0]
+        assert report["verdict"] == "Inconclusive"
+        assert report["witness"] == "AB"
+        assert report["witness_recheck"] is False
 
     def test_limit_set_exit0(self, tmp_path):
         out = tmp_path / "run"

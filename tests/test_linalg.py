@@ -429,6 +429,110 @@ class TestStackedTransversality:
             is_transverse(e[:, :2], np.stack([e[:, 2:]]))
 
 
+class TestAllPairsTransversality:
+    """The all-pairs kernel against the per-pair SVD oracle of
+    :class:`TestStackedTransversality`, on planes placed at the condition
+    threshold and at the determinant screen's bound."""
+
+    per_pair = staticmethod(TestStackedTransversality.per_pair)
+
+    @staticmethod
+    def screen_bound(threshold):
+        return max(4.0 / threshold, 1e-10)
+
+    def planes(self, rng, d, k, threshold):
+        # v0 = <e0, ..., e_{k-1}>; w(t) = <cos t e0 + sin t e_k, e_{k+1}, ...>
+        # meets v0 at one principal angle t, the rest right angles, so
+        # cond[v0 | w(t)] = cot(t / 2) and |det[v0 | w(t)]| = sin t
+        e = np.eye(d)
+
+        def w(t):
+            return np.column_stack([np.cos(t) * e[0] + np.sin(t) * e[k], *e[k + 1 :]])
+
+        angles = [0.0, math.pi / 2]  # exactly dependent, orthogonal
+        for factor in (1 - 1e-4, 1 + 1e-4):
+            angles.append(2 * math.atan(1 / (threshold * factor)))
+            if self.screen_bound(threshold) * factor < 1:
+                angles.append(math.asin(self.screen_bound(threshold) * factor))
+        planes = [w(t) for t in angles]
+        planes += [orthonormalize(rng.standard_normal((d, d - k))) for _ in range(6)]
+        q = orthonormalize(rng.standard_normal((d, d)))
+        v0 = e[:, :k]
+        k_planes = np.stack([v0, q @ v0, orthonormalize(rng.standard_normal((d, k)))])
+        return k_planes, np.concatenate([planes, q @ np.stack(planes)])
+
+    @pytest.mark.parametrize("threshold", [1.5, 50.0, 1e8, 1e300])
+    @pytest.mark.parametrize("d, k", [(2, 1), (4, 2), (6, 3)])
+    def test_matches_per_pair_svd(self, rng, monkeypatch, d, k, threshold):
+        k_planes, dk_planes = self.planes(rng, d, k, threshold)
+        sent = []
+
+        def recording(pairs, cond_threshold):
+            sent.append(pairs.copy())
+            return rule(pairs, cond_threshold)
+
+        rule = linalg._condition_rule
+        monkeypatch.setattr(linalg, "_condition_rule", recording)
+        mask = transverse_mask(k_planes, dk_planes, threshold)
+        expected = [self.per_pair(v, dk_planes, threshold) for v in k_planes]
+        assert mask.shape == (len(k_planes), len(dk_planes))
+        assert mask.tolist() == expected
+        assert expected[0][:2] == [False, threshold > 1]  # dependent, orthogonal
+        for i, v in enumerate(k_planes):
+            assert transverse_mask(v, dk_planes, threshold).tolist() == expected[i]
+            assert [is_transverse(v, w, threshold) for w in dk_planes] == expected[i]
+        # only pairs the determinant cannot decide reach the SVD
+        dets = np.abs(np.linalg.det(np.concatenate(sent)))
+        assert np.all(dets <= self.screen_bound(threshold) * (1 + 1e-9))
+        if threshold > 4:
+            assert 0 < len(dets) < 3 * mask.size  # the 1 x n and 1 x 1 reruns included
+
+    @pytest.mark.parametrize("d, k", [(2, 1), (4, 2), (6, 3)])
+    def test_nan_plane_raises_like_per_pair(self, rng, d, k):
+        k_planes, dk_planes = self.planes(rng, d, k, 50.0)
+        dk_planes[3, 0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError) as per_pair:
+            self.per_pair(k_planes[0], dk_planes, 50.0)
+        with pytest.raises(np.linalg.LinAlgError) as all_pairs:
+            transverse_mask(k_planes, dk_planes, 50.0)
+        assert str(all_pairs.value) == str(per_pair.value) == "SVD did not converge"
+
+    @pytest.mark.parametrize("d, k", [(2, 1), (4, 2), (6, 3)])
+    def test_infinite_plane_reads_like_per_pair(self, rng, d, k):
+        # LAPACK returns NaN singular values here rather than raising
+        k_planes, dk_planes = self.planes(rng, d, k, 50.0)
+        dk_planes[3, 0, 0] = np.inf
+        expected = [self.per_pair(v, dk_planes, 50.0) for v in k_planes]
+        assert not any(row[3] for row in expected)
+        assert transverse_mask(k_planes, dk_planes, 50.0).tolist() == expected
+
+    @pytest.mark.parametrize("d, k", [(4, 2), (6, 3)])
+    def test_rounding_level_determinants_go_to_the_svd(self, rng, d, k):
+        # exactly dependent pairs in general position: |det| is rounding,
+        # up to about 1e-16, and cond up to about 1e18, so near T = 1e17
+        # only the 1e-10 floor keeps the screen from deciding them
+        e = np.eye(d)
+        q = orthonormalize(rng.standard_normal((100, d, d)))
+        k_planes = q @ e[:, :k]
+        dk_planes = q @ np.column_stack([e[0], *e[k + 1 :]])
+        mask = transverse_mask(k_planes, dk_planes, 1e17)
+        assert np.diagonal(mask).tolist() == [
+            self.per_pair(v, w[None], 1e17)[0] for v, w in zip(k_planes, dk_planes)
+        ]
+
+    @pytest.mark.parametrize("budget", [1, 24 * 36 * 5])  # 1 and 5 of the 43 rows per block
+    def test_row_blocks_give_the_same_mask(self, rng, monkeypatch, budget):
+        k_planes, dk_planes = self.planes(rng, 6, 3, 1e3)
+        k_planes = np.concatenate([k_planes, orthonormalize(rng.standard_normal((40, 6, 3)))])
+        whole = transverse_mask(k_planes, dk_planes, 1e3)
+        where = rng.random(whole.shape) < 0.7
+        masked = transverse_mask(k_planes, dk_planes, 1e3, where)
+        monkeypatch.setattr(linalg, "STACK_ELEMENTS", budget)
+        assert np.array_equal(transverse_mask(k_planes, dk_planes, 1e3), whole)
+        assert np.array_equal(transverse_mask(k_planes, dk_planes, 1e3, where), masked)
+        assert np.array_equal(masked, whole & where)
+
+
 def read_schur_form(t, eps_gap):
     """Log moduli, top sign (0 if undefined) and semi-proximal positivity of
     one real Schur form, read by walking down its diagonal: the per-matrix
