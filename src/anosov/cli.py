@@ -9,8 +9,11 @@ a run that fails while computing leaves no output directory behind.
 Exit codes: 0 success (Certified / PositivelyProximal / found, as the
 command requests), 1 refuted (Refuted / NotPositivelyProximal / audit
 failure), 2 inconclusive, 3 usage or configuration error, which includes
-every input a command cannot use: argument errors, non-finite thresholds,
-negative seeds and construction keys the kind does not read.
+every input a command cannot use: argument errors, a flag or config key the
+command does not read (:func:`_commands`), non-finite thresholds or
+``t_rotation``, negative seeds, construction keys the kind does not read, a
+from-file ``log_scale`` beyond the float64 range and a ``deform`` sign table
+above ``BALL_GUARD``.
 
 All randomness flows through the single seed recorded in the summary.  Runs
 are single-threaded: ``--threads`` is accepted for compatibility and ignored,
@@ -39,12 +42,13 @@ from .constructions import (
     fuchsian_surface_rep,
     perturb_path,
     realify_rep,
+    rotation_about_i,
     schottky_rep,
     sym_power_rep,
 )
-from .errors import NoProximalElements, ToolkitError
+from .errors import NoProximalElements, ResourceLimit, ToolkitError
 from .linalg import EPS_GAP, TRANSVERSALITY_COND, require_gap_index
-from .words import Representation, Word, parse_word, reduce_word
+from .words import BALL_GUARD, Representation, Word, enumerate_ball, parse_word, reduce_word
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -85,7 +89,6 @@ class ExperimentConfig:
     seed: int = 0
     out: str = "."
     threads: int = 1
-    # command-specific knobs
     magnitude: float = 0.01
     steps: int = 50
     g_word: str = "a"
@@ -109,6 +112,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive")
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite")
+        if self.t_rotation is not None and not math.isfinite(self.t_rotation):
+            raise ConfigError("t_rotation must be finite")
         if not self.k or any(kk < 1 for kk in self.k):
             raise ConfigError("k indices must be positive")
         if len(set(self.k)) != len(self.k):
@@ -118,16 +123,8 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         # threads omitted: it is ignored
-        return {
-            "construction": self.construction,
-            "k": self.k,
-            "radius": self.radius,
-            "eps_gap": self.eps_gap,
-            "alpha_min": self.alpha_min,
-            "ell_min": self.ell_min,
-            "cond_threshold": self.cond_threshold,
-            "seed": self.seed,
-        }
+        return _fields(self, "construction", "k", "radius", "eps_gap", "alpha_min", "ell_min",
+                       "cond_threshold", "seed")
 
 
 #: Annotations of the construction descriptor fields other than strings.
@@ -361,16 +358,17 @@ def cmd_limit_set(cfg: ExperimentConfig, rep: Representation) -> Run:
 def cmd_deform(cfg: ExperimentConfig, rep: Representation) -> Run:
     k = _single_k(cfg, "deform")
     require_gap_index(k, rep.dim)
+    # the walk fills one sign per path step and ball word, the identity included
+    entries = (cfg.steps + 1) * len(enumerate_ball(rep.presentation, cfg.radius))
+    if entries > BALL_GUARD:
+        raise ResourceLimit(f"deform sign table of {entries} entries exceeds guard {BALL_GUARD}")
     path = perturb_path(rep, cfg.magnitude, cfg.seed, cfg.steps)
     traces = cert.track_ball_along_path(path, cfg.radius, k, eps_gap=cfg.eps_gap)
     verdicts = [t.verdict for t in traces]
     counts = {v: verdicts.count(v) for v in ("ConstantSign", "SignChange", "Inconclusive")}
     first_bad = next((t for t in traces if t.verdict != "ConstantSign"), None)
     summary = {
-        "magnitude": cfg.magnitude,
-        "steps": cfg.steps,
-        "k": k,
-        "counts": counts,
+        "magnitude": cfg.magnitude, "steps": cfg.steps, "k": k, "counts": counts,
         "first_non_constant": None if first_bad is None else {
             "word": first_bad.word, "verdict": first_bad.verdict, "step": first_bad.failing_step
         },
@@ -395,8 +393,6 @@ def cmd_pingpong(cfg: ExperimentConfig, rep: Representation) -> Run:
     g = reduce_word(parse_word(cfg.g_word), rep.presentation)
     t: Word | np.ndarray
     if cfg.t_rotation is not None:
-        from .constructions import rotation_about_i
-
         if rep.dim != 2:
             raise ConfigError("--t-rotation requires a 2-dimensional representation")
         t = rotation_about_i(cfg.t_rotation)
@@ -416,8 +412,7 @@ def cmd_pingpong(cfg: ExperimentConfig, rep: Representation) -> Run:
     if result is None:
         line = f"pingpong: no power up to {cfg.max_n} satisfies the criterion"
         return Run(EXIT_INCONCLUSIVE, summary, [line])
-    summary["n"] = result.n
-    summary["delta"] = result.delta
+    summary.update(n=result.n, delta=result.delta)
     return Run(EXIT_OK, summary, [f"pingpong: N = {result.n} at delta = {result.delta:.4f}"])
 
 
@@ -428,24 +423,30 @@ def cmd_construct(cfg: ExperimentConfig, rep: Representation) -> Run:
                {target.absolute(): rep.to_json_dict()})
 
 
-def _commands() -> dict:
-    """Subcommand -> (handler, extra flags as (flag, type, config field)).
+#: Settings every command takes besides ``--config`` and ``--construction``.
+_COMMON = ("seed", "threads", "out")
 
-    Built on each call, so the handlers are looked up when the CLI runs.
+#: Settings whose flag is not ``--`` and the setting's name with dashes.
+_FLAG_NAMES = {"g_word": "--g", "t_word": "--t"}
+
+
+def _commands() -> dict:
+    """Subcommand -> (handler, the config fields it reads besides the common ones).
+
+    The one table of command settings: it gives each subcommand its flags,
+    and a config file may set no other field.  Built on each call, so the
+    handlers are looked up when the CLI runs.
     """
     return {
-        "construct": (cmd_construct, [("--emit", str, "emit")]),
-        "certify": (functools.partial(cmd_certify, profile_only=False), []),
-        "gap-profile": (functools.partial(cmd_certify, profile_only=True), []),
-        "scan-positivity": (cmd_scan_positivity, []),
-        "limit-set": (cmd_limit_set, []),
-        "deform": (cmd_deform, [("--magnitude", float, "magnitude"), ("--steps", int, "steps")]),
-        "pingpong": (cmd_pingpong, [
-            ("--g", str, "g_word"),
-            ("--t", str, "t_word"),
-            ("--t-rotation", float, "t_rotation"),
-            ("--max-n", int, "max_n"),
-        ]),
+        "construct": (cmd_construct, ("emit",)),
+        "certify": (functools.partial(cmd_certify, profile_only=False),
+                    ("radius", "k", "alpha_min", "ell_min")),
+        "gap-profile": (functools.partial(cmd_certify, profile_only=True), ("radius", "k")),
+        "scan-positivity": (cmd_scan_positivity, ("radius", "k", "eps_gap")),
+        "limit-set": (cmd_limit_set, ("radius", "k", "eps_gap", "cond_threshold")),
+        "deform": (cmd_deform, ("radius", "k", "eps_gap", "magnitude", "steps")),
+        "pingpong": (cmd_pingpong,
+                     ("eps_gap", "cond_threshold", "g_word", "t_word", "t_rotation", "max_n")),
     }
 
 
@@ -463,22 +464,18 @@ def _parser() -> argparse.ArgumentParser:
         "of free and surface groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in _commands().items():
-        p = sub.add_parser(name)
+    types = {"int": int, "float": float, "str": str, "list[int]": int}
+    annotations = {f.name: f.type.removesuffix(" | None") for f in fields(ExperimentConfig)}
+    for name, (_, settings) in _commands().items():
+        # no abbreviations: ``--t`` must not reach ``--threads`` where there is no ``--t``
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--construction", type=str, default=None,
                        help="inline JSON construction descriptor")
-        p.add_argument("--radius", type=int, default=None)
-        p.add_argument("--k", type=int, nargs="+", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--eps-gap", type=float, default=None)
-        p.add_argument("--alpha-min", type=float, default=None)
-        p.add_argument("--ell-min", type=int, default=None)
-        p.add_argument("--cond-threshold", type=float, default=None)
-        for flag, kind, dest in flags:
-            p.add_argument(flag, type=kind, default=None, dest=dest)
+        for setting in (*_COMMON, *settings):
+            kind = annotations[setting]
+            p.add_argument(_FLAG_NAMES.get(setting, "--" + setting.replace("_", "-")), dest=setting,
+                           type=types[kind], nargs="+" if kind.startswith("list") else None)
     return parser
 
 
@@ -488,6 +485,8 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ConfigError(f"config file {args.config!r} does not hold a JSON object")
         except FileNotFoundError:
             raise ConfigError(f"config file {args.config!r} not found")
         except json.JSONDecodeError as exc:
@@ -501,16 +500,14 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"bad inline construction JSON: {exc.msg}")
     if "construction" not in data:
         raise ConfigError("no construction given (use --config or --construction)")
-    fields = ExperimentConfig.__dataclass_fields__
-    for key in data:
-        if key not in fields:
-            raise ConfigError(f"unknown config field {key!r}")
+    settings = (*_COMMON, *_commands()[args.command][1])
+    unread = sorted(data.keys() - {"construction", *settings})
+    if unread:
+        raise ConfigError(f"command {args.command!r} does not read {', '.join(unread)}")
     cfg = ExperimentConfig(**data)
-    for name in fields:
-        # args.construction is the raw JSON text, already parsed into data
-        val = getattr(args, name, None)
-        if name != "construction" and val is not None:
-            setattr(cfg, name, val)
+    for name in settings:  # a flag overrides the config file
+        if getattr(args, name) is not None:
+            setattr(cfg, name, getattr(args, name))
     cfg.validate()
     return cfg
 

@@ -426,7 +426,10 @@ class Representation:
             entries = np.array(gen["entries"], dtype=float)
             if entries.shape != (data["dimension"], data["dimension"]):
                 raise DimensionMismatch("generator block has wrong shape")
-            mats.append(ScaledMatrix.from_array(entries, float(gen["log_scale"])))
+            log_scale = float(gen["log_scale"])
+            if not abs(log_scale) <= np.log(np.finfo(float).max):
+                raise ValueError(f"log_scale {log_scale} is not within +-709.78 = log(float64 max)")
+            mats.append(ScaledMatrix.from_array(entries, log_scale))
         return cls.from_generators(pres, mats)
 
     @classmethod

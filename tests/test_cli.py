@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import io
 import json
+import re
+import shlex
 import tracemalloc
 from pathlib import Path
 
@@ -37,6 +39,37 @@ DATA = Path(__file__).parent / "data"
 SCHOTTKY = '{"kind":"schottky","rank":2,"dilation":3.0}'
 TAU2 = '{"kind":"tau2-schottky","rank":2,"dilation":3.0,"twists":[0.3,0.7]}'
 SYM5 = '{"kind":"sym-power","m":5,"base":{"kind":"schottky","rank":2,"dilation":3.0}}'
+
+#: The settings each command reads besides --config, --construction, --seed, --threads, --out.
+READS = {
+    "construct": {"emit"},
+    "certify": {"radius", "k", "alpha_min", "ell_min"},
+    "gap-profile": {"radius", "k"},
+    "scan-positivity": {"radius", "k", "eps_gap"},
+    "limit-set": {"radius", "k", "eps_gap", "cond_threshold"},
+    "deform": {"radius", "k", "eps_gap", "magnitude", "steps"},
+    "pingpong": {"eps_gap", "cond_threshold", "g_word", "t_word", "t_rotation", "max_n"},
+}
+
+#: Setting -> (flag, a valid flag value, the same value in a config file).
+SETTINGS = {
+    "radius": ("--radius", "3", 3),
+    "k": ("--k", "1", [1]),
+    "eps_gap": ("--eps-gap", "0.001", 0.001),
+    "alpha_min": ("--alpha-min", "0.1", 0.1),
+    "ell_min": ("--ell-min", "2", 2),
+    "cond_threshold": ("--cond-threshold", "1e6", 1e6),
+    "magnitude": ("--magnitude", "0.01", 0.01),
+    "steps": ("--steps", "5", 5),
+    "g_word": ("--g", "a", "a"),
+    "t_word": ("--t", "b", "b"),
+    "t_rotation": ("--t-rotation", "1.5", 1.5),
+    "max_n": ("--max-n", "5", 5),
+    "emit": ("--emit", "rep.json", "rep.json"),
+}
+
+READ_PAIRS = [(c, s) for c in READS for s in SETTINGS if s in READS[c]]
+UNREAD_PAIRS = [(c, s) for c in READS for s in SETTINGS if s not in READS[c]]
 
 
 def run(*argv):
@@ -243,11 +276,104 @@ class TestInvalidInputExits3:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
     @pytest.mark.parametrize("name", ["eps_gap", "alpha_min", "cond_threshold"])
     def test_non_finite_threshold_in_config_file(self, tmp_path, capsys, name, value):
+        command = "certify" if name == "alpha_min" else "limit-set"  # a command that reads it
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"construction": json.loads(SCHOTTKY), name: value}))
         out = tmp_path / "run"
-        assert run("certify", "--config", str(cfg), "--radius", "3", "--out", str(out)) == EXIT_USAGE
+        assert run(command, "--config", str(cfg), "--radius", "3", "--out", str(out)) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {name} must be finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_t_rotation(self, tmp_path, capsys, value, source):
+        # cos(inf) raises inside rotation_about_i; "=" keeps -inf from reading as a flag
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"construction": json.loads(SCHOTTKY),
+                                   "t_rotation": float(value)}))
+        given = [f"--t-rotation={value}"] if source == "flag" else ["--config", str(cfg)]
+        out = tmp_path / "run"
+        code = run("pingpong", "--construction", SCHOTTKY, "--g", "a", *given, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: t_rotation must be finite\n"
+        assert not out.exists()
+
+    def test_command_table_holds_the_read_settings(self):
+        assert {name: set(settings) for name, (_, settings) in _commands().items()} == READS
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, setting", UNREAD_PAIRS,
+                             ids=[f"{c}-{s}" for c, s in UNREAD_PAIRS])
+    def test_unread_setting(self, tmp_path, capsys, command, setting, source):
+        flag, text, value = SETTINGS[setting]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"construction": json.loads(SCHOTTKY), setting: value}))
+        given = [flag, text] if source == "flag" else ["--config", str(cfg)]
+        out = tmp_path / "run"
+        code = run(command, "--construction", SCHOTTKY, *given, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: unrecognized arguments: {flag} {text}\n" if source == "flag"
+            else f"error: command {command!r} does not read {setting}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, setting", READ_PAIRS,
+                             ids=[f"{c}-{s}" for c, s in READ_PAIRS])
+    def test_read_setting_is_taken(self, tmp_path, command, setting):
+        flag, text, value = SETTINGS[setting]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"construction": json.loads(SCHOTTKY), setting: value}))
+        from_file = load_config(_parser().parse_args([command, "--config", str(cfg)]))
+        from_flag = load_config(_parser().parse_args([command, "--construction", SCHOTTKY,
+                                                      flag, text]))
+        assert getattr(from_file, setting) == getattr(from_flag, setting) == value
+
+    @pytest.mark.parametrize("command", list(READS))
+    def test_help_lists_only_read_settings(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--help")
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        common = {"--help", "--config", "--construction", "--seed", "--threads", "--out"}
+        assert listed == common | {SETTINGS[s][0] for s in READS[command]}
+
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        examples = [shlex.split(line)[1:] for line in lines if line.startswith("anosov ")]
+        assert len(examples) == 8
+        for argv in examples:
+            load_config(_parser().parse_args(argv))
+
+    def test_config_file_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[]")
+        out = tmp_path / "run"
+        code = run("certify", "--config", str(cfg), "--construction", SCHOTTKY, "--out", str(out))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: config file {str(cfg)!r} does not hold a JSON object\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["certify", "scan-positivity", "limit-set"])
+    @pytest.mark.parametrize("log_scale", [1e306, float("inf"), float("-inf"), float("nan")],
+                             ids=["1e306", "Infinity", "-Infinity", "NaN"])
+    def test_from_file_log_scale_out_of_range(self, tmp_path, capsys, command, log_scale):
+        # adding 1e306 to each log singular value absorbs every gap to 0
+        data = build_representation(json.loads(SCHOTTKY)).to_json_dict()
+        for gen in data["generators"]:
+            gen["log_scale"] = log_scale
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        code = run(command, "--construction", json.dumps({"kind": "from-file", "path": str(path)}),
+                   "--radius", "4", "--out", str(out))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: from-file path {str(path)!r} does not hold a representation "
+                              f"(ValueError: log_scale {log_scale} is not within")
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["-5", "0"])
@@ -540,6 +666,29 @@ class TestOtherCommands:
         code = run("deform", "--construction", SCHOTTKY, "--magnitude", "0.5",
                    "--out", str(tmp_path))
         assert code == EXIT_USAGE
+
+    def test_deform_sign_table_guard_precedes_the_path(self, tmp_path, capsys, monkeypatch):
+        def no_path(*args):
+            raise AssertionError("perturb_path called")
+
+        monkeypatch.setattr("anosov.cli.perturb_path", no_path)
+        out = tmp_path / "run"
+        code = run("deform", "--construction", SCHOTTKY, "--radius", "2",
+                   "--steps", "100000000000", "--out", str(out))
+        assert code == EXIT_USAGE
+        entries = 100000000001 * 17  # the radius-2 ball of F2 has 17 words
+        assert capsys.readouterr().err == (
+            f"error: deform sign table of {entries} entries exceeds guard 1000000\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("steps, code", [("3", EXIT_OK), ("4", EXIT_USAGE)])
+    def test_deform_sign_table_guard_counts_the_identity(self, tmp_path, monkeypatch, steps, code):
+        monkeypatch.setattr("anosov.cli.BALL_GUARD", 4 * 17)
+        out = tmp_path / "run"
+        assert run("deform", "--construction", SCHOTTKY, "--radius", "2", "--steps", steps,
+                   "--out", str(out)) == code
+        assert out.exists() == (code == EXIT_OK)
 
     def test_pingpong_rotation_exit0(self, tmp_path):
         out = tmp_path / "run"
