@@ -48,11 +48,10 @@ from .words import (
     Presentation,
     Representation,
     Word,
-    conjugacy_key,
+    cyclic_class_rows,
     enumerate_ball,
     evaluate,
     evaluate_ball,
-    is_primitive_cyclic,
     parse_word,
     word_str,
 )
@@ -380,9 +379,11 @@ def limit_map_sample(
     eps_gap: float = EPS_GAP,
     seed: int = 0,
 ) -> list[LimitSample]:
-    """One sample per conjugacy-distinct primitive ball word (cyclic dedup).
+    """One sample per primitive letter-level cyclic class of the ball.
 
-    The sampled words are classified by one :func:`proximality_reports`
+    The sampled words are the first of each class in ball order, found from
+    integer word codes by :func:`cyclic_class_rows`, and only they are
+    spelled out.  They are classified by one :func:`proximality_reports`
     call, the i-th with power-iteration audit generator
     ``default_rng([seed, i])``; the biproximal ones are inverted as one
     stack (:meth:`ScaledBatch.inverse`) and read by one more call, without
@@ -395,20 +396,8 @@ def limit_map_sample(
         raise InsufficientRadius("limit sampling needs radius >= 2")
     require_gap_index(k, rep.dim)
     ball = enumerate_ball(rep.presentation, radius)
-    images = evaluate_ball(rep, ball)
-    rows: list[int] = []
-    words: list[Word] = []
-    seen: set[tuple[int, ...]] = set()
-    for i, w in enumerate(ball.words()):
-        if len(w) == 0 or not is_primitive_cyclic(w.letters):
-            continue
-        key = conjugacy_key(w.letters)
-        if key in seen:
-            continue
-        seen.add(key)
-        rows.append(i)
-        words.append(w)
-    sampled = images.take(rows)
+    rows = cyclic_class_rows(ball)
+    sampled = evaluate_ball(rep, ball).take(rows)
     rngs = [np.random.default_rng([seed, index]) for index in range(len(rows))]
     try:
         fwd = proximality_reports(sampled, k, eps_gap=eps_gap, rngs=rngs)
@@ -426,7 +415,7 @@ def limit_map_sample(
         raise NoProximalElements(f"no P_{k}-proximal element in the radius-{radius} ball")
     inverse_planes = {j: (r.attracting_plane, r.repelling_plane) for j, r in zip(biproximal, bwd)}
     samples = []
-    for j, (w, report) in enumerate(zip(words, fwd)):
+    for j, (w, report) in enumerate(zip(ball.words_at(rows), fwd)):
         minus_k, plus_dk = inverse_planes.get(j, (None, None))
         samples.append(LimitSample(
             word=str(w), inverse_word=word_str(w.inverse().letters),

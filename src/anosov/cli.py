@@ -12,8 +12,8 @@ failure), 2 inconclusive, 3 usage or configuration error, which includes
 every input a command cannot use: argument errors, a flag or config key the
 command does not read (:func:`_commands`), non-finite thresholds or
 ``t_rotation``, negative seeds, construction keys the kind does not read, a
-from-file ``log_scale`` beyond the float64 range and a ``deform`` sign table
-above ``BALL_GUARD``.
+from-file ``log_scale`` beyond the float64 range, a ``deform`` radius below 1
+and a ``deform`` sign table above ``BALL_GUARD``.
 
 All randomness flows through the single seed recorded in the summary.  Runs
 are single-threaded: ``--threads`` is accepted for compatibility and ignored,
@@ -46,7 +46,7 @@ from .constructions import (
     schottky_rep,
     sym_power_rep,
 )
-from .errors import NoProximalElements, ResourceLimit, ToolkitError
+from .errors import InsufficientRadius, NoProximalElements, ResourceLimit, ToolkitError
 from .linalg import EPS_GAP, TRANSVERSALITY_COND, require_gap_index
 from .words import BALL_GUARD, Representation, Word, enumerate_ball, parse_word, reduce_word
 
@@ -358,6 +358,8 @@ def cmd_limit_set(cfg: ExperimentConfig, rep: Representation) -> Run:
 def cmd_deform(cfg: ExperimentConfig, rep: Representation) -> Run:
     k = _single_k(cfg, "deform")
     require_gap_index(k, rep.dim)
+    if cfg.radius < 1:  # the ball would hold no word to track
+        raise InsufficientRadius("deform needs radius >= 1")
     # the walk fills one sign per path step and ball word, the identity included
     entries = (cfg.steps + 1) * len(enumerate_ball(rep.presentation, cfg.radius))
     if entries > BALL_GUARD:

@@ -268,6 +268,15 @@ class Ball:
         out[0] = word_str(())
         return out
 
+    def words_at(self, rows: np.ndarray) -> list[Word]:
+        """The words at increasing rows of ``words()`` order; row 0, the identity, is dropped."""
+        starts = np.cumsum((0,) + self.sphere_sizes())
+        out: list[Word] = []
+        for n in range(1, len(starts) - 1):
+            at = rows[(starts[n] <= rows) & (rows < starts[n + 1])] - starts[n]
+            out += map(Word, _rebuild(self.parent[: n + 1], self.letter[: n + 1], at))
+        return out
+
     def lengths(self) -> np.ndarray:
         """``len(w)`` of every word, in ``words()`` order."""
         return np.repeat(np.arange(len(self.letter)), self.sphere_sizes())
@@ -471,41 +480,41 @@ def evaluate_ball(rep: Representation, ball: Ball) -> ScaledBatch:
     return ScaledBatch(entries, log_scale)
 
 
-def cyclic_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
-    w = _free_reduce(letters)
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return w
+def cyclic_class_rows(ball: Ball) -> np.ndarray:
+    """Rows of the first primitive word of each letter-level cyclic class, in ball order.
 
-
-def conjugacy_key(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """Shortlex-least rotation of the cyclic reduction of the word or its inverse.
-
-    This identifies words equal up to cyclic rotation and inversion (axis
-    identity), which is deduplication at the level of cyclic words only.
+    A class holds the words whose cyclic reductions (outer pairs of inverse
+    letters stripped) are rotations of one reduction or its inverse; a word
+    is primitive when no proper rotation of its reduction equals it.  Word
+    w·l has code code(w)·B + key(l), its inverse key(l⁻¹)·B^|w| + icode(w),
+    and class key B^r + the least code of a rotation of the length-r reduction
+    or its inverse (0: none).  Rotations roll one vector per sphere and length,
+    in the smallest type holding 2·B^R (Python ints past R = 62 at rank 1).
     """
-    w = cyclic_reduce(letters)
-    if not w:
-        return ()
-    # rotations share a length, so shortlex order between them is the order
-    # of their letter-key tuples
-    candidates = []
-    for base in (w, _inverse(w)):
-        keys = tuple(map(_letter_key, base))
-        candidates += [(keys[s:] + keys[:s], base[s:] + base[:s]) for s in range(len(w))]
-    return min(candidates)[1]
-
-
-def is_primitive_cyclic(letters: tuple[int, ...]) -> bool:
-    """Whether the cyclic reduction is not a proper power, at the letter level."""
-    w = cyclic_reduce(letters)
-    n = len(w)
-    if n == 0:
-        return False
-    for period in range(1, n):
-        if n % period == 0 and w == w[period:] + w[:period]:
-            return False
-    return True
+    base = len(ball.presentation.letters())
+    code_type = np.min_scalar_type(2 * base**ball.radius)
+    code = icode = np.zeros(1, dtype=code_type)
+    keys = [code]
+    for n, (parent, letter) in enumerate(zip(ball.parent[1:], ball.letter[1:]), start=1):
+        key = (2 * (np.abs(letter) - 1) + (letter < 0)).astype(code_type)
+        code, icode = code[parent] * base + key, (key ^ 1) * base ** (n - 1) + icode[parent]
+        # t outer pairs cancel cyclically where code and icode share t leading digits
+        strip = np.zeros(len(code), dtype=int)
+        for i in range(1, (n - 1) // 2 + 1):
+            strip += code // base ** (n - i) == icode // base ** (n - i)
+        keys.append(np.empty(len(code), dtype=code_type))
+        for t in np.unique(strip).tolist():
+            rows, r, top = np.flatnonzero(strip == t), n - 2 * t, base ** (n - 2 * t - 1)
+            w, iw = code[rows] // base**t % base**r, icode[rows] // base**t % base**r
+            least, power, turned = np.minimum(w, iw), np.zeros(len(rows), dtype=bool), (w, iw)
+            for _ in range(1, r):  # rotate one letter left
+                turned = tuple(x % top * base + x // top for x in turned)
+                power |= turned[0] == w
+                least = np.minimum(least, np.minimum(*turned))
+            keys[-1][rows] = np.where(power, 0, least + base**r)
+    keys = np.concatenate(keys)
+    _, first = np.unique(keys, return_index=True)
+    return np.sort(first[keys[first] > 0])
 
 
 def words_equal(u: Sequence[int], v: Sequence[int], p: Presentation) -> bool:

@@ -337,7 +337,7 @@ class TestLimitMapSample:
         assert "bab" not in words  # conjugate of a: same class as aB... dedup applies
         # no sample word is another's inverse or rotation
         keys = set()
-        from anosov.words import conjugacy_key
+        from word_oracle import conjugacy_key
 
         for s in samples:
             key = conjugacy_key(parse_word(s.word))
@@ -431,7 +431,8 @@ def per_word_limit_samples(rep, k, radius, eps_gap=1e-8, seed=0):
     """The sampling loop as it ran before the batched reports: one forward
     report per sampled word, then one for its inverse; the oracle for
     limit_map_sample."""
-    from anosov.words import conjugacy_key, is_primitive_cyclic, word_str
+    from anosov.words import word_str
+    from word_oracle import conjugacy_key, is_primitive_cyclic
 
     ball = enumerate_ball(rep.presentation, radius)
     images = evaluate_ball(rep, ball)
@@ -502,6 +503,16 @@ class TestLimitMapSampleOracle:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_sym5_compounds_free(self, schottky, k):
         self.assert_matches_oracle(sym_power_rep(schottky, 5), k, 2)
+
+    def test_fuchsian_genus2(self, fuchsian2):
+        # surface words: the class rows read canonical forms of eight letters
+        samples, _ = self.assert_matches_oracle(fuchsian2, 1, 4)
+        assert len(samples) == 366
+
+    def test_schottky_rank3(self):
+        rep = schottky_rep(SchottkyParams(rank=3, dilation=3.0))
+        samples, _ = self.assert_matches_oracle(rep, 1, 4)
+        assert len({s.word for s in samples}) == len(samples) > 0
 
     def test_marginal_gaps_warn_as_per_word(self):
         samples, warned = self.assert_matches_oracle(marginal_rep(), 1, 3)

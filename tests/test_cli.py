@@ -682,6 +682,19 @@ class TestOtherCommands:
         )
         assert not out.exists()
 
+    def test_deform_radius_zero_precedes_the_path(self, tmp_path, capsys, monkeypatch):
+        # the radius-0 ball holds only the identity: no word to track, not an all-zero success
+        def no_path(*args):
+            raise AssertionError("perturb_path called")
+
+        monkeypatch.setattr("anosov.cli.perturb_path", no_path)
+        out = tmp_path / "run"
+        code = run("deform", "--construction", SCHOTTKY, "--radius", "0", "--steps", "1",
+                   "--out", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: deform needs radius >= 1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("steps, code", [("3", EXIT_OK), ("4", EXIT_USAGE)])
     def test_deform_sign_table_guard_counts_the_identity(self, tmp_path, monkeypatch, steps, code):
         monkeypatch.setattr("anosov.cli.BALL_GUARD", 4 * 17)

@@ -31,7 +31,8 @@ from anosov import (
     words_equal,
 )
 from anosov.cli import ExperimentConfig, cmd_construct, write_run
-from anosov.words import conjugacy_key, cyclic_reduce, is_primitive_cyclic, shortlex_key
+from anosov.words import cyclic_class_rows, shortlex_key
+from word_oracle import conjugacy_key, cyclic_reduce, is_primitive_cyclic, per_word_class_rows
 
 F2 = Presentation.free(2)
 S2 = Presentation.surface(2)
@@ -535,3 +536,30 @@ class TestConjugacyHelpers:
         assert not is_primitive_cyclic(parse_word("abab"))
         assert not is_primitive_cyclic(())
         assert is_primitive_cyclic(parse_word("aabb"))
+
+
+class TestCyclicClassRows:
+    @pytest.mark.parametrize(
+        "p, radius",
+        [(F2, 9), (Presentation.free(3), 6), (S2, 5), (Presentation.surface(3), 4),
+         (Presentation.free(1), 70)],
+        ids=["free2-R9", "free3-R6", "genus2-R5", "genus3-R4", "free1-R70"],
+    )
+    def test_rows_match_per_word_loop(self, p, radius):
+        # free rank 1 at R=70 holds its codes (up to 2^71) as Python ints
+        ball = enumerate_ball(p, radius)
+        rows = cyclic_class_rows(ball)
+        assert rows.tolist() == per_word_class_rows(ball)
+        words = list(ball.words())
+        assert ball.words_at(rows) == [words[i] for i in rows]
+
+    def test_no_rotation_stack(self):
+        # an (m, L, L) stack of rotations at F2 R=10 would need about 126 MB
+        ball = enumerate_ball(F2, 10)
+        tracemalloc.start()
+        try:
+            cyclic_class_rows(ball)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
