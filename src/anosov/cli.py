@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -208,21 +207,37 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], columns: Sequence[Sequence]) -> None:
-    """Write equal-length columns (lists or arrays) as CSV rows.
+    """Write equal-length columns (lists or arrays) as CSV rows; raises
+    ``ValueError`` when the lengths differ.
 
     A field is ``str`` of a plain Python value, so a float is written as its
     ``repr``; no field holds a comma, quote or newline, so none is quoted.
     Rows are formatted and written :data:`CSV_CHUNK_ROWS` at a time, so only
-    one chunk's Python values and text are alive at once.
+    one chunk's Python values and text are alive at once.  Each distinct
+    array chunk is formatted once: a chunk with the same dtype and bytes as
+    an earlier one in its row range reuses that one's text (bits, not values:
+    0.0 and -0.0 differ, a NaN equals itself).  At d = 2, for instance,
+    ``log_gap_1`` and ``log_total_ratio`` hold the same numbers.
     """
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError(f"CSV columns differ in length: {[len(c) for c in columns]}")
     path.parent.mkdir(parents=True, exist_ok=True)
-    line = ",".join(["{}"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-            chunk = [c[lo : lo + CSV_CHUNK_ROWS] for c in columns]
-            chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
-            fh.write("".join(itertools.starmap(line.format, zip(*chunk))))
+        for lo in range(0, n, CSV_CHUNK_ROWS):
+            texts: dict = {}
+            fields = []
+            for c in columns:
+                chunk = c[lo : lo + CSV_CHUNK_ROWS]
+                if isinstance(chunk, np.ndarray):
+                    key = (chunk.dtype, chunk.tobytes())
+                    if key not in texts:
+                        texts[key] = list(map(str, chunk.tolist()))
+                    fields.append(texts[key])
+                else:
+                    fields.append(list(map(str, chunk)))
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 @dataclass

@@ -173,7 +173,7 @@ class ScaledBatch:
             raise SingularInput("zero matrix cannot be log-scaled")
         a /= m[:, None, None]
         # math.log, not np.log: the two can differ in the last ulp
-        logs = np.array([math.log(x) for x in m.tolist()])
+        logs = np.fromiter(map(math.log, m.tolist()), float, len(m))
         return cls(a, log_scale + logs)
 
     def __matmul__(self, other: ScaledMatrix) -> "ScaledBatch":

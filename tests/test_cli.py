@@ -20,6 +20,7 @@ from anosov import (
 )
 from anosov import certify as cert
 from anosov.cli import (
+    CSV_CHUNK_ROWS,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_REFUTED,
@@ -27,6 +28,7 @@ from anosov.cli import (
     ExperimentConfig,
     _commands,
     _parser,
+    _write_csv,
     build_representation,
     cmd_certify,
     load_config,
@@ -943,6 +945,23 @@ class TestCsvWriterOracle:
         )
         assert (tmp_path / "gap_profile.csv").read_bytes() == expected
 
+    @pytest.mark.parametrize("construction, radius", [
+        (SCHOTTKY, 6),
+        ('{"kind":"fuchsian-surface","genus":2}', 3),
+    ], ids=["schottky-r6", "surface-g2-r3"])
+    def test_gap_profile_d2(self, tmp_path, construction, radius):
+        # at d = 2 log_gap_1 and log_total_ratio are the same array bits, so
+        # the writer formats the column once and writes its text twice
+        assert run("gap-profile", "--construction", construction, "--k", "1",
+                   "--radius", str(radius), "--out", str(tmp_path)) == EXIT_OK
+        p, = cert.gap_profiles(build_representation(json.loads(construction)), [1], radius)
+        assert p.log_gap.tobytes() == p.log_total.tobytes()
+        expected = csv_module_bytes(
+            ["word", "length", "log_gap_1", "log_total_ratio"],
+            [[a.word, a.length, repr(a.log_gap), repr(a.log_total)] for a in p.rows],
+        )
+        assert (tmp_path / "gap_profile.csv").read_bytes() == expected
+
     def test_positivity_k3(self, tmp_path):
         assert run("scan-positivity", "--construction", SYM5, "--k", "3", "--radius", "4",
                    "--out", str(tmp_path)) == EXIT_REFUTED
@@ -978,6 +997,53 @@ class TestCsvWriterOracle:
              for t in traces],
         )
         assert (tmp_path / "deform_traces.csv").read_bytes() == expected
+
+
+class TestWriteCsv:
+    """``_write_csv`` on hand-made columns equals ``csv.writer`` output with
+    ``repr`` of floats, including columns whose chunks repeat another's."""
+
+    @staticmethod
+    def written(tmp_path, header, columns):
+        _write_csv(tmp_path / "t.csv", header, columns)
+        return (tmp_path / "t.csv").read_bytes()
+
+    @staticmethod
+    def oracle(header, columns):
+        return csv_module_bytes(header, zip(*(
+            [repr(v) if isinstance(v, float) else v for v in
+             (c.tolist() if isinstance(c, np.ndarray) else c)]
+            for c in columns)))
+
+    @pytest.mark.parametrize("columns", [
+        # equal as values, not as bits: their reprs differ
+        [np.zeros(3), -np.zeros(3)],
+        [np.array([0.0, -0.0, 1.5]), np.array([-0.0, 0.0, 1.5])],
+        # unequal as values, equal as bits
+        [np.full(3, np.nan), np.full(3, np.nan), np.array([np.nan, np.inf, -np.inf])],
+        # same bytes, different dtypes
+        [np.arange(3, dtype=np.int64), np.arange(3, dtype=np.int64).view(np.float64)],
+        [np.array([True, False, True]), np.array([1, 0, 1]), np.array([1, 0, 1])],
+        [["a", "bB", ""], np.array([1, 2, 3]), ["", 4, ""], np.array([0.1, 0.2, 0.3])],
+    ], ids=["zeros", "signed-zeros", "nan", "dtypes", "bool-int", "lists"])
+    def test_matches_oracle(self, tmp_path, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        assert self.written(tmp_path, header, columns) == self.oracle(header, columns)
+
+    def test_columns_equal_in_first_chunk_only(self, tmp_path):
+        n = CSV_CHUNK_ROWS + 1
+        x = np.linspace(0.0, 1.0, n)
+        y = x.copy()
+        y[-1] = -2.5
+        columns = [np.arange(n), x, y, x]
+        text = self.written(tmp_path, ["i", "x", "y", "x2"], columns)
+        assert text == self.oracle(["i", "x", "y", "x2"], columns)
+        assert text.endswith(f"{n - 1},1.0,-2.5,1.0\n".encode())
+
+    def test_columns_of_different_lengths_are_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="differ in length"):
+            _write_csv(tmp_path / "t.csv", ["a", "b"], [np.arange(3), [1, 2]])
+        assert not (tmp_path / "t.csv").exists()
 
 
 def test_gap_csv_memory_is_bounded(tmp_path):
