@@ -18,7 +18,6 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -616,6 +615,8 @@ class PingpongResult:
 
 
 def _hyperplane_normal(plane: np.ndarray) -> np.ndarray:
+    import scipy.linalg  # only ping-pong needs it: other commands start without it
+
     null = scipy.linalg.null_space(plane.T)
     if null.shape[1] != 1:
         raise TransversalityFailure("repelling plane is not a hyperplane")

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DeterminantNotOne,
@@ -183,10 +182,13 @@ def direct_sum(reps: Sequence[Representation]) -> Representation:
             raise PresentationMismatch(
                 f"{r.presentation.describe()} != {pres.describe()}"
             )
+    ends = np.cumsum([0] + [r.dim for r in reps])
     mats = []
     for gen in range(pres.n_generators):
-        blocks = [r.images[gen].array() for r in reps]
-        mats.append(ScaledMatrix.from_array(scipy.linalg.block_diag(*blocks)))
+        out = np.zeros((ends[-1], ends[-1]))
+        for r, lo, hi in zip(reps, ends[:-1], ends[1:]):
+            out[lo:hi, lo:hi] = r.images[gen].array()
+        mats.append(ScaledMatrix.from_array(out))
     return Representation.from_generators(pres, mats)
 
 
@@ -199,6 +201,10 @@ def symmetric_power(g: ScaledMatrix | np.ndarray, m: int) -> ScaledMatrix:
     """
     if m < 1:
         raise InvalidParams("symmetric power degree must be at least 1")
+    try:  # as doubles: past m = 67 the binomials overflow int64
+        weights = np.sqrt([float(math.comb(m, i)) for i in range(m + 1)])
+    except OverflowError:
+        raise InvalidParams(f"symmetric power degree {m} has binomials beyond double range")
     if isinstance(g, ScaledMatrix):
         if g.dim != 2:
             raise DimensionMismatch("symmetric powers are for 2x2 matrices")
@@ -229,7 +235,6 @@ def symmetric_power(g: ScaledMatrix | np.ndarray, m: int) -> ScaledMatrix:
                     * b**s
                     * d ** (j - s)
                 )
-    weights = np.sqrt([math.comb(m, i) for i in range(m + 1)])
     weighted = raw * (weights[None, :] / weights[:, None])
     return ScaledMatrix.from_array(weighted, m * log_scale)
 

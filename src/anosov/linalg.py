@@ -24,7 +24,6 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegreeMismatch,
@@ -310,8 +309,9 @@ def singular_values(g: ScaledMatrix) -> SingularValues:
     return SingularValues(log_values=_as_readonly(log_singular_values(ScaledBatch.stack([g]))[0]))
 
 
-#: LAPACK's double-precision real Schur routine, looked up once.
-_GEES = scipy.linalg.get_lapack_funcs(("gees",), (np.empty((1, 1)),))[0]
+#: LAPACK's double-precision real Schur routine, looked up on the first
+#: Schur form, so that commands taking none never import ``scipy.linalg``.
+_GEES = None
 
 
 def _no_select(re: float, im: float) -> None:
@@ -329,7 +329,13 @@ def _real_schur(
     The workspace is the minimal ``3d``, so there is no workspace query;
     failures raise :class:`EigensolveFailure` with the messages of SciPy's
     ``schur`` wrapper, which also validates its input and queries first.
+    The ``gees`` handle is looked up on the first Schur form.
     """
+    global _GEES
+    if _GEES is None:
+        import scipy.linalg
+
+        _GEES = scipy.linalg.get_lapack_funcs(("gees",), (np.empty((1, 1)),))[0]
     d = a.shape[0]
     t, sdim, _, _, z, _, info = _GEES(
         select or _no_select,

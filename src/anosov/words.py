@@ -241,31 +241,34 @@ class Ball:
     parent: tuple[np.ndarray, ...]
     letter: tuple[np.ndarray, ...]
 
-    def _build(self, root, extend) -> Iterator[list]:
-        """Per sphere, its words built as ``extend(parent's word, letter)``."""
-        sphere = [root]
-        yield sphere
-        for parent, letter in zip(self.parent[1:], self.letter[1:]):
-            sphere = [extend(sphere[i], l) for i, l in zip(parent.tolist(), letter.tolist())]
-            yield sphere
-
     @property
     def spheres(self) -> tuple[tuple[Word, ...], ...]:
-        return tuple(
-            tuple(map(Word, sphere)) for sphere in self._build((), lambda w, l: w + (l,))
-        )
+        sphere: list[tuple[int, ...]] = [()]
+        out = [sphere]
+        for parent, letter in zip(self.parent[1:], self.letter[1:]):
+            sphere = [sphere[i] + (l,) for i, l in zip(parent.tolist(), letter.tolist())]
+            out.append(sphere)
+        return tuple(tuple(map(Word, sphere)) for sphere in out)
 
     def words(self) -> Iterator[Word]:
         for sphere in self.spheres:
             yield from sphere
 
     def word_strings(self) -> list[str]:
-        """``str(w)`` of every word, in ``words()`` order."""
-        chars = {l: letter_str(l) for l in self.presentation.letters()}
-        out: list[str] = []
-        for sphere in self._build("", lambda s, l: s + chars[l]):
-            out += sphere
-        out[0] = word_str(())
+        """``str(w)`` of every word, in ``words()`` order.
+
+        Per sphere n, the code points of its words are an (m, n) array: the
+        parents' rows plus one letter column, read as m strings of length n.
+        """
+        offset = self.presentation.n_generators  # letters run from -offset to offset
+        points = np.zeros(2 * offset + 1, dtype=np.uint32)
+        for l in self.presentation.letters():
+            points[l + offset] = ord(letter_str(l))
+        out = [word_str(())]
+        rows = np.zeros((1, 0), dtype=np.uint32)
+        for n, (parent, letter) in enumerate(zip(self.parent[1:], self.letter[1:]), 1):
+            rows = np.column_stack([rows[parent], points[letter + offset]])
+            out += rows.view(f"U{n}").ravel().tolist()
         return out
 
     def words_at(self, rows: np.ndarray) -> list[Word]:

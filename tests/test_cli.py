@@ -2,8 +2,11 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -1059,3 +1062,54 @@ def test_gap_csv_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "gap_profile.csv").stat().st_size > 5 * 2**20
     assert peak < 4 * 2**20
+
+
+#: Runs commands in one fresh interpreter and prints, per command, its exit
+#: code and whether ``scipy.linalg`` was imported by then.
+SCIPY_PROBE = """
+import json, sys, tempfile
+from anosov import cli
+out = tempfile.mkdtemp()
+for argv in json.loads(sys.argv[1]):
+    code = cli.main([*argv, "--out", out])
+    print(json.dumps([argv[0], json.loads(argv[2])["kind"], code, "scipy.linalg" in sys.modules]))
+"""
+
+
+def test_scipy_linalg_is_loaded_only_for_a_schur_form():
+    kinds = [
+        {"kind": "schottky"},
+        {"kind": "fuchsian-surface", "genus": 2},
+        {"kind": "tau2-schottky", "twists": [0.3, 0.7]},
+        {"kind": "sym-power", "m": 3},
+        {"kind": "direct-sum", "summands": [{"kind": "schottky"}, {"kind": "sym-power", "m": 3}]},
+    ]
+    commands = [["construct"], ["gap-profile", "--radius", "4"], ["certify", "--radius", "4"]]
+    runs = [[c[0], "--construction", json.dumps(d), *c[1:]] for d in kinds for c in commands]
+    # the scan takes Schur forms, so the probe can see scipy.linalg arrive
+    runs.append(["scan-positivity", "--construction", '{"kind":"sym-power","m":3}', "--k", "3", "--radius", "2"])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(runs)],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    rows = [json.loads(line) for line in result.stdout.splitlines() if line.startswith("[")]
+    assert len(rows) == len(runs)
+    for command, kind, code, loaded in rows[:-1]:
+        assert code in (EXIT_OK, EXIT_REFUTED), (command, kind, code)
+        assert not loaded, (command, kind)
+    assert rows[-1] == ["scan-positivity", "sym-power", EXIT_OK, True]
+
+
+@pytest.mark.parametrize("m", [68, 100])
+def test_sym_power_past_int64_binomials_is_constructed(tmp_path, m):
+    # C(68, 34) > 2**63 once ended in a TypeError traceback, exit 1
+    desc = json.dumps({"kind": "sym-power", "m": m})
+    assert run("construct", "--construction", desc, "--out", str(tmp_path)) == EXIT_OK
+    assert json.loads((tmp_path / "representation.json").read_text())["dimension"] == m + 1
+
+
+def test_sym_power_past_double_binomials_exits_3(tmp_path, capsys):
+    desc = '{"kind":"sym-power","m":1030}'
+    assert run("construct", "--construction", desc, "--out", str(tmp_path)) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: symmetric power degree 1030 has binomials beyond double range\n"

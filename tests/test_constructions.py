@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from anosov import (
     ComplexRepresentation,
@@ -152,6 +153,17 @@ class TestDirectSum:
         with pytest.raises(PresentationMismatch):
             direct_sum([schottky2, diag_rep])
 
+    def test_blocks_match_scipy_block_diag(self, schottky2):
+        # 2 + 4 + 6: the Schottky group, its realified twist and its Sym^5
+        twisted = realify_rep(schottky_rep(SchottkyParams(rank=2, field="complex", twists=[0.3, 0.7])))
+        reps = [schottky2, twisted, sym_power_rep(schottky2, 5)]
+        summed = direct_sum(reps)
+        assert summed.dim == 12
+        for gen, got in enumerate(summed.images):
+            want = ScaledMatrix.from_array(scipy.linalg.block_diag(*(r.images[gen].array() for r in reps)))
+            assert got.entries.tobytes() == want.entries.tobytes()
+            assert got.log_scale == want.log_scale
+
     def test_commutes_with_evaluate(self, schottky2):
         doubled = direct_sum([schottky2, schottky2])
         w = (1, -2, 1, 1)
@@ -206,6 +218,18 @@ class TestSymmetricPower:
     def test_det_one_required(self):
         with pytest.raises(DeterminantNotOne):
             symmetric_power(np.diag([2.0, 1.0]), 3)
+
+    @pytest.mark.parametrize("m", [68, 100])
+    def test_binomials_past_int64(self, m):
+        # C(68, 34) > 2**63: the weights are taken as doubles
+        lam = 1.1
+        out = symmetric_power(np.diag([lam, 1 / lam]), m).array()
+        np.testing.assert_allclose(np.diag(out), lam ** np.arange(m, -m - 1, -2.0), rtol=1e-12)
+        np.testing.assert_array_equal(out - np.diag(np.diag(out)), 0.0)
+
+    def test_binomials_past_double_are_refused(self):
+        with pytest.raises(InvalidParams, match="degree 1030 has binomials beyond double range"):
+            symmetric_power(np.eye(2), 1030)
 
     def test_rep_level(self, schottky2):
         s5 = sym_power_rep(schottky2, 5)

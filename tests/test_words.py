@@ -300,6 +300,19 @@ class TestEnumerateBall:
         assert ball.word_strings() == [word_str(w) for w in oracle]
         assert ball.lengths().tolist() == [len(w) for w in oracle]
 
+    @pytest.mark.parametrize(
+        "p, radius",
+        [(F2, 10), (S2, 6), (Presentation.free(13), 3), (Presentation.surface(3), 4),
+         (Presentation.free(1), 30), (F2, 0)],
+        ids=["free2-r10", "genus2-r6", "free13-r3", "genus3-r4", "free1-r30", "radius0"],
+    )
+    def test_word_strings_are_str_of_words(self, p, radius):
+        # free rank 13 reaches the last letters, z and Z; radius 0 is "<id>"
+        ball = enumerate_ball(p, radius)
+        strings = ball.word_strings()
+        assert strings == [str(w) for w in ball.words()]
+        assert all(type(s) is str for s in strings)
+
     def test_surface_genus2_radius2(self):
         ball = enumerate_ball(S2, 2)
         assert ball.sphere_sizes() == (1, 8, 56)
