@@ -25,6 +25,7 @@ from .errors import (
 )
 from .linalg import (
     EPS_GAP,
+    MultiIndexBasis,
     ProximalityReport,
     ScaledBatch,
     ScaledMatrix,
@@ -32,6 +33,7 @@ from .linalg import (
     Spectrum,
     is_transverse,
     log_singular_values,
+    multi_index_basis,
     normalize_to_sl,
     orthonormalize,
     proximality_report,
@@ -44,12 +46,10 @@ from .linalg import (
 )
 from .exterior import (
     ExteriorVector,
-    MultiIndexBasis,
     PluckerHyperplane,
     apply_compound,
     compound_batch,
     compound_matrix,
-    multi_index_basis,
     plucker_hyperplane,
     plucker_point,
     symplectic_form,

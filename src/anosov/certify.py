@@ -27,9 +27,10 @@ from .errors import (
     ToolkitError,
     TransversalityFailure,
 )
-from .exterior import STACK_ELEMENTS, compound_batch, compound_matrix
+from .exterior import compound_batch, compound_matrix
 from .linalg import (
     EPS_GAP,
+    STACK_ELEMENTS,
     TRANSVERSALITY_COND,
     ScaledBatch,
     ScaledMatrix,
@@ -455,8 +456,9 @@ def audit_limit_samples(
     other label in one :func:`transverse_mask` call, whose verdicts are those
     of per-pair :func:`is_transverse` calls; failures are listed in (x, y)
     row-major order.  The span rank is read from the same stacked Pluecker
-    minors, each row scaled to unit norm with a positive largest entry, as
-    :meth:`ExteriorVector.unit` scales it.
+    minors, each row scaled to unit norm with a positive largest entry.  That
+    is :meth:`ExteriorVector.unit`'s scaling only up to the last bits: the
+    stacked row norm need not round as the one-vector norm does.
     """
     points = []
     for s in samples:
@@ -615,9 +617,10 @@ class PingpongResult:
 
 
 def _hyperplane_normal(plane: np.ndarray) -> np.ndarray:
-    import scipy.linalg  # only ping-pong needs it: other commands start without it
-
-    null = scipy.linalg.null_space(plane.T)
+    # the null space of plane^T, by scipy.linalg.null_space's rank rule
+    _, sv, vh = np.linalg.svd(plane.T)
+    rank = int(np.sum(sv > sv.max(initial=0.0) * max(plane.shape) * np.finfo(float).eps))
+    null = vh[rank:].T
     if null.shape[1] != 1:
         raise TransversalityFailure("repelling plane is not a hyperplane")
     vec = null[:, 0]

@@ -35,7 +35,6 @@ import numpy as np
 
 from . import certify as cert
 from .constructions import (
-    ComplexRepresentation,
     SchottkyParams,
     direct_sum,
     fuchsian_surface_rep,
@@ -126,77 +125,62 @@ class ExperimentConfig:
                        "cond_threshold", "seed")
 
 
-#: Annotations of the construction descriptor fields other than strings.
-_DESCRIPTOR_TYPES = {
-    "base": "dict",
-    "summands": "list[dict]",
-    "genus": "int",
-    "rank": "int",
-    "m": "int",
-    "dilation": "float | list[float]",
-    "angles": "list[float] | None",
-    "twists": "list[float] | None",
-    "trace_signs": "list[int] | None",
-    "path": "str",
-}
-
-#: Descriptor keys each construction kind reads besides ``kind``; any other is an error.
-_KIND_KEYS = {
-    "schottky": {"rank", "dilation", "angles", "field", "trace_signs", "twists"},
-    "tau2-schottky": {"rank", "dilation", "angles", "trace_signs", "twists"},
-    "sym-power": {"base", "m"},
-    "fuchsian-surface": {"genus"},
-    "direct-sum": {"summands"},
-    "from-file": {"path"},
-}
+def _direct_sum(summands: list | None = None) -> Representation:
+    if not summands:
+        raise ConfigError("direct-sum needs a 'summands' list")
+    return direct_sum([build_representation(s) for s in summands])
 
 
-def _schottky_params(desc: dict, force_complex: bool = False) -> SchottkyParams:
-    return SchottkyParams(
-        rank=desc.get("rank", 2),
-        dilation=desc.get("dilation", 3.0),
-        angles=desc.get("angles"),
-        field="complex" if force_complex else desc.get("field", "real"),
-        trace_signs=desc.get("trace_signs"),
-        twists=desc.get("twists"),
-    )
-
-
-def build_representation(desc: dict) -> Representation:
-    kind = desc.get("kind")
-    if not isinstance(kind, str) or kind not in _KIND_KEYS:
-        raise ConfigError(f"unknown construction kind {kind!r}")
-    unread = sorted(desc.keys() - _KIND_KEYS[kind] - {"kind"})
-    if unread:
-        raise ConfigError(f"construction kind {kind!r} does not read {', '.join(unread)}")
-    for name, annotation in _DESCRIPTOR_TYPES.items():
-        if name in desc and not _has_type(desc[name], annotation):
-            raise ConfigError(
-                f"construction {name} must be of type {annotation}, got {desc[name]!r}"
-            )
-    if kind == "schottky":
-        rep = schottky_rep(_schottky_params(desc))
-        if isinstance(rep, ComplexRepresentation):
-            raise ConfigError("complex schottky must go through tau2-schottky")
-        return rep
-    if kind == "tau2-schottky":
-        return realify_rep(schottky_rep(_schottky_params(desc, force_complex=True)))
-    if kind == "sym-power":
-        base = desc.get("base", {"kind": "schottky"})
-        return sym_power_rep(build_representation(base), desc.get("m", 5))
-    if kind == "fuchsian-surface":
-        return fuchsian_surface_rep(desc.get("genus", 2))
-    if kind == "direct-sum":
-        summands = desc.get("summands")
-        if not summands:
-            raise ConfigError("direct-sum needs a 'summands' list")
-        return direct_sum([build_representation(s) for s in summands])
-    path = desc.get("path")  # the one kind left: from-file
+def _from_file(path: str | None = None) -> Representation:
     try:
         return Representation.load(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         why = f"{type(exc).__name__}: {exc}"
         raise ConfigError(f"from-file path {path!r} does not hold a representation ({why})")
+
+
+#: Construction kind -> (builder, the descriptor keys it reads besides ``kind``
+#: with their annotations, in the order their types are checked).  A builder
+#: takes the keys a descriptor gives as keyword arguments; any other key is an
+#: error.  The Schottky builders pass on only the keys given, so the defaults
+#: are ``SchottkyParams``'.
+_KINDS = {
+    "schottky": (
+        lambda **keys: schottky_rep(SchottkyParams(**{"rank": 2, **keys})),
+        {"rank": "int", "dilation": "float | list[float]", "angles": "list[float] | None",
+         "trace_signs": "list[int] | None"},
+    ),
+    "tau2-schottky": (
+        lambda **keys: realify_rep(schottky_rep(SchottkyParams(**{"rank": 2, **keys},
+                                                               field="complex"))),
+        {"rank": "int", "dilation": "float | list[float]", "angles": "list[float] | None",
+         "twists": "list[float] | None", "trace_signs": "list[int] | None"},
+    ),
+    "sym-power": (
+        lambda base={"kind": "schottky"}, m=5: sym_power_rep(build_representation(base), m),
+        {"base": "dict", "m": "int"},
+    ),
+    "fuchsian-surface": (lambda genus=2: fuchsian_surface_rep(genus), {"genus": "int"}),
+    "direct-sum": (_direct_sum, {"summands": "list[dict]"}),
+    "from-file": (_from_file, {"path": "str"}),
+}
+
+
+def build_representation(desc: dict) -> Representation:
+    kind = desc.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ConfigError(f"unknown construction kind {kind!r}")
+    builder, annotations = _KINDS[kind]
+    keys = {name: value for name, value in desc.items() if name != "kind"}
+    unread = sorted(keys.keys() - annotations.keys())
+    if unread:
+        raise ConfigError(f"construction kind {kind!r} does not read {', '.join(unread)}")
+    for name, annotation in annotations.items():
+        if name in keys and not _has_type(keys[name], annotation):
+            raise ConfigError(
+                f"construction {name} must be of type {annotation}, got {keys[name]!r}"
+            )
+    return builder(**keys)
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -23,6 +23,7 @@ from .errors import (
     InvalidMagnitude,
     InvalidParams,
     PresentationMismatch,
+    SingularInput,
 )
 from .linalg import ScaledMatrix, normalize_to_sl
 from .words import Presentation, Representation
@@ -221,20 +222,20 @@ def symmetric_power(g: ScaledMatrix | np.ndarray, m: int) -> ScaledMatrix:
         entries, log_scale = g, 0.0
     a, b = entries[0, 0], entries[0, 1]
     c, d = entries[1, 0], entries[1, 1]
+    # each power as the scalar x**e, so every term has the bits of the term-by-term sum
+    pa, pb, pc, pd = (np.array([x**e for e in range(m + 1)]) for x in (a, b, c, d))
     raw = np.zeros((m + 1, m + 1))
     for j in range(m + 1):
-        # column j: expand (a x + c y)^(m-j) (b x + d y)^j over x^(m-i) y^i
-        for r in range(m - j + 1):
-            for s in range(j + 1):
-                i = (m - j - r) + (j - s)
-                raw[i, j] += (
-                    math.comb(m - j, r)
-                    * math.comb(j, s)
-                    * a**r
-                    * c ** (m - j - r)
-                    * b**s
-                    * d ** (j - s)
-                )
+        # column j: expand (a x + c y)^(m-j) (b x + d y)^j over x^(m-i) y^i;
+        # term (r, s) lands in row i = m - r - s, added in (r, s) order
+        r, s = np.arange(m - j + 1)[:, None], np.arange(j + 1)[None, :]
+        # binomial products as exact integers, each rounded once to a double
+        binomials = np.multiply.outer(
+            np.array([math.comb(m - j, e) for e in range(m - j + 1)], dtype=object),
+            np.array([math.comb(j, e) for e in range(j + 1)], dtype=object),
+        ).astype(float)
+        terms = binomials * pa[r] * pc[m - j - r] * pb[s] * pd[j - s]
+        np.add.at(raw[:, j], (m - r - s).ravel(), terms.ravel())
     weighted = raw * (weights[None, :] / weights[:, None])
     return ScaledMatrix.from_array(weighted, m * log_scale)
 
@@ -243,9 +244,12 @@ def sym_power_rep(rep: Representation, m: int) -> Representation:
     """Generator-wise symmetric power of an SL(2,R)-valued representation."""
     if rep.dim != 2:
         raise DimensionMismatch("base representation must be 2-dimensional")
-    return Representation.from_generators(
-        rep.presentation, [symmetric_power(g, m) for g in rep.images]
-    )
+    try:
+        return Representation.from_generators(
+            rep.presentation, [symmetric_power(g, m) for g in rep.images]
+        )
+    except SingularInput as exc:  # the images' range outgrows float64
+        raise SingularInput(f"symmetric power of degree {m}: {exc}") from None
 
 
 def fuchsian_surface_rep(genus: int) -> Representation:

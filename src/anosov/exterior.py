@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeMismatch, DimensionMismatch, RankDeficient, ResourceLimit
-from .linalg import COMPOUND_GUARD, STACK_ELEMENTS, ScaledBatch, ScaledMatrix, maximal_minors
-from .linalg import _complement_table, _subset_positions, multi_index_basis
-from .linalg import MultiIndexBasis, merge_sign  # the index tables moved to linalg
+from .linalg import COMPOUND_GUARD, ScaledBatch, ScaledMatrix, maximal_minors
+from .linalg import _complement_table, _subset_positions, merge_sign, multi_index_basis
 
 
 @dataclass(frozen=True)
@@ -90,11 +89,9 @@ def compound_batch(batch: ScaledBatch, k: int) -> ScaledBatch:
     """Induced action of every matrix of a batch on the k-th exterior power.
 
     Entry (I, J) of block i is the k x k minor of matrix i on rows I and
-    columns J, from determinant calls over (rows, C, C, k, k) minor stacks of
-    at most :data:`STACK_ELEMENTS` elements (at least one matrix each); the
-    blocks are then normalized by :meth:`ScaledBatch.from_arrays`, with k
-    times the input scale.  Determinants are per matrix, so the slicing does
-    not change a bit.
+    columns J: column J of every block is :func:`linalg.maximal_minors` of
+    the batch's columns J.  The blocks are then normalized by
+    :meth:`ScaledBatch.from_arrays`, with k times the input scale.
     """
     d = batch.entries.shape[-1]
     if not 1 <= k <= d - 1:
@@ -102,13 +99,9 @@ def compound_batch(batch: ScaledBatch, k: int) -> ScaledBatch:
     size = math.comb(d, k)
     if size > COMPOUND_GUARD:
         raise ResourceLimit(f"C({d},{k}) = {size} exceeds guard {COMPOUND_GUARD}")
-    rows = np.array(multi_index_basis(d, k).subsets, dtype=np.intp)
-    step = max(1, STACK_ELEMENTS // (size * size * k * k))
     minors = np.empty((len(batch), size, size))
-    for lo in range(0, len(batch), step):
-        # sub[n, a, b] = entries[n][I_a, :][:, J_b], batched over matrices and subset pairs
-        sub = batch.entries[lo : lo + step, rows[:, None, :, None], rows[None, :, None, :]]
-        minors[lo : lo + step] = np.linalg.det(sub)
+    for b, columns in enumerate(multi_index_basis(d, k).subsets):
+        minors[:, :, b] = maximal_minors(batch.entries[:, :, columns])
     return ScaledBatch.from_arrays(minors, k * batch.log_scale)
 
 

@@ -593,7 +593,7 @@ class TestTrackEll1:
         path = perturb_path(sym5, 0.01, seed=1, steps=8)
         whole = track_ball_along_path(path, 3, k)
         monkeypatch.setattr("anosov.certify.STACK_ELEMENTS", 7 * 400)
-        monkeypatch.setattr("anosov.exterior.STACK_ELEMENTS", 1)
+        monkeypatch.setattr("anosov.linalg.STACK_ELEMENTS", 1)
         assert track_ball_along_path(path, 3, k) == whole
         words = [w for w in enumerate_ball(F2, 3).words() if len(w) > 0]
         assert whole == [track_ell1_along_path(path, w, k) for w in words]
@@ -744,6 +744,20 @@ class TestPingpongOracle:
         result = pingpong_power(build(schottky), parse_word(g), t)
         assert (result.n, result.delta) == expected
         assert len(queries) > 100 and len(queries) % 4 == 0
+
+    def test_hyperplane_normal_is_scipy_null_space(self):
+        import scipy.linalg
+        from anosov.certify import _hyperplane_normal
+
+        rng = np.random.default_rng(3)
+        for d in (2, 3, 4, 6):
+            for _ in range(20):
+                plane = np.linalg.qr(rng.standard_normal((d, d - 1)))[0]
+                null = scipy.linalg.null_space(plane.T)[:, 0]
+                expect = null if null[np.argmax(np.abs(null))] > 0 else -null
+                assert np.array_equal(_hyperplane_normal(plane), expect)
+        with pytest.raises(TransversalityFailure, match="not a hyperplane"):
+            _hyperplane_normal(np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
 
     def test_empty_mask_reads_zero(self):
         from anosov.certify import _contraction_sup

@@ -133,9 +133,14 @@ class TestConfigHandling:
             ({"kind": "sym-power", "base": 5}, "base"),
             ({"kind": "direct-sum", "summands": "ab"}, "summands"),
             ({"kind": "from-file", "path": 5}, "path"),
+            # with several bad keys, the first in the kind's table is named
+            ({"kind": "tau2-schottky", "trace_signs": "z", "twists": 3, "angles": "x"}, "angles"),
+            ({"kind": "tau2-schottky", "trace_signs": "z", "twists": 3}, "twists"),
+            ({"kind": "sym-power", "m": "z", "base": 3}, "base"),
         ],
         ids=["genus-str", "dilation-str", "dilation-digit-str", "rank-bool", "m-str",
-             "base-int", "summands-str", "path-int"],
+             "base-int", "summands-str", "path-int", "first-of-three", "twists-first",
+             "base-first"],
     )
     def test_descriptor_value_of_wrong_type(self, tmp_path, capsys, desc, name):
         out = tmp_path / "run"
@@ -405,12 +410,16 @@ class TestInvalidInputExits3:
         [
             ({"kind": "schottky", "dilaton": 5.0}, "schottky", "dilaton"),
             ({"kind": "tau2-schottky", "field": "complex"}, "tau2-schottky", "field"),
+            # a real Schottky group has no twists, and no other field
+            ({"kind": "schottky", "twists": [0.3, 0.7]}, "schottky", "twists"),
+            ({"kind": "schottky", "field": "real"}, "schottky", "field"),
             ({"kind": "sym-power", "base": {"kind": "schottky", "rnak": 2}}, "schottky", "rnak"),
             ({"kind": "direct-sum", "summands": [{"kind": "schottky"},
                                                  {"kind": "fuchsian-surface", "rank": 2}]},
              "fuchsian-surface", "rank"),
         ],
-        ids=["top-level", "field-of-tau2", "nested-base", "nested-summand"],
+        ids=["top-level", "field-of-tau2", "twists-of-schottky", "field-of-schottky",
+             "nested-base", "nested-summand"],
     )
     def test_unread_construction_key(self, tmp_path, capsys, desc, kind, unread):
         out = tmp_path / "run"

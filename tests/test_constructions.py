@@ -14,6 +14,7 @@ from anosov import (
     Representation,
     ScaledMatrix,
     SchottkyParams,
+    SingularInput,
     compound_matrix,
     direct_sum,
     enumerate_ball,
@@ -230,6 +231,34 @@ class TestSymmetricPower:
     def test_binomials_past_double_are_refused(self):
         with pytest.raises(InvalidParams, match="degree 1030 has binomials beyond double range"):
             symmetric_power(np.eye(2), 1030)
+
+    @staticmethod
+    def term_by_term(g: ScaledMatrix, m: int) -> ScaledMatrix:
+        """The expansion summed one term at a time: the oracle of the array build."""
+        weights = np.sqrt([float(math.comb(m, i)) for i in range(m + 1)])
+        (a, b), (c, d) = g.entries
+        raw = np.zeros((m + 1, m + 1))
+        for j in range(m + 1):
+            for r in range(m - j + 1):
+                for s in range(j + 1):
+                    raw[m - r - s, j] += (math.comb(m - j, r) * math.comb(j, s)
+                                          * a**r * c ** (m - j - r) * b**s * d ** (j - s))
+        return ScaledMatrix.from_array(raw * (weights[None, :] / weights[:, None]), m * g.log_scale)
+
+    # binomial products pass 2**53 from m = 57 and 2**63 from m = 68
+    @pytest.mark.parametrize("m", [*range(1, 13), 33, 57, 67, 68, 80])
+    def test_matches_term_by_term_expansion(self, schottky2, fuchsian2, m):
+        for g in (*schottky2.images, *schottky2.inverse_images, *fuchsian2.images):
+            expect = self.term_by_term(g, m)
+            out = symmetric_power(g, m)
+            assert np.array_equal(out.entries, expect.entries)
+            assert out.log_scale == expect.log_scale
+
+    def test_underflow_names_the_degree(self):
+        # the images span 1e3**(2 m) = 1e360 in magnitude, past float64
+        base = schottky_rep(SchottkyParams(rank=2, dilation=1e3))
+        with pytest.raises(SingularInput, match="symmetric power of degree 60: matrix is singular"):
+            sym_power_rep(base, 60)
 
     def test_rep_level(self, schottky2):
         s5 = sym_power_rep(schottky2, 5)

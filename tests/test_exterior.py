@@ -28,7 +28,8 @@ from anosov import (
     symplectic_pairing_matrix,
     wedge,
 )
-from anosov.exterior import merge_sign, top_coefficient
+from anosov.exterior import top_coefficient
+from anosov.linalg import merge_sign
 
 
 def sm(a, log_scale=0.0):
@@ -166,7 +167,7 @@ class TestCompoundMatrix:
         # minor stacks, the last one short; every block must keep its bits
         sym5 = sym_power_rep(schottky_rep(SchottkyParams(rank=2, dilation=3.0)), 5)
         batch = evaluate_ball(sym5, enumerate_ball(Presentation.free(2), 4))
-        monkeypatch.setattr("anosov.exterior.STACK_ELEMENTS", budget)
+        monkeypatch.setattr("anosov.linalg.STACK_ELEMENTS", budget)
         compound = compound_batch(batch, k)
         for i in range(len(batch)):
             single = compound_matrix(batch[i], k)
