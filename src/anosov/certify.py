@@ -20,6 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
+    DegreeMismatch,
     DimensionMismatch,
     InsufficientRadius,
     NoProximalElements,
@@ -34,6 +35,7 @@ from .linalg import (
     TRANSVERSALITY_COND,
     ScaledBatch,
     ScaledMatrix,
+    class_spectra,
     log_singular_values,
     maximal_minors,
     orthonormalize,
@@ -45,10 +47,12 @@ from .linalg import (
     transverse_mask,
 )
 from .words import (
+    Ball,
     Presentation,
     Representation,
     Word,
     cyclic_class_rows,
+    cyclic_classes,
     enumerate_ball,
     evaluate,
     evaluate_ball,
@@ -262,10 +266,14 @@ class PositivityReport(_ColumnRecord):
     The verdict restricts the subgroup-level notion to the scanned ball:
     PositivelyProximal when proximal elements exist and all have positive
     top eigenvalue, NotPositivelyProximal with the first counterexample as
-    witness, NoProximalFound otherwise.  Words failing positive
-    semi-proximality obstruct any invariant properly convex cone, so they
-    are collected separately.  Per-word columns are in ball order;
-    ``ell1_sign`` is +-1 when the signed top eigenvalue is defined, else 0.
+    witness, NoProximalFound otherwise; Inconclusive when the witness's
+    recheck fails or, without a witness, when some word is unresolved.
+    Words failing positive semi-proximality obstruct any invariant properly
+    convex cone, so they are collected separately.  Per-word columns are in
+    ball order; ``ell1_sign`` is +-1 when the signed top eigenvalue is
+    defined, else 0.  An ``unresolved`` word's class did not settle (see
+    :func:`linalg.class_spectra`): it is neither proximal nor a
+    semi-proximality failure, and its ``log_gap`` is NaN.
     """
 
     k: int
@@ -277,12 +285,60 @@ class PositivityReport(_ColumnRecord):
     ell1_sign: np.ndarray
     semiproximal_positive: np.ndarray
     log_gap: np.ndarray
+    unresolved: np.ndarray
     n_proximal: int
     n_negative: int
+    n_unresolved: int
     verdict: str
     witness: str | None
     witness_recheck: bool
     semiproximal_failures: tuple[str, ...]
+
+
+def _ball_spectra(rep: Representation, ball: Ball) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log moduli, signs and unresolved flags of every ball word, in ball order.
+
+    One :func:`class_spectra` call on the class representatives of
+    :func:`cyclic_classes`; a word c^p takes p times its class's log moduli
+    and the p-th powers of its signs, and an inverted word the negated
+    moduli and the signs in reverse order.  The identity has all moduli 0.
+    """
+    classes = cyclic_classes(ball)
+    letters = ScaledBatch.stack([rep.image(l) for l in rep.presentation.letters()])
+    found = class_spectra(letters, [classes.letters[q] for q in sorted(classes.letters)])
+    index, power, flip = classes.index, classes.power[:, None], classes.inverted
+    # index -1, the identity, reads an appended row: moduli 0, signs +1, resolved
+    log_moduli = np.vstack([found.log_moduli, np.zeros(rep.dim)])[index] * power
+    signs = np.vstack([found.signs, np.ones(rep.dim, dtype=int)])[index]
+    signs = np.where(power % 2 == 1, signs, np.abs(signs))
+    log_moduli[flip], signs[flip] = -log_moduli[flip, ::-1], signs[flip, ::-1]
+    return log_moduli, signs, np.append(found.unresolved, False)[index]
+
+
+def _semiproximal_positive(log_moduli: np.ndarray, signs: np.ndarray, k: int,
+                           tol: float) -> np.ndarray:
+    """Whether some real positive eigenvalue of the k-th exterior power
+    attains its top modulus within ``tol`` (log scale), per row.
+
+    Those eigenvalues are the products of k base eigenvalues that take every
+    modulus above the k-th and the rest from the group tied with it.  A real
+    base eigenvalue may be taken alone, a complex pair (signs 0) only whole,
+    contributing a positive factor.
+    """
+    above = log_moduli - log_moduli[:, k - 1 : k] > tol
+    tied = ~above & (log_moduli - log_moduli[:, k - 1 : k] >= -tol)
+    rest = k - above.sum(axis=1)
+    sign = np.where(above & (signs != 0), signs, 1).prod(axis=1)
+    pos, neg = (tied & (signs > 0)).sum(axis=1), (tied & (signs < 0)).sum(axis=1)
+    pairs = (tied & (signs == 0)).sum(axis=1) // 2
+    found = np.zeros(len(log_moduli), dtype=bool)
+    for taken in range(k + 1):  # negative eigenvalues taken
+        left = rest - taken
+        lo, hi = np.maximum(0, left - 2 * pairs), np.minimum(pos, left)
+        found |= (taken <= neg) & (left >= 0) & (sign * (-1) ** taken > 0) & (
+            lo + (left - lo) % 2 <= hi
+        )
+    return found
 
 
 def scan_positivities(
@@ -293,22 +349,32 @@ def scan_positivities(
 ) -> list[PositivityReport]:
     """Scan signed top eigenvalues of the induced exterior-power actions.
 
-    Every compound representation is built before the ball is enumerated,
-    so an out-of-range k fails first; the ball is then enumerated once and
-    walked once per k with that k's compound generator images.  A negative
-    witness is re-verified through the independent route (compound of the
-    base-dimension product, fresh eigensolve): the verdict is
-    NotPositivelyProximal when the recheck confirms it, Inconclusive when not.
+    Every k is checked before the ball is enumerated.  All k values read one
+    :func:`class_spectra` call over the ball's cyclic classes: no compound
+    and no product is formed.  The top eigenvalue of the k-th exterior power
+    is the product of the k largest, simple exactly when the gap at k is
+    open (when k = d = 1, always), its sign the product of theirs with each
+    complex pair counting +1.  A negative witness is re-verified through the
+    independent route (compound of the base-dimension product, fresh
+    eigensolve): the verdict is NotPositivelyProximal when the recheck
+    confirms it, Inconclusive when not.
     """
-    creps = [compound_rep(rep, k) for k in ks]
+    d = rep.dim
+    for k in ks:
+        if k != 1 and not 1 <= k <= d - 1:
+            raise DegreeMismatch(f"compound degree {k} out of range for dimension {d}")
     ball = enumerate_ball(rep.presentation, radius)
     words, lengths = ball.word_strings(), ball.lengths()
+    log_moduli, signs, unresolved = _ball_spectra(rep, ball)
+    tol = math.log1p(eps_gap)
+    n_unresolved = int(np.count_nonzero(unresolved))
     reports = []
-    for k, crep in zip(ks, creps):
-        log_moduli, ell1_sign, semiproximal = spectra(evaluate_ball(crep, ball), eps_gap=eps_gap)
-        gapped = crep.dim > 1
-        log_gap = log_moduli[:, 0] - log_moduli[:, 1] if gapped else np.zeros(len(words))
-        proximal = gapped & (log_gap > math.log1p(eps_gap))
+    for k in ks:
+        log_gap = log_moduli[:, k - 1] - log_moduli[:, k] if k < d else np.zeros(len(words))
+        proximal = (k < d) & (log_gap > tol)
+        simple = ~unresolved & ((k == d) | proximal)
+        ell1_sign = np.where(simple, np.where(signs[:, :k] != 0, signs[:, :k], 1).prod(axis=1), 0)
+        semiproximal = _semiproximal_positive(log_moduli, signs, k, tol) | unresolved
         negative = np.flatnonzero(proximal & (ell1_sign < 0))
         witness = words[negative[0]] if len(negative) else None
         n_proximal = int(np.count_nonzero(proximal))
@@ -318,19 +384,21 @@ def scan_positivities(
             lifted = compound_matrix(base, k) if k > 1 else base
             sp = spectrum(lifted, eps_gap=eps_gap)
             recheck = sp.is_proximal(1) and sp.top_sign == -1
-        if n_proximal == 0:
-            verdict = "NoProximalFound"
-        elif witness is not None:
+        if witness is not None:
             verdict = "NotPositivelyProximal" if recheck else "Inconclusive"
+        elif n_unresolved:
+            verdict = "Inconclusive"
+        elif n_proximal == 0:
+            verdict = "NoProximalFound"
         else:
             verdict = "PositivelyProximal"
         reports.append(
             PositivityReport(
-                k=k, radius=radius, dim_scanned=crep.dim, words=words, lengths=lengths,
+                k=k, radius=radius, dim_scanned=math.comb(d, k), words=words, lengths=lengths,
                 proximal=proximal, ell1_sign=ell1_sign, semiproximal_positive=semiproximal,
-                log_gap=log_gap,
-                n_proximal=n_proximal, n_negative=len(negative), verdict=verdict,
-                witness=witness, witness_recheck=recheck,
+                log_gap=log_gap, unresolved=unresolved,
+                n_proximal=n_proximal, n_negative=len(negative), n_unresolved=n_unresolved,
+                verdict=verdict, witness=witness, witness_recheck=recheck,
                 semiproximal_failures=tuple(words[i] for i in np.flatnonzero(~semiproximal)),
             )
         )

@@ -303,7 +303,7 @@ def cmd_scan_positivity(cfg: ExperimentConfig, rep: Representation) -> Run:
     overall, code = _overall(verdicts, "NotPositivelyProximal", "PositivelyProximal", inconclusive)
     summary = {"verdict": overall, "reports": [
         {**_fields(r, "k", "radius", "dim_scanned", "verdict", "witness", "witness_recheck",
-                   "n_proximal", "n_negative"),
+                   "n_proximal", "n_negative", "n_unresolved"),
          "n_semiproximal_failures": len(r.semiproximal_failures)}
         for r in scans
     ]}

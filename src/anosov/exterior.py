@@ -90,7 +90,8 @@ def compound_batch(batch: ScaledBatch, k: int) -> ScaledBatch:
 
     Entry (I, J) of block i is the k x k minor of matrix i on rows I and
     columns J: column J of every block is :func:`linalg.maximal_minors` of
-    the batch's columns J.  The blocks are then normalized by
+    the batch's columns J, and one call reads the d x k column blocks of
+    every matrix, stacked.  The blocks are then normalized by
     :meth:`ScaledBatch.from_arrays`, with k times the input scale.
     """
     d = batch.entries.shape[-1]
@@ -99,10 +100,10 @@ def compound_batch(batch: ScaledBatch, k: int) -> ScaledBatch:
     size = math.comb(d, k)
     if size > COMPOUND_GUARD:
         raise ResourceLimit(f"C({d},{k}) = {size} exceeds guard {COMPOUND_GUARD}")
-    minors = np.empty((len(batch), size, size))
-    for b, columns in enumerate(multi_index_basis(d, k).subsets):
-        minors[:, :, b] = maximal_minors(batch.entries[:, :, columns])
-    return ScaledBatch.from_arrays(minors, k * batch.log_scale)
+    columns = np.array(multi_index_basis(d, k).subsets, dtype=np.intp)
+    blocks = batch.entries[:, :, columns].transpose(0, 2, 1, 3).reshape(-1, d, k)
+    minors = maximal_minors(blocks).reshape(len(batch), size, size).transpose(0, 2, 1)
+    return ScaledBatch.from_arrays(np.ascontiguousarray(minors), k * batch.log_scale)
 
 
 def compound_matrix(g: ScaledMatrix, k: int) -> ScaledMatrix:

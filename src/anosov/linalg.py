@@ -21,7 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -457,6 +457,162 @@ def spectrum(g: ScaledMatrix, eps_gap: float = EPS_GAP) -> Spectrum:
     """
     log_moduli, sign, semi = spectra(ScaledBatch.stack([g]), eps_gap)
     return Spectrum(_as_readonly(log_moduli[0]), int(sign[0]) or None, bool(semi[0]), eps_gap)
+
+
+#: Periods after which a class whose columns have not settled is unresolved.
+MAX_PERIODS = 128
+
+#: Relative change of a period's log moduli below which they have settled,
+#: and (times 16, at most 1e-2) the largest entry of Q_start^T Q_end below a
+#: split for which the leading subspace counts as invariant.  Both are raised
+#: to the rounding of one QR step, unit roundoff times the largest condition
+#: number of a letter's image: the floor at which the iteration stops
+#: improving.
+_SETTLE_TOL = 1e-12
+
+
+class ClassSpectra(NamedTuple):
+    """Eigenvalue data of products along cyclic words, one row per word.
+
+    ``log_moduli`` (n, d) is nonincreasing per row; ``signs`` (n, d) is +-1
+    for a real eigenvalue and 0 for each member of a complex-conjugate pair,
+    whose two columns are adjacent with equal moduli; an ``unresolved`` row
+    did not settle within :data:`MAX_PERIODS` periods and holds NaN moduli.
+    """
+
+    log_moduli: np.ndarray
+    signs: np.ndarray
+    unresolved: np.ndarray
+
+
+def _group_spectra(
+    m: np.ndarray, steps: Sequence[np.ndarray], log_diag: np.ndarray, split: np.ndarray,
+    real_tol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log moduli and signs of every group of columns between invariant splits.
+
+    ``m`` is Q_start^T Q_end over one period, ``steps`` the period's R
+    factors in the order taken and ``log_diag`` their summed log diagonals.
+    On the span of a group the period acts as ``m``'s diagonal block times
+    the product of the R blocks (diagonal blocks of triangular factors
+    multiply blockwise), so a group's eigenvalues are those of that small
+    product, each R block scaled by the geometric mean of its diagonal.  A
+    one-column group is a real eigenvalue whose sign is its entry of ``m``;
+    an eigenvalue with imaginary part within ``real_tol`` of its modulus is
+    read as real.
+    """
+    n, d = log_diag.shape
+    log_moduli, signs = np.empty((n, d)), np.empty((n, d), dtype=int)
+    rows, starts = np.nonzero(split[:, :d])
+    ends = np.append(starts[1:], d)
+    ends[np.append(rows[1:] != rows[:-1], True)] = d
+    for g in np.unique(ends - starts).tolist():
+        at = ends - starts == g
+        r, cols = rows[at, None], starts[at, None] + np.arange(g)
+        if g == 1:
+            mu, log_moduli[r, cols] = m[r, cols, cols], log_diag[r, cols]
+        else:
+            block = r[:, :, None], cols[:, :, None], cols[:, None, :]
+            product = np.broadcast_to(np.eye(g), (len(r), g, g))
+            for step in steps:
+                scale = np.log(np.diagonal(step[block], axis1=1, axis2=2)).mean(axis=1)
+                product = step[block] @ product / np.exp(scale)[:, None, None]
+            mu = np.linalg.eigvals(m[block] @ product)
+            mean = log_diag[r, cols].mean(axis=1, keepdims=True)
+            log_moduli[r, cols] = mean + np.log(np.abs(mu))
+        # a real eigenvalue of several at one modulus may come out with a
+        # rounding-size imaginary part: only a resolved one makes a pair
+        real = np.abs(np.imag(mu)) <= real_tol * np.abs(mu)
+        signs[r, cols] = np.where(real, np.sign(np.real(mu)), 0)
+    return log_moduli, signs
+
+
+@functools.cache
+def _generic_frame(d: int) -> np.ndarray:
+    """A fixed orthogonal d x d start for the class iteration: seeded, so that
+    no start column lies in an invariant subspace of structured images (the
+    coordinate planes of a realified diagonal matrix, say)."""
+    frame = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))[0]
+    frame.setflags(write=False)
+    return frame
+
+
+def class_spectra(letters: ScaledBatch, words: Sequence[np.ndarray]) -> ClassSpectra:
+    """Eigenvalues of the products along cyclic words, without forming them.
+
+    ``letters`` holds the image of each letter; ``words`` is a sequence of
+    (n_r, r) arrays of letter indices, one row per word, and the result has
+    their rows in that order.  All words of one array are iterated together:
+    Q <- qr(image(l) Q) letter by letter, last letter first, from a fixed
+    generic orthogonal frame (:func:`_generic_frame`), with each R diagonal
+    made positive.  Q_start^T Q_end over a period is block triangular
+    between the splits whose leading subspaces have become invariant, and
+    each group of columns between two such splits spans an invariant
+    subspace: its eigenvalues come from one small product (see
+    :func:`_group_spectra`), the R diagonals multiplying to their moduli.
+    A complex pair, or any cluster of equal moduli, settles only as a group.
+    A word is read, and leaves the stack, when two periods agree on the
+    splits and, to :data:`_SETTLE_TOL` relative (or the rounding floor of
+    its letters, if higher), on the log-diagonal sum of every group, and no
+    group spans more than that floor lets a formed product resolve; after
+    :data:`MAX_PERIODS` it is unresolved.  Eigenvalues are conjugacy
+    invariants, so a word stands for its class.
+    """
+    d = letters.entries.shape[-1]
+    sv = np.linalg.svd(letters.entries, compute_uv=False)
+    unit = np.finfo(float).eps / 2
+    tol = max(_SETTLE_TOL, float((sv[:, 0] / sv[:, -1]).max()) * unit)
+    split_tol, spread_limit = min(16 * tol, 1e-2), math.log(tol / unit)
+    parts = []
+    for codes in words:
+        n, r = codes.shape
+        log_moduli, signs = np.full((n, d), np.nan), np.zeros((n, d), dtype=int)
+        unresolved = np.ones(n, dtype=bool)
+        active = np.arange(n)
+        q = np.broadcast_to(_generic_frame(d), (n, d, d))
+        last = None
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for _ in range(MAX_PERIODS):
+                start, steps = q, []
+                for i in range(r - 1, -1, -1):
+                    q, rr = np.linalg.qr(letters.entries[codes[active, i]] @ q)
+                    flip = np.where(np.diagonal(rr, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
+                    q, rr = q * flip[:, None, :], rr * flip[:, :, None]
+                    steps.append(rr)
+                log_diag = sum(np.log(np.diagonal(rr, axis1=1, axis2=2)) for rr in steps)
+                m = np.swapaxes(start, 1, 2) @ q
+                split = np.ones((len(active), d + 1), dtype=bool)
+                for s in range(1, d):
+                    split[:, s] = np.abs(m[:, s:, :s]).max(axis=(1, 2)) <= split_tol
+                # per group of columns: its log-diagonal sum and spread, at each column
+                at = np.flatnonzero(split[:, :d].ravel())
+                sizes = np.diff(np.append(at, log_diag.size))
+                flat = log_diag.ravel()
+                sums = np.repeat(np.add.reduceat(flat, at), sizes).reshape(-1, d)
+                spread = np.maximum.reduceat(flat, at) - np.minimum.reduceat(flat, at)
+                narrow = np.repeat(spread <= spread_limit, sizes).reshape(-1, d).all(axis=1)
+                ready = last is not None and narrow & (split == last[0]).all(axis=1) & (
+                    np.abs(sums - last[1]) <= tol * np.maximum(np.abs(sums), 1.0)
+                ).all(axis=1)
+                if np.any(ready):
+                    done = active[ready]
+                    lm, sg = _group_spectra(m[ready], [rr[ready] for rr in steps],
+                                            log_diag[ready], split[ready], math.sqrt(tol))
+                    order = np.argsort(-lm, axis=1, kind="stable")
+                    rows = np.arange(len(done))[:, None]
+                    scale = letters.log_scale[codes[done]].sum(axis=1)
+                    log_moduli[done] = lm[rows, order] + scale[:, None]
+                    signs[done] = sg[rows, order]
+                    unresolved[done] = False
+                    keep = ~ready
+                    active, q, split, sums = active[keep], q[keep], split[keep], sums[keep]
+                    if not len(active):
+                        break
+                last = split, sums
+        parts.append((log_moduli, signs, unresolved))
+    if not parts:
+        return ClassSpectra(np.empty((0, d)), np.empty((0, d), dtype=int), np.empty(0, dtype=bool))
+    return ClassSpectra(*map(np.concatenate, zip(*parts)))
 
 
 def orthonormalize(a: np.ndarray) -> np.ndarray:

@@ -483,21 +483,40 @@ def evaluate_ball(rep: Representation, ball: Ball) -> ScaledBatch:
     return ScaledBatch(entries, log_scale)
 
 
-def cyclic_class_rows(ball: Ball) -> np.ndarray:
-    """Rows of the first primitive word of each letter-level cyclic class, in ball order.
+@dataclass(frozen=True)
+class CyclicClasses:
+    """Each ball row as a power of a primitive letter-level cyclic class.
 
-    A class holds the words whose cyclic reductions (outer pairs of inverse
-    letters stripped) are rotations of one reduction or its inverse; a word
-    is primitive when no proper rotation of its reduction equals it.  Word
-    w·l has code code(w)·B + key(l), its inverse key(l⁻¹)·B^|w| + icode(w),
-    and class key B^r + the least code of a rotation of the length-r reduction
-    or its inverse (0: none).  Rotations roll one vector per sphere and length,
-    in the smallest type holding 2·B^R (Python ints past R = 62 at rank 1).
+    Row i is conjugate (by letters) to ``c^power[i]``, or to ``c^-power[i]``
+    where ``inverted[i]``, with c the representative of class ``index[i]``;
+    the identity row has index -1 and power 0.  ``letters[q]`` holds the
+    representatives of length q, one row of letter keys each, and class
+    indices run through them by increasing q.  ``key`` is the class key of
+    every row: B^q + the code of its class's representative (0: identity).
+    """
+
+    key: np.ndarray
+    index: np.ndarray
+    power: np.ndarray
+    inverted: np.ndarray
+    letters: dict[int, np.ndarray]
+
+
+def cyclic_classes(ball: Ball) -> CyclicClasses:
+    """The primitive cyclic class, power and orientation of every ball row.
+
+    A row's cyclic reduction (outer pairs of inverse letters stripped) is a
+    power p of a primitive root; its class is the root's rotations and their
+    inverses, represented by the one of least code.  Word w·l has code
+    code(w)·B + key(l), its inverse key(l⁻¹)·B^|w| + icode(w).  Rotations
+    roll one vector per sphere and length, in the smallest type holding
+    2·B^R (Python ints past R = 62 at rank 1); the least rotation of root^p
+    is the p-th power of the root's least rotation, so its leading digits.
     """
     base = len(ball.presentation.letters())
     code_type = np.min_scalar_type(2 * base**ball.radius)
     code = icode = np.zeros(1, dtype=code_type)
-    keys = [code]
+    keys, powers, inverted = [code], [np.zeros(1, dtype=int)], [np.zeros(1, dtype=bool)]
     for n, (parent, letter) in enumerate(zip(ball.parent[1:], ball.letter[1:]), start=1):
         key = (2 * (np.abs(letter) - 1) + (letter < 0)).astype(code_type)
         code, icode = code[parent] * base + key, (key ^ 1) * base ** (n - 1) + icode[parent]
@@ -506,16 +525,43 @@ def cyclic_class_rows(ball: Ball) -> np.ndarray:
         for i in range(1, (n - 1) // 2 + 1):
             strip += code // base ** (n - i) == icode // base ** (n - i)
         keys.append(np.empty(len(code), dtype=code_type))
+        powers.append(np.empty(len(code), dtype=int))
+        inverted.append(np.empty(len(code), dtype=bool))
         for t in np.unique(strip).tolist():
             rows, r, top = np.flatnonzero(strip == t), n - 2 * t, base ** (n - 2 * t - 1)
             w, iw = code[rows] // base**t % base**r, icode[rows] // base**t % base**r
-            least, power, turned = np.minimum(w, iw), np.zeros(len(rows), dtype=bool), (w, iw)
-            for _ in range(1, r):  # rotate one letter left
+            period = np.full(len(rows), r, dtype=code_type)
+            least, turned = (w, iw), (w, iw)
+            for s in range(1, r):  # rotate one letter left
                 turned = tuple(x % top * base + x // top for x in turned)
-                power |= turned[0] == w
-                least = np.minimum(least, np.minimum(*turned))
-            keys[-1][rows] = np.where(power, 0, least + base**r)
+                period[(period == r) & (turned[0] == w)] = s
+                least = tuple(map(np.minimum, least, turned))
+            root = np.minimum(*least) // base ** (r - period)
+            keys[-1][rows] = root + base**period
+            powers[-1][rows] = r // period
+            inverted[-1][rows] = least[1] < least[0]
     keys = np.concatenate(keys)
+    classes, index = np.unique(keys, return_inverse=True)
+    letters = {}
+    for q in range(1, ball.radius + 1):
+        codes = classes[(base**q <= classes) & (classes < base ** (q + 1))] - base**q
+        if len(codes):
+            digits = [codes // base ** (q - 1 - i) % base for i in range(q)]
+            letters[q] = np.stack(digits, axis=1).astype(np.intp)
+    return CyclicClasses(
+        key=keys, index=index - 1, power=np.concatenate(powers),
+        inverted=np.concatenate(inverted), letters=letters,
+    )
+
+
+def cyclic_class_rows(ball: Ball) -> np.ndarray:
+    """Rows of the first primitive word of each letter-level cyclic class, in ball order.
+
+    A word is primitive when no proper rotation of its cyclic reduction
+    equals it; the classes are those of :func:`cyclic_classes`.
+    """
+    classes = cyclic_classes(ball)
+    keys = np.where(classes.power == 1, classes.key, 0)
     _, first = np.unique(keys, return_index=True)
     return np.sort(first[keys[first] > 0])
 

@@ -572,22 +572,32 @@ class TestOtherCommands:
         assert report["witness_recheck"] is True
         assert (out / "positivity_k3.csv").exists()
 
-    def test_scan_positivity_unconfirmed_witness_exit2(self, tmp_path):
-        # Sym^9 at k=5: the ball scan finds a negative top eigenvalue at AB
-        # that the independent recheck does not confirm, so no refutation
-        out = tmp_path / "run"
+    def test_scan_positivity_unconfirmed_witness_exit2(self, tmp_path, monkeypatch):
+        # Sym^9 at k=5 is positively proximal at R=2 (AB: gap 3.3614, sign +1)
         desc = json.dumps(
             {"kind": "sym-power", "m": 9,
              "base": {"kind": "schottky", "rank": 2, "dilation": 3.0}}
         )
-        code = run("scan-positivity", "--construction", desc, "--k", "5",
-                   "--radius", "2", "--out", str(out))
-        assert code == EXIT_INCONCLUSIVE
+        args = ("scan-positivity", "--construction", desc, "--k", "5", "--radius", "2")
+        assert run(*args, "--out", str(tmp_path / "true")) == EXIT_OK
+        # a false negative sign planted in the class spectra of ab is found by
+        # the ball scan, and the independent recheck does not confirm it
+        kernel = cert.class_spectra
+
+        def planted(letters, words):
+            found = kernel(letters, words)
+            row = len(words[0]) + np.flatnonzero((words[1] == [0, 2]).all(axis=1))[0]
+            found.signs[row, 0] *= -1
+            return found
+
+        monkeypatch.setattr(cert, "class_spectra", planted)
+        out = tmp_path / "run"
+        assert run(*args, "--out", str(out)) == EXIT_INCONCLUSIVE
         summary = json.loads((out / "summary.json").read_text())
         assert summary["verdict"] == "Inconclusive"
         report = summary["reports"][0]
         assert report["verdict"] == "Inconclusive"
-        assert report["witness"] == "AB"
+        assert report["witness"] == "ab"
         assert report["witness_recheck"] is False
 
     def test_limit_set_exit0(self, tmp_path):
@@ -1095,8 +1105,10 @@ def test_scipy_linalg_is_loaded_only_for_a_schur_form():
     ]
     commands = [["construct"], ["gap-profile", "--radius", "4"], ["certify", "--radius", "4"]]
     runs = [[c[0], "--construction", json.dumps(d), *c[1:]] for d in kinds for c in commands]
-    # the scan takes Schur forms, so the probe can see scipy.linalg arrive
+    # a scan reads class spectra and takes no Schur form ...
     runs.append(["scan-positivity", "--construction", '{"kind":"sym-power","m":3}', "--k", "3", "--radius", "2"])
+    # ... until a negative witness is rechecked, so the probe can see scipy.linalg arrive
+    runs.append(["scan-positivity", "--construction", '{"kind":"sym-power","m":5}', "--k", "3", "--radius", "4"])
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     result = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(runs)],
@@ -1107,7 +1119,7 @@ def test_scipy_linalg_is_loaded_only_for_a_schur_form():
     for command, kind, code, loaded in rows[:-1]:
         assert code in (EXIT_OK, EXIT_REFUTED), (command, kind, code)
         assert not loaded, (command, kind)
-    assert rows[-1] == ["scan-positivity", "sym-power", EXIT_OK, True]
+    assert rows[-1] == ["scan-positivity", "sym-power", EXIT_REFUTED, True]
 
 
 @pytest.mark.parametrize("m", [68, 100])

@@ -161,6 +161,29 @@ class TestCompoundMatrix:
             assert np.array_equal(single.entries, compound.entries[i])
             assert single.log_scale == compound.log_scale[i]
 
+    @pytest.mark.parametrize("m, k, radius", [(5, 2, 3), (5, 3, 3), (9, 5, 1)])
+    def test_one_minor_call_matches_one_call_per_column_block(self, monkeypatch, m, k, radius):
+        # the compound reads every column block in one maximal_minors call;
+        # determinants are per minor, so it equals one call per block bit for bit
+        import anosov.exterior
+        from anosov.linalg import maximal_minors
+
+        rep = sym_power_rep(schottky_rep(SchottkyParams(rank=2, dilation=3.0)), m)
+        batch = evaluate_ball(rep, enumerate_ball(Presentation.free(2), radius))
+        calls = []
+        monkeypatch.setattr(anosov.exterior, "maximal_minors",
+                            lambda planes: calls.append(len(planes)) or maximal_minors(planes))
+        compound = compound_batch(batch, k)
+        d, size = m + 1, math.comb(m + 1, k)
+        assert calls == [len(batch) * size]
+        minors = np.empty((len(batch), size, size))
+        for b, cols in enumerate(combinations(range(d), k)):
+            minors[:, :, b] = maximal_minors(batch.entries[:, :, cols])
+        scale = np.abs(minors).max(axis=(1, 2))
+        assert compound.entries.tobytes() == (minors / scale[:, None, None]).tobytes()
+        assert compound.log_scale.tobytes() == (
+            k * batch.log_scale + np.array([math.log(x) for x in scale])).tobytes()
+
     @pytest.mark.parametrize("k, budget", [(2, 900), (2, 5 * 900 + 1), (3, 6 * 3600)])
     def test_batch_in_row_slices_matches_compound_matrix(self, monkeypatch, k, budget):
         # a small stack budget splits the Sym^5 radius-4 ball into many

@@ -755,6 +755,89 @@ class TestSpectraOracle:
             assert np.array_equal(got, want)
 
 
+class TestClassSpectra:
+    """``class_spectra`` against ``np.linalg.eigvals`` of short, well-conditioned
+    formed products, and on the structures that settle only as 2-planes."""
+
+    @staticmethod
+    def letters(rng, d, count):
+        mats = []
+        for _ in range(count):
+            a = rng.standard_normal((d, d))
+            mats.append(a / abs(np.linalg.det(a)) ** (1 / d))
+        return ScaledBatch.stack([sm(a) for a in mats]), mats
+
+    def test_random_products_match_eigvals(self, rng):
+        d = 5
+        batch, mats = self.letters(rng, d, 3)
+        words = [rng.integers(0, 3, size=(40, r)) for r in (1, 2, 3, 4)]
+        found = linalg.class_spectra(batch, words)
+        rows = [w for group in words for w in group]
+        assert found.log_moduli.shape == (len(rows), d) and not found.unresolved.any()
+        for i, w in enumerate(rows):
+            product = np.linalg.multi_dot([mats[l] for l in w] + [np.eye(d)])
+            eig = np.linalg.eigvals(product)
+            eig = eig[np.argsort(-np.abs(eig), kind="stable")]
+            np.testing.assert_allclose(found.log_moduli[i], np.log(np.abs(eig)),
+                                       rtol=1e-9, atol=1e-9)
+            real = np.abs(eig.imag) <= 1e-9 * np.abs(eig)
+            signs = found.signs[i]
+            assert ((signs == 0) == ~real).all(), (w, eig, signs)
+            assert (signs[real] == np.sign(eig.real[real])).all(), (w, eig, signs)
+
+    def test_scales_add_per_letter(self):
+        batch = ScaledBatch.stack([sm(np.diag([2.0, 0.5]), 1.5), sm(np.diag([1.0, 1.0]), -0.25)])
+        found = linalg.class_spectra(batch, [np.array([[0, 1, 0]])])
+        np.testing.assert_allclose(found.log_moduli[0], [2 * math.log(2) + 2.75, -2 * math.log(2) + 2.75],
+                                   rtol=1e-13)
+
+    def test_complex_pair_and_opposite_real_pair_settle_as_planes(self, rng):
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        pair = q @ np.array([[0.0, -2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.25]]) @ q.T
+        opposite = q @ np.diag([2.0, -2.0, 0.25]) @ q.T
+        found = linalg.class_spectra(ScaledBatch.stack([sm(pair), sm(opposite)]),
+                                     [np.array([[0], [1]])])
+        assert not found.unresolved.any()
+        np.testing.assert_allclose(found.log_moduli, [[math.log(2)] * 2 + [math.log(0.25)]] * 2,
+                                   rtol=1e-12)
+        assert found.signs[0].tolist() == [0, 0, 1]
+        assert sorted(found.signs[1, :2].tolist()) == [-1, 1] and found.signs[1, 2] == 1
+
+    def test_equal_moduli_settle_as_one_group(self):
+        # a rotation of R^3 has three eigenvalues of modulus 1: no split inside
+        # them ever settles, and the group is read from its 3 x 3 block
+        axis = np.ones(3) / math.sqrt(3.0)
+        cross = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]],
+                          [-axis[1], axis[0], 0.0]])
+        turn = np.eye(3) + math.sin(1.0) * cross + (1 - math.cos(1.0)) * cross @ cross
+        found = linalg.class_spectra(ScaledBatch.stack([sm(turn)]), [np.array([[0]])])
+        assert found.unresolved.tolist() == [False]
+        np.testing.assert_allclose(found.log_moduli, 0.0, atol=1e-12)
+        assert sorted(found.signs[0].tolist()) == [0, 0, 1]
+
+    def test_parabolic_class_settles_at_modulus_one(self):
+        # a parabolic element with a long shear: its one split closes like 1/p,
+        # but its 2-column group has a settled determinant and narrows
+        q = np.linalg.qr(np.array([[1.0, 2.0], [-0.5, 1.0]]))[0]
+        shear = q @ np.array([[1.0, 1e3], [0.0, 1.0]]) @ q.T
+        found = linalg.class_spectra(ScaledBatch.stack([sm(shear)]), [np.array([[0]])])
+        assert found.unresolved.tolist() == [False]
+        np.testing.assert_allclose(found.log_moduli, 0.0, atol=1e-9)
+        assert found.signs.tolist() == [[1, 1]]
+
+    def test_unsettled_class_is_unresolved(self, monkeypatch):
+        # a word is read only when two periods agree
+        monkeypatch.setattr(linalg, "MAX_PERIODS", 1)
+        found = linalg.class_spectra(ScaledBatch.stack([sm(np.diag([2.0, 0.5]))]),
+                                     [np.array([[0], [0]])])
+        assert found.unresolved.tolist() == [True, True]
+        assert np.isnan(found.log_moduli).all() and (found.signs == 0).all()
+
+    def test_no_words(self):
+        found = linalg.class_spectra(ScaledBatch.stack([sm(np.eye(2))]), [])
+        assert found.log_moduli.shape == (0, 2) and len(found.unresolved) == 0
+
+
 class TestOrderedSchur:
     """``_invariant_plane`` runs the ordered Schur of ``scipy.linalg.schur``."""
 

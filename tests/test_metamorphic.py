@@ -6,6 +6,10 @@ dual must give the verdict it gives at d - k on rho.  A conjugate P rho P^-1
 moves every singular value by a factor between 1/cond(P) and cond(P), so
 every log gap moves by at most 2 log cond(P).
 
+The positivity scan reads eigenvalues, which are conjugation invariants:
+its columns must agree across the rotations, conjugates and powers of a
+word, and between a word at k and its inverse at d - k.
+
 Conjugation keeps the Schottky verdict, but not every finite-radius verdict:
 at cond(P) = 10 (seed 0) tau2-schottky k = 1 and 3 at R = 6 go from Refuted
 to Inconclusive, and the genus-2 surface group at R = 5 goes from Certified
@@ -22,11 +26,15 @@ from anosov import (
     ScaledMatrix,
     SchottkyParams,
     certify_anosov,
+    enumerate_ball,
     fuchsian_surface_rep,
     gap_profiles,
     realify_rep,
+    scan_positivities,
     schottky_rep,
+    sym_power_rep,
 )
+from word_oracle import conjugacy_key, cyclic_reduce
 
 # (construction, radius, k values)
 CASES = {
@@ -100,3 +108,74 @@ def test_conjugated_schottky_stays_certified(cond, seed):
     rep = conjugate(build(), conjugator(2, cond, seed))
     (profile,) = gap_profiles(rep, ks, radius)
     assert certify_anosov(profile).verdict == "Certified"
+
+
+# (construction, radius, k values) of the positivity scans
+SCAN_CASES = {
+    "schottky": (CASES["schottky"][0], 5, [1]),
+    "tau2-schottky": (CASES["tau2-schottky"][0], 5, [1, 2, 3]),
+    "sym5-schottky": (lambda: sym_power_rep(CASES["schottky"][0](), 5), 5, [1, 2, 3, 4, 5]),
+}
+
+
+def word_class(letters):
+    """(conjugacy key of the primitive root, power, inverted) of a word's
+    cyclic reduction, from the per-word oracle; the identity is ((), 0, False)."""
+    c = cyclic_reduce(letters)
+    if not c:
+        return (), 0, False
+    period = next(s for s in range(1, len(c) + 1) if c == c[s:] + c[:s])
+    root = c[:period]
+    key = conjugacy_key(root)
+    return key, len(c) // period, key not in {root[s:] + root[:s] for s in range(period)}
+
+
+@pytest.mark.parametrize("case", list(SCAN_CASES))
+def test_scan_columns_are_class_invariants(case):
+    # eigenvalues are conjugation invariants: every rotation and conjugate
+    # v c v^-1 of a word reads the same columns, a power u^p reads p times
+    # the gap of u and the p-th power of its sign, and the inverse at k
+    # reads the gap at d - k
+    build, radius, ks = SCAN_CASES[case]
+    rep = build()
+    d = rep.dim
+    reports = {r.k: r for r in scan_positivities(rep, ks, radius)}
+    ball = enumerate_ball(rep.presentation, radius)
+    classes = [word_class(w.letters) for w in ball.words()]
+    row_of = {w: i for i, w in enumerate(reports[ks[0]].words)}
+    first = {}
+    for i, c in enumerate(classes):
+        first.setdefault(c, i)
+    for report in reports.values():
+        assert report.n_unresolved == 0
+        for i, (key, power, inverted) in enumerate(classes):
+            j = first[key, power, inverted]
+            assert (report.proximal[i], report.ell1_sign[i], report.semiproximal_positive[i]) == (
+                report.proximal[j], report.ell1_sign[j], report.semiproximal_positive[j])
+            assert report.log_gap[i] == pytest.approx(report.log_gap[j], rel=1e-12, abs=1e-12)
+            if power > 1:
+                u = first[key, 1, inverted]
+                assert report.log_gap[i] == pytest.approx(power * report.log_gap[u], rel=1e-12)
+                assert report.proximal[i] == report.proximal[u]
+                assert report.ell1_sign[i] == report.ell1_sign[u] ** power
+        if d - report.k in reports:
+            dual = reports[d - report.k]
+            for i, w in enumerate(ball.words()):
+                j = row_of[str(w.inverse())]
+                assert dual.log_gap[j] == pytest.approx(report.log_gap[i], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("cond", [1e1, 1e2])
+def test_conjugated_sym5_scan_keeps_every_column(cond, seed):
+    # eigenvalues are read, not singular values, so conjugation moves no flag
+    # or verdict; the gaps agree to 3.9e-9 relative (cond 1e2, seed 1)
+    rep = SCAN_CASES["sym5-schottky"][0]()
+    before = scan_positivities(rep, [1, 2, 3], 6)
+    after = scan_positivities(conjugate(rep, conjugator(6, cond, seed)), [1, 2, 3], 6)
+    for p, q in zip(before, after):
+        for column in ("proximal", "ell1_sign", "semiproximal_positive", "unresolved"):
+            assert np.array_equal(getattr(q, column), getattr(p, column)), column
+        assert (q.verdict, q.witness, q.n_proximal, q.n_negative) == (
+            p.verdict, p.witness, p.n_proximal, p.n_negative)
+        np.testing.assert_allclose(q.log_gap, p.log_gap, rtol=1e-8, atol=0.0)

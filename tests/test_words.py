@@ -31,7 +31,7 @@ from anosov import (
     words_equal,
 )
 from anosov.cli import ExperimentConfig, cmd_construct, write_run
-from anosov.words import cyclic_class_rows, shortlex_key
+from anosov.words import cyclic_class_rows, cyclic_classes, shortlex_key
 from word_oracle import conjugacy_key, cyclic_reduce, is_primitive_cyclic, per_word_class_rows
 
 F2 = Presentation.free(2)
@@ -565,6 +565,32 @@ class TestCyclicClassRows:
         assert rows.tolist() == per_word_class_rows(ball)
         words = list(ball.words())
         assert ball.words_at(rows) == [words[i] for i in rows]
+
+    @pytest.mark.parametrize(
+        "p, radius",
+        [(F2, 8), (Presentation.free(3), 5), (S2, 4), (Presentation.free(1), 70)],
+        ids=["free2-R8", "free3-R5", "genus2-R4", "free1-R70"],
+    )
+    def test_classes_match_per_word_loop(self, p, radius):
+        # each row's cyclic reduction is a power of a primitive root, whose
+        # conjugacy key is its class representative, or the inverse of one
+        ball = enumerate_ball(p, radius)
+        classes = cyclic_classes(ball)
+        reps = [tuple((k // 2 + 1) * (-1 if k % 2 else 1) for k in row)
+                for q in sorted(classes.letters) for row in classes.letters[q].tolist()]
+        assert len(reps) == len(set(reps)) == classes.index.max() + 1
+        for i, w in enumerate(ball.words()):
+            c = cyclic_reduce(w.letters)
+            if not c:
+                assert (classes.index[i], classes.power[i], classes.key[i]) == (-1, 0, 0)
+                continue
+            period = next(s for s in range(1, len(c) + 1) if c == c[s:] + c[:s])
+            root = c[:period]
+            rep = reps[classes.index[i]]
+            assert rep == conjugacy_key(root), str(w)
+            assert classes.power[i] == len(c) // period
+            rotations = {root[s:] + root[:s] for s in range(period)}
+            assert bool(classes.inverted[i]) == (rep not in rotations), str(w)
 
     def test_no_rotation_stack(self):
         # an (m, L, L) stack of rotations at F2 R=10 would need about 126 MB
