@@ -25,7 +25,6 @@ from .errors import (
     InsufficientRadius,
     NoProximalElements,
     NotBiproximal,
-    ToolkitError,
     TransversalityFailure,
 )
 from .exterior import compound_batch, compound_matrix
@@ -453,35 +452,31 @@ def limit_map_sample(
     integer word codes by :func:`cyclic_class_rows`, and only they are
     spelled out.  They are classified by one :func:`proximality_reports`
     call, the i-th with power-iteration audit generator
-    ``default_rng([seed, i])``; the biproximal ones are inverted as one
-    stack (:meth:`ScaledBatch.inverse`) and read by one more call, without
-    the audit.  When either stage fails, the per-word loop is rerun so that
-    the error raised is that of the first failing word, its forward report
-    before its inverse's.  Raises NoProximalElements when no sampled word is
-    proximal at k.
+    ``default_rng([seed, i])``.  The planes of a biproximal word's inverse
+    are its own planes at d - k, the roles swapped: its inverse attracts to
+    its repelling k-plane and repels from its attracting (d-k)-plane.  When
+    2k = d they are read from the same reports; otherwise from one more
+    call, at d - k and without the audit, on the same matrices.  No matrix
+    is inverted.  The first failure met, stage by stage, raises.  Raises
+    NoProximalElements when no sampled word is proximal at k.
     """
     if radius < 2:
         raise InsufficientRadius("limit sampling needs radius >= 2")
-    require_gap_index(k, rep.dim)
+    d = rep.dim
+    require_gap_index(k, d)
     ball = enumerate_ball(rep.presentation, radius)
     rows = cyclic_class_rows(ball)
     sampled = evaluate_ball(rep, ball).take(rows)
     rngs = [np.random.default_rng([seed, index]) for index in range(len(rows))]
-    try:
-        fwd = proximality_reports(sampled, k, eps_gap=eps_gap, rngs=rngs)
-        biproximal = [j for j, report in enumerate(fwd) if report.is_biproximal]
-        inverses = sampled.take(biproximal).inverse()
-        bwd = proximality_reports(inverses, k, eps_gap=eps_gap, verify=False)
-    except ToolkitError:
-        for index in range(len(rows)):
-            m = sampled[index]
-            rng = np.random.default_rng([seed, index])
-            if proximality_report(m, k, eps_gap=eps_gap, rng=rng).is_biproximal:
-                proximality_report(m.inverse(), k, eps_gap=eps_gap, rng=rng, verify=False)
-        raise
+    fwd = proximality_reports(sampled, k, eps_gap=eps_gap, rngs=rngs)
     if not any(report.is_proximal for report in fwd):
         raise NoProximalElements(f"no P_{k}-proximal element in the radius-{radius} ball")
-    inverse_planes = {j: (r.attracting_plane, r.repelling_plane) for j, r in zip(biproximal, bwd)}
+    biproximal = [j for j, report in enumerate(fwd) if report.is_biproximal]
+    if 2 * k == d:
+        dual = [fwd[j] for j in biproximal]
+    else:
+        dual = proximality_reports(sampled.take(biproximal), d - k, eps_gap=eps_gap, verify=False)
+    inverse_planes = {j: (r.repelling_plane, r.attracting_plane) for j, r in zip(biproximal, dual)}
     samples = []
     for j, (w, report) in enumerate(zip(ball.words_at(rows), fwd)):
         minus_k, plus_dk = inverse_planes.get(j, (None, None))
@@ -652,22 +647,16 @@ def track_ball_along_path(
 
     Each path step evaluates the whole ball once (:func:`evaluate_ball`) and
     reads every word's top sign from one compound and one :func:`spectra`
-    call; the traces equal :func:`track_ell1_along_path` word by word.  When
-    the walk fails, the per-word loop is rerun so that the error raised is
-    that of the first failing word, at its first failing step.
+    call; the traces equal :func:`track_ell1_along_path` word by word.  The
+    first failure met, path step by path step and in ball order within a
+    step, raises.
     """
     ball = enumerate_ball(path[0].presentation, radius)
-    try:
-        per_step = []
-        for rep in path:
-            images = evaluate_ball(rep, ball)
-            words = ScaledBatch(images.entries[1:], images.log_scale[1:])  # no identity
-            per_step.append(_top_signs(words, k, eps_gap))
-    except ToolkitError:
-        for w in ball.words():
-            if len(w) > 0:
-                track_ell1_along_path(path, w, k, eps_gap)
-        raise
+    per_step = []
+    for rep in path:
+        images = evaluate_ball(rep, ball)
+        words = ScaledBatch(images.entries[1:], images.log_scale[1:])  # no identity
+        per_step.append(_top_signs(words, k, eps_gap))
     return [
         _sign_trace(word, k, [p[i] for p, _ in per_step], [s[i] for _, s in per_step])
         for i, word in enumerate(ball.word_strings()[1:])
@@ -771,56 +760,48 @@ def pingpong_power(
     ``t`` may be a word of the group or an explicit conjugating matrix (for
     example a rotation moving the axis of g onto a transverse axis).
     Returns None when no N <= max_n satisfies the criterion; raises
-    NotBiproximal when g is not biproximal at k = 1 or the report of its
-    inverse finds no gap.  The sines of all sample directions are computed
-    once per player and power, so each bisection query is one masked maximum.
+    NotBiproximal when g is not biproximal at k = 1.  The attracting point
+    of g^-1 is g's repelling line at d - 1 and its repelling hyperplane g's
+    attracting one, read from g's report at k = 1 when d = 2 and from one
+    report at d - 1 otherwise.  The sines of all sample directions are
+    computed once per player and power, so each bisection query is one
+    masked maximum.
     """
     mg = evaluate(rep, g)
+    d = mg.dim
     fwd = proximality_report(mg, 1, eps_gap=eps_gap, verify=False)
     if not fwd.is_biproximal:
         raise NotBiproximal("base element is not biproximal at k = 1")
     conj = _conjugator(rep, t)
-    if conj.dim != mg.dim:
+    if conj.dim != d:
         raise DimensionMismatch("conjugator dimension mismatch")
-
-    mg_inv = mg.inverse()
-    bwd = proximality_report(mg_inv, 1, eps_gap=eps_gap, verify=False)
-    if not bwd.is_proximal:
-        raise NotBiproximal("inverse of the base element is not proximal at k = 1")
+    dual = fwd if d == 2 else proximality_report(mg, d - 1, eps_gap=eps_gap, verify=False)
     b_mat = conj @ mg @ conj.inverse()
-
-    def transported(point: np.ndarray, plane: np.ndarray):
-        p = conj.entries @ point
-        return p / np.linalg.norm(p), orthonormalize(conj.entries @ plane)
-
-    players = []  # (name, base matrix, attracting point, repelling plane, its normal)
-    for name, base, report in (("g", mg, fwd), ("g^-1", mg_inv, bwd)):
-        x = report.attracting_plane[:, 0]
-        plane = report.repelling_plane
-        players.append((name, base, x, plane, _hyperplane_normal(plane)))
-    for name, base, report in (
-        ("tgt^-1", b_mat, fwd),
-        ("tg^-1t^-1", b_mat.inverse(), bwd),
-    ):
-        x, plane = transported(report.attracting_plane[:, 0], report.repelling_plane)
-        players.append((name, base, x, plane, _hyperplane_normal(plane)))
+    # (base matrix, attracting point, repelling plane) of g, g^-1, t g t^-1, t g^-1 t^-1
+    sides = [(mg, fwd.attracting_plane[:, 0], fwd.repelling_plane),
+             (mg.inverse(), dual.repelling_plane[:, 0], dual.attracting_plane)]
+    for (_, x, plane), base in zip(sides[:2], (b_mat, b_mat.inverse())):
+        p = conj.entries @ x
+        sides.append((base, p / np.linalg.norm(p), orthonormalize(conj.entries @ plane)))
+    # (base matrix, attracting point, repelling plane, its normal)
+    players = [(base, x, plane, _hyperplane_normal(plane)) for base, x, plane in sides]
 
     where = np.arange(4) != np.array([1, 0, 3, 2])[:, None]  # no player against its inverse
-    points, planes, normals = (np.stack([p[c] for p in players]) for c in (2, 3, 4))
+    points, planes, normals = (np.stack([p[c] for p in players]) for c in (1, 2, 3))
     separations = [abs(float(points[i] @ normals[j])) for i, j in zip(*np.nonzero(where))]
     transverse = transverse_mask(points[:, :, None], planes, cond_threshold, where)
     if 0.0 in separations or not transverse[where].all():
         raise TransversalityFailure("attracting/repelling data is not pairwise transverse")
     for i in range(len(players)):
         for j in range(i + 1, len(players)):
-            separations.append(_sin_distance_points(players[i][2], players[j][2]))
+            separations.append(_sin_distance_points(players[i][1], players[j][1]))
     delta_cap = 0.999 * min(separations) / 2.0
     if delta_cap <= 0.0:
         raise TransversalityFailure("degenerate fixed-point configuration")
 
-    dirs = _direction_samples(mg.dim)
+    dirs = _direction_samples(d)
     # |u . normal| of every sample direction u, per player: fixed across powers
-    dir_separations = [np.abs(dirs @ n) for _, _, _, _, n in players]
+    dir_separations = [np.abs(dirs @ n) for _, _, _, n in players]
 
     def worst(delta: float, sines: list[np.ndarray]) -> float:
         return max(_contraction_sup(s, sep, delta) for s, sep in zip(sines, dir_separations))
@@ -828,7 +809,7 @@ def pingpong_power(
     for n_power in range(1, max_n + 1):
         sines = [
             _contraction_sines(base.power(n_power).entries, x, dirs)
-            for _, base, x, _, _ in players
+            for base, x, _, _ in players
         ]
         if worst(delta_cap, sines) > delta_cap:
             continue

@@ -13,7 +13,9 @@ every input a command cannot use: argument errors, a flag or config key the
 command does not read (:func:`_commands`), non-finite thresholds or
 ``t_rotation``, negative seeds, construction keys the kind does not read, a
 from-file ``log_scale`` beyond the float64 range, a ``deform`` radius below 1
-and a ``deform`` sign table above ``BALL_GUARD``.
+and a ``deform`` sign table above ``BALL_GUARD``.  Numerical failures exit
+3 too, for now: ``zero eigenvalue``, ``computed plane is not invariant``,
+``condition number ... exceeds 1e+12``.
 
 All randomness flows through the single seed recorded in the summary.  Runs
 are single-threaded: ``--threads`` is accepted for compatibility and ignored,

@@ -285,7 +285,10 @@ def _singular_value_check(
     i = int(np.argmax(bad))
     if singular[i]:
         return sv, i, SingularInput("singular matrix")
-    return sv, i, SingularInput(f"condition number {cond[i]:.3e} exceeds {cond_limit:.0e}")
+    # three decimals, or the fewest more that print a number above the limit
+    # (.16e round-trips, so one is found)
+    text = next(t for t in (f"{cond[i]:.{n}e}" for n in range(3, 17)) if float(t) > cond_limit)
+    return sv, i, SingularInput(f"condition number {text} exceeds {cond_limit:.0e}")
 
 
 def log_singular_values(batch: ScaledBatch) -> np.ndarray:
@@ -773,10 +776,9 @@ def proximality_reports(
     the two ordered-Schur planes of each proximal row; both invariance
     checks as stacked products, QRs and norms; the power-iteration audits,
     row by row.  The first row that fails a stage raises, so with several
-    failing rows the error need not be that of the first failing row;
-    callers that need it rerun the rows one by one.  A MarginalGapWarning
-    is emitted per row whose open gap is within a decade of ``eps_gap``,
-    once every row has passed.
+    failing rows the error need not be that of the first failing row.  A
+    MarginalGapWarning is emitted per row whose open gap is within a decade
+    of ``eps_gap``, once every row has passed.
     """
     return _proximality_reports(batch, k, eps_gap, rngs, verify)
 

@@ -26,6 +26,7 @@ from anosov import (
     enumerate_ball,
     evaluate,
     evaluate_ball,
+    fuchsian_surface_rep,
     gap_profile,
     gap_profiles,
     limit_map_sample,
@@ -522,9 +523,10 @@ class TestLimitMapSample:
 
 
 def per_word_limit_samples(rep, k, radius, eps_gap=1e-8, seed=0):
-    """The sampling loop as it ran before the batched reports: one forward
-    report per sampled word, then one for its inverse; the oracle for
-    limit_map_sample."""
+    """The sampling loop word by word: one forward report per sampled word
+    and, for a biproximal word when 2k != d, one more at d - k, whose
+    repelling and attracting planes are its inverse's attracting and
+    repelling planes; the oracle for limit_map_sample."""
     from anosov.words import word_str
     from word_oracle import conjugacy_key, is_primitive_cyclic
 
@@ -544,8 +546,10 @@ def per_word_limit_samples(rep, k, radius, eps_gap=1e-8, seed=0):
         fwd = proximality_report(m, k, eps_gap=eps_gap, rng=rng)
         minus_k = plus_dk = None
         if fwd.is_biproximal:
-            bwd = proximality_report(m.inverse(), k, eps_gap=eps_gap, rng=rng, verify=False)
-            minus_k, plus_dk = bwd.attracting_plane, bwd.repelling_plane
+            d = rep.dim
+            dual = fwd if 2 * k == d else proximality_report(m, d - k, eps_gap=eps_gap,
+                                                             verify=False)
+            minus_k, plus_dk = dual.repelling_plane, dual.attracting_plane
         samples.append((str(w), word_str(w.inverse().letters), fwd.is_proximal, fwd.log_gap,
                         fwd.attracting_plane, fwd.repelling_plane, minus_k, plus_dk))
     return samples
@@ -610,37 +614,90 @@ class TestLimitMapSampleOracle:
 
     def test_marginal_gaps_warn_as_per_word(self):
         samples, warned = self.assert_matches_oracle(marginal_rep(), 1, 3)
-        # the four samples with gaps below log1p(1e-7) warn forward and
-        # for their inverse
+        # the four samples with gaps below log1p(1e-7) warn once each: at
+        # d = 2k the inverse's gap is the same number, read from the same report
         marginal = [s for s in samples if s.log_gap <= math.log1p(1e-7)]
-        assert len(warned) == 2 * len(marginal) == 8
+        assert len(warned) == len(marginal) == 4
 
-    def test_forward_failure_later_loses_to_backward_failure_earlier(
-        self, schottky, monkeypatch
-    ):
+    def test_forward_failures_win_over_dual_failures(self, schottky, monkeypatch):
         import anosov.linalg
         from anosov import EigensolveFailure
 
-        # "a" is sampled before "ab"; the batch meets the forward failure of
-        # "ab" before it inverts anything, the per-word order meets A first
+        # at d = 3, k = 1 the inverse planes come from a second call at
+        # d - k = 2; "a" is sampled before "ab", but every forward report
+        # comes first, so the forward failure of "ab" wins over the failure
+        # of "a" at d - k (its attracting 2-plane)
+        sym2 = sym_power_rep(schottky, 2)
         planted = {
-            evaluate(schottky, parse_word("a")).inverse().entries.tobytes(): "backward of a",
-            evaluate(schottky, parse_word("ab")).entries.tobytes(): "forward of ab",
+            (evaluate(sym2, parse_word("a")).entries.tobytes(), 2, True): "dual of a",
+            (evaluate(sym2, parse_word("ab")).entries.tobytes(), 1, True): "forward of ab",
         }
         real = anosov.linalg._invariant_plane
 
-        def failing(entries, *args, **kwargs):
-            message = planted.get(np.ascontiguousarray(entries).tobytes())
+        def failing(entries, log_thresh, count, top):
+            message = planted.get((np.ascontiguousarray(entries).tobytes(), count, top))
             if message is not None:
                 raise EigensolveFailure(message)
-            return real(entries, *args, **kwargs)
+            return real(entries, log_thresh, count, top)
 
         monkeypatch.setattr(anosov.linalg, "_invariant_plane", failing)
-        with pytest.raises(EigensolveFailure, match="^backward of a$"):
-            limit_map_sample(schottky, 1, 3)
-        del planted[evaluate(schottky, parse_word("a")).inverse().entries.tobytes()]
         with pytest.raises(EigensolveFailure, match="^forward of ab$"):
-            limit_map_sample(schottky, 1, 3)
+            limit_map_sample(sym2, 1, 3)
+        del planted[evaluate(sym2, parse_word("ab")).entries.tobytes(), 1, True]
+        with pytest.raises(EigensolveFailure, match="^dual of a$"):
+            limit_map_sample(sym2, 1, 3)
+
+
+# (construction, k, radius) of the inverse-free sampling checks
+INVERSE_FREE_CASES = {
+    "schottky-r5": (lambda: schottky_rep(SchottkyParams(rank=2, dilation=3.0)), 1, 5),
+    "schottky-r7": (lambda: schottky_rep(SchottkyParams(rank=2, dilation=3.0)), 1, 7),
+    "schottky-rank3-r4": (lambda: schottky_rep(SchottkyParams(rank=3, dilation=3.0)), 1, 4),
+    "tau2-k2-r4": (lambda: realify_rep(schottky_rep(SchottkyParams(
+        rank=2, dilation=3.0, field="complex", twists=(0.3, 0.7)))), 2, 4),
+    **{f"sym5-k{k}-r2": (lambda: sym_power_rep(schottky_rep(SchottkyParams(
+        rank=2, dilation=3.0)), 5), k, 2) for k in (1, 2, 3)},
+    "genus2-r4": (lambda: fuchsian_surface_rep(2), 1, 4),
+}
+
+
+class TestLimitMapSampleInverseFree:
+    @pytest.mark.parametrize("case", list(INVERSE_FREE_CASES))
+    def test_inverse_planes_without_inverting(self, monkeypatch, case):
+        import anosov.certify as certify
+        from anosov.linalg import ScaledBatch
+        from anosov.words import cyclic_class_rows
+
+        build, k, radius = INVERSE_FREE_CASES[case]
+        rep = build()
+        calls = []
+        real_reports = certify.proximality_reports
+
+        def no_inverse(self):
+            raise AssertionError("ScaledBatch.inverse called")
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real_reports(*args, **kwargs)
+
+        monkeypatch.setattr(ScaledBatch, "inverse", no_inverse)
+        monkeypatch.setattr(certify, "proximality_reports", counted)
+        samples = limit_map_sample(rep, k, radius)
+        monkeypatch.undo()
+        assert calls == ([k] if 2 * k == rep.dim else [k, rep.dim - k])
+        # the planes span those of the report of the inverted matrix
+        ball = enumerate_ball(rep.presentation, radius)
+        sampled = evaluate_ball(rep, ball).take(cyclic_class_rows(ball))
+        checked = 0
+        for i, s in enumerate(samples):
+            assert (s.minus_k is None) == (s.plus_dk is None)
+            if s.minus_k is None:
+                continue
+            bwd = proximality_report(sampled[i].inverse(), k, verify=False)
+            assert subspace_angle(s.minus_k, bwd.attracting_plane) <= 1e-10, s.word
+            assert subspace_angle(s.plus_dk, bwd.repelling_plane) <= 1e-10, s.word
+            checked += 1
+        assert checked > 0
 
 
 class TestTrackEll1:

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -735,29 +734,6 @@ class TestOtherCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n"] == 1
 
-    def test_pingpong_inverse_without_gap_exit3(self, tmp_path, capsys, monkeypatch):
-        # the base element is biproximal but its inverse's own report is not
-        # proximal: a numerical failure, not a traceback
-        real = cert.proximality_report
-        calls = []
-
-        def inverse_loses_its_gap(g, k, **kwargs):
-            calls.append(g)
-            report = real(g, k, **kwargs)
-            if len(calls) == 2:
-                report = dataclasses.replace(report, is_proximal=False, is_biproximal=False,
-                                             attracting_plane=None, repelling_plane=None)
-            return report
-
-        monkeypatch.setattr(cert, "proximality_report", inverse_loses_its_gap)
-        out = tmp_path / "run"
-        code = run("pingpong", "--construction", SCHOTTKY, "--g", "a",
-                   "--t-rotation", "1.5707963", "--out", str(out))
-        assert code == EXIT_USAGE
-        assert capsys.readouterr().err == (
-            "error: inverse of the base element is not proximal at k = 1\n")
-        assert not out.exists()
-
     @pytest.mark.parametrize("k", ["1", "3"])
     def test_sym5_limit_set_plane_failure_exit3(self, tmp_path, capsys, k):
         out = tmp_path / "run"
@@ -800,6 +776,19 @@ class TestOtherCommands:
                    "--out", str(out))
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_condition_message_prints_a_number_above_the_limit(self, tmp_path, capsys):
+        # the first over-limit word's condition number is 1.00002e12: three
+        # decimals would print 1.000e+12, which does not exceed 1e+12
+        out = tmp_path / "run"
+        code = run("certify", "--construction", '{"kind":"schottky","dilation":10.0}',
+                   "--radius", "6", "--out", str(out))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        match = re.fullmatch(r"error: condition number ([0-9.]+e\+[0-9]+) exceeds 1e\+12\n", err)
+        assert match is not None, err
+        assert float(match.group(1)) > 1e12
         assert not out.exists()
 
     def test_scan_positivity_several_k_match_separate_runs(self, tmp_path):
@@ -879,9 +868,10 @@ class TestDeformBatchedWalk:
         assert rows[0] == ["word", "verdict", "failing_step", "signs"]
         assert rows[1:] == reference_deform_rows(SYM5, int(k), 3, int(seed), 10)
 
-    def test_error_of_first_failing_word_propagates(self, tmp_path, capsys, monkeypatch):
+    def test_first_failure_of_the_walk_propagates(self, tmp_path, capsys, monkeypatch):
         # failures planted at (word 5, step 30) and (word 40, step 2): the
-        # step-major walk meets word 40 first, but the word-major error wins
+        # walk goes path step by path step, so word 40 fails first, and its
+        # error is the one raised, once
         rep = build_representation(json.loads(SYM5))
         path = perturb_path(rep, 0.01, 0, 50)
         words = [w for w in enumerate_ball(rep.presentation, 3).words() if len(w) > 0]
@@ -905,8 +895,8 @@ class TestDeformBatchedWalk:
         code = run("deform", "--construction", SYM5, "--k", "2", "--radius", "3",
                    "--seed", "0", "--out", str(out))
         assert code == EXIT_USAGE
-        assert raised == ["planted failure at word 40, step 2", "planted failure at word 5, step 30"]
-        assert capsys.readouterr().err == "error: planted failure at word 5, step 30\n"
+        assert raised == ["planted failure at word 40, step 2"]
+        assert capsys.readouterr().err == "error: planted failure at word 40, step 2\n"
         assert not (out / "summary.json").exists()
 
 

@@ -6,6 +6,17 @@ dual must give the verdict it gives at d - k on rho.  A conjugate P rho P^-1
 moves every singular value by a factor between 1/cond(P) and cond(P), so
 every log gap moves by at most 2 log cond(P).
 
+Word by word, the dual's gaps and log_total agree to 1e-12 relative on the
+Schottky ball through R = 4.  Genus 2 reaches 2.9e-12 there, and the
+tau2-schottky gaps at k = 1 and 3 are rounding noise (about 1e-14), so
+neither is held to that bound.
+
+The limit planes of a conjugate are P times those of rho, and the
+transversality and span audit of `limit-set` must not see the difference at
+moderate cond(P).  At cond(P) = 1e4 it does: Schottky (k = 1, R = 5) gets 2
+and 6 transversality failures at seeds 0 and 1, tau2-schottky (k = 2, R = 5)
+4 at seed 1, and the genus-2 conjugate fails its relator check.
+
 The positivity scan reads eigenvalues, which are conjugation invariants:
 its columns must agree across the rotations, conjugates and powers of a
 word, and between a word at k and its inverse at d - k.
@@ -16,6 +27,7 @@ to Inconclusive, and the genus-2 surface group at R = 5 goes from Certified
 to Inconclusive.  Those cases are left out here.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -25,10 +37,12 @@ from anosov import (
     Representation,
     ScaledMatrix,
     SchottkyParams,
+    audit_limit_samples,
     certify_anosov,
     enumerate_ball,
     fuchsian_surface_rep,
     gap_profiles,
+    limit_map_sample,
     realify_rep,
     scan_positivities,
     schottky_rep,
@@ -86,6 +100,21 @@ def test_dual_swaps_k_and_d_minus_k(case):
         assert certify_anosov(q).verdict == certify_anosov(p).verdict
 
 
+def test_dual_gaps_agree_word_by_word():
+    # every word of the Schottky ball through R = 4: gap_k(rho*(w)) =
+    # gap_{d-k}(rho(w)) and the same log_total, 8.7e-14 relative at most;
+    # tau2-schottky and genus 2 are left out (see the module docstring)
+    build, _, _ = CASES["schottky"]
+    rep = build()
+    d = rep.dim
+    profiles = {p.k: p for p in gap_profiles(rep, range(1, d), 4)}
+    for q in gap_profiles(dual(rep), range(1, d), 4):
+        p = profiles[d - q.k]
+        assert q.words == p.words
+        np.testing.assert_allclose(q.log_gap, p.log_gap, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(q.log_total, p.log_total, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("cond", [1e1, 1e2])
 @pytest.mark.parametrize("case", list(CASES))
@@ -108,6 +137,32 @@ def test_conjugated_schottky_stays_certified(cond, seed):
     rep = conjugate(build(), conjugator(2, cond, seed))
     (profile,) = gap_profiles(rep, ks, radius)
     assert certify_anosov(profile).verdict == "Certified"
+
+
+# (construction, k, radius) of the limit-set audits
+LIMIT_CASES = {
+    "schottky": (CASES["schottky"][0], 1, 5),
+    "tau2-schottky": (CASES["tau2-schottky"][0], 2, 5),
+    "fuchsian-surface": (CASES["fuchsian-surface"][0], 1, 4),
+}
+
+
+@functools.cache
+def limit_audit(case):
+    build, k, radius = LIMIT_CASES[case]
+    return audit_limit_samples(limit_map_sample(build(), k, radius))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("cond", [1e1, 1e2])
+@pytest.mark.parametrize("case", list(LIMIT_CASES))
+def test_conjugated_limit_set_audit_is_unchanged(case, cond, seed):
+    # every count, the failure list and the span rank; at cond(P) = 1e4
+    # the audit does change (see the module docstring)
+    build, k, radius = LIMIT_CASES[case]
+    rep = build()
+    conjugated = conjugate(rep, conjugator(rep.dim, cond, seed))
+    assert audit_limit_samples(limit_map_sample(conjugated, k, radius)) == limit_audit(case)
 
 
 # (construction, radius, k values) of the positivity scans
