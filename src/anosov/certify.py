@@ -449,8 +449,9 @@ def limit_map_sample(
     """One sample per primitive letter-level cyclic class of the ball.
 
     The sampled words are the first of each class in ball order, found from
-    integer word codes by :func:`cyclic_class_rows`, and only they are
-    spelled out.  They are classified by one :func:`proximality_reports`
+    integer word codes by :func:`cyclic_class_rows`, and read from the
+    ball's :meth:`Ball.word_strings`; an inverse is spelled reversed with
+    its cases swapped.  They are classified by one :func:`proximality_reports`
     call, the i-th with power-iteration audit generator
     ``default_rng([seed, i])``.  The planes of a biproximal word's inverse
     are its own planes at d - k, the roles swapped: its inverse attracts to
@@ -477,11 +478,12 @@ def limit_map_sample(
     else:
         dual = proximality_reports(sampled.take(biproximal), d - k, eps_gap=eps_gap, verify=False)
     inverse_planes = {j: (r.repelling_plane, r.attracting_plane) for j, r in zip(biproximal, dual)}
+    words = ball.word_strings()
     samples = []
-    for j, (w, report) in enumerate(zip(ball.words_at(rows), fwd)):
+    for j, (row, report) in enumerate(zip(rows.tolist(), fwd)):
         minus_k, plus_dk = inverse_planes.get(j, (None, None))
         samples.append(LimitSample(
-            word=str(w), inverse_word=word_str(w.inverse().letters),
+            word=words[row], inverse_word=words[row][::-1].swapcase(),
             dynamics_preserving=report.is_proximal, log_gap=report.log_gap,
             plus_k=report.attracting_plane, minus_dk=report.repelling_plane,
             minus_k=minus_k, plus_dk=plus_dk,
@@ -715,36 +717,38 @@ def _contraction_sines(entries: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> 
     return sines
 
 
-def _contraction_sup(sines: np.ndarray, separation: np.ndarray, delta: float) -> float:
-    """Numeric sup of dist(m u, x) over directions with dist(u, hyperplane) >= delta.
+def _fixed_point(sines: Sequence[np.ndarray], separations: Sequence[np.ndarray],
+                 cap: float) -> float | None:
+    """The least float delta <= ``cap`` with worst(delta) <= delta, or None.
 
-    ``sines`` comes from :func:`_contraction_sines` and ``separation`` holds
-    |u . normal| for the same directions, so each query of the bisection is
-    one masked maximum; 0.0 when no direction is that far from the
-    hyperplane.  Sampled, hence an empirical bound; in dimension 2 the dense
-    grid makes it effectively exact.
+    worst(delta) is the largest of the players' ``sines`` (from
+    :func:`_contraction_sines`) over the directions whose ``separations``
+    |u . normal| are at least delta, -inf over none: a step function, on
+    each step a running maximum over the sorted separations.  Sampled, hence
+    an empirical bound; in dimension 2 the dense grid makes it effectively
+    exact.
     """
-    mask = separation >= delta
-    if not np.any(mask):
-        return 0.0
-    return float(sines[mask].max())
+    seps, sines = np.concatenate(separations), np.concatenate(sines)
+    order = np.argsort(seps)
+    seps = np.append(seps[order], np.inf)
+    worst = np.append(np.maximum.accumulate(sines[order][::-1])[::-1], -np.inf)
+    # step j holds the floats in (seps[j-1], seps[j]], where seps[-1] is 0
+    least = np.maximum(worst, np.nextafter(np.append(0.0, seps[:-1]), np.inf))
+    delta = float(least[least <= seps].min())
+    return delta if delta <= cap else None
 
 
-def _conjugator(
-    rep: Representation, t: Word | Sequence[int] | np.ndarray | ScaledMatrix
-) -> ScaledMatrix:
+def _conjugator(rep: Representation, t: Word | Sequence[int] | np.ndarray) -> ScaledMatrix:
     """The image of a group word, or an explicit conjugating matrix as given."""
     if isinstance(t, (Word, tuple, list)):
         return evaluate(rep, t)
-    if isinstance(t, ScaledMatrix):
-        return t
     return ScaledMatrix.from_array(np.asarray(t, dtype=float))
 
 
 def pingpong_power(
     rep: Representation,
     g: Word | Sequence[int],
-    t: Word | Sequence[int] | np.ndarray | ScaledMatrix,
+    t: Word | Sequence[int] | np.ndarray,
     max_n: int = 20,
     eps_gap: float = EPS_GAP,
     cond_threshold: float = TRANSVERSALITY_COND,
@@ -753,8 +757,9 @@ def pingpong_power(
 
     Each of the four maps must send the complement of the delta-neighborhood
     of its repelling hyperplane into the delta-neighborhood of its attracting
-    point, for a delta (found by bisection) small enough that the attracting
-    neighborhoods stay clear of every other map's repelling neighborhood.
+    point, for a delta small enough that the attracting neighborhoods stay
+    clear of every other map's repelling neighborhood: the least float delta
+    under that cap which the sampled directions allow (:func:`_fixed_point`).
     Distances are sines of angles in projective space.
 
     ``t`` may be a word of the group or an explicit conjugating matrix (for
@@ -764,8 +769,8 @@ def pingpong_power(
     of g^-1 is g's repelling line at d - 1 and its repelling hyperplane g's
     attracting one, read from g's report at k = 1 when d = 2 and from one
     report at d - 1 otherwise.  The sines of all sample directions are
-    computed once per player and power, so each bisection query is one
-    masked maximum.
+    computed once per player and power, and delta is read from them by one
+    sort.
     """
     mg = evaluate(rep, g)
     d = mg.dim
@@ -802,34 +807,21 @@ def pingpong_power(
     dirs = _direction_samples(d)
     # |u . normal| of every sample direction u, per player: fixed across powers
     dir_separations = [np.abs(dirs @ n) for _, _, _, n in players]
-
-    def worst(delta: float, sines: list[np.ndarray]) -> float:
-        return max(_contraction_sup(s, sep, delta) for s, sep in zip(sines, dir_separations))
-
     for n_power in range(1, max_n + 1):
         sines = [
             _contraction_sines(base.power(n_power).entries, x, dirs)
             for base, x, _, _ in players
         ]
-        if worst(delta_cap, sines) > delta_cap:
-            continue
-        lo, hi = 0.0, delta_cap
-        for _ in range(60):
-            mid = (lo + hi) / 2.0
-            if mid == lo or mid == hi:
-                break
-            if worst(mid, sines) <= mid:
-                hi = mid
-            else:
-                lo = mid
-        return PingpongResult(n=n_power, delta=hi)
+        delta = _fixed_point(sines, dir_separations, delta_cap)
+        if delta is not None:
+            return PingpongResult(n=n_power, delta=delta)
     return None
 
 
 def pingpong_subgroup(
     rep: Representation,
     g: Word | Sequence[int],
-    t: Word | Sequence[int] | np.ndarray | ScaledMatrix,
+    t: Word | Sequence[int] | np.ndarray,
     n: int,
 ) -> Representation:
     """Free rank-2 representation generated by g^n and (t g t^-1)^n."""

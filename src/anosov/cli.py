@@ -121,10 +121,10 @@ class ExperimentConfig:
         if "kind" not in self.construction:
             raise ConfigError("construction descriptor needs a 'kind'")
 
-    def echo(self) -> dict:
-        # threads omitted: it is ignored
-        return _fields(self, "construction", "k", "radius", "eps_gap", "alpha_min", "ell_min",
-                       "cond_threshold", "seed")
+    def echo(self, settings: Sequence[str]) -> dict:
+        """The construction, the seed and a command's own ``settings`` (from
+        :func:`_commands`); ``threads`` is ignored and ``out`` holds the echo."""
+        return _fields(self, "construction", "seed", *settings)
 
 
 def _direct_sum(summands: list | None = None) -> Representation:
@@ -524,11 +524,11 @@ def main(argv: list[str] | None = None) -> int:
         existing = next(p for p in (out, *out.parents) if p.exists())
         if not existing.is_dir():
             raise ConfigError(f"cannot write output: {existing} is not a directory")
-        handler, _ = _commands()[args.command]
+        handler, settings = _commands()[args.command]
         run = handler(cfg, rep)
         summary = {
             "command": args.command,
-            "config": cfg.echo(),
+            "config": cfg.echo(settings),
             "seed": cfg.seed,
             "presentation": rep.presentation.describe(),
             "dimension": rep.dim,

@@ -358,37 +358,27 @@ def _real_schur(
     return t, z, sdim
 
 
-@functools.cache
-def _band_index(d: int) -> np.ndarray:
-    """Column-major flat positions of the diagonal, subdiagonal and
-    superdiagonal of a d x d matrix; the last two are padded to length d by
-    position 0, which the caller zeroes."""
-    i = np.arange(d)
-    index = np.concatenate([i * (d + 1), i[:-1] * (d + 1) + 1, [0], i[1:] * (d + 1) - 1, [0]])
-    index.setflags(write=False)
-    return index
+def _classify_forms(forms: np.ndarray, eps_gap: float) -> tuple[np.ndarray, ...]:
+    """The three columns of :func:`spectra` from an (n, d, d) stack of real
+    Schur forms, of which only the diagonal, subdiagonal and superdiagonal
+    are read.
 
-
-def _classify_bands(bands: np.ndarray, eps_gap: float) -> tuple[np.ndarray, ...]:
-    """The three columns of :func:`spectra` from real Schur forms held as
-    bands: row i of the (n, 3d) array is form i's diagonal, subdiagonal and
-    superdiagonal, the last two zero-padded.
-
-    Each row is read as a walk down the diagonal reads it: a nonzero
+    Each form is read as a walk down the diagonal reads it: a nonzero
     subdiagonal entry opens a standardized 2x2 block (a complex pair, modulus
     sqrt(det)) unless it closes the previous one; every other diagonal entry
     is a real eigenvalue.  The first bad block (det <= 0) or zero real
     eigenvalue, in row-major order, raises.
     """
-    n, d = bands.shape[0], bands.shape[1] // 3
-    diag, sub, sup = bands[:, :d], bands[:, d : 2 * d], bands[:, 2 * d :]
-    opens = sub != 0.0
+    n, d = forms.shape[:2]
+    diag, sub, sup = (np.diagonal(forms, offset, 1, 2) for offset in (0, -1, 1))
+    opens = np.zeros((n, d), dtype=bool)
+    opens[:, :-1] = sub != 0.0
     for j in range(1, d):
         opens[:, j] &= ~opens[:, j - 1]
     real = ~opens
     real[:, 1:] &= ~opens[:, :-1]
     det = np.zeros((n, d))
-    det[:, :-1] = diag[:, :-1] * diag[:, 1:] - sup[:, :-1] * sub[:, :-1]
+    det[:, :-1] = diag[:, :-1] * diag[:, 1:] - sup * sub
     bad = (opens & (det <= 0.0)) | (real & (diag == 0.0))
     if bad.any():
         i, j = divmod(int(np.argmax(bad)), d)
@@ -420,24 +410,19 @@ def spectra(batch: ScaledBatch, eps_gap: float = EPS_GAP) -> tuple[np.ndarray, .
     as :meth:`Spectrum.log_gap` and :meth:`Spectrum.is_proximal` compute it.
 
     One stacked singularity check; then one direct LAPACK ``gees`` call per
-    matrix, without Schur vectors, of whose Schur form only the three bands
-    are kept; then the whole batch's bands are classified at once.  The
-    first matrix that fails any stage raises, with the error
-    :func:`spectrum` raises for it alone.
+    matrix, without Schur vectors, whose Schur forms are stacked and
+    classified for the whole batch at once.  The first matrix that fails any
+    stage raises, with the error :func:`spectrum` raises for it alone.
     """
     _, n_ok, error = _singular_value_check(batch.entries)
-    d = batch.entries.shape[-1]
-    index = _band_index(d)
-    bands = np.empty((n_ok, 3 * d))
+    forms = np.empty((n_ok, *batch.entries.shape[1:]))
     for i in range(n_ok):
         try:
-            t = _real_schur(batch.entries[i])[0]
+            forms[i] = _real_schur(batch.entries[i])[0]
         except EigensolveFailure as exc:
-            bands, error = bands[:i], exc
+            forms, error = forms[:i], exc
             break
-        bands[i] = t.ravel(order="F")[index]
-    bands[:, 2 * d - 1 :: d] = 0.0  # the sub- and superdiagonal pads
-    log_moduli, top_sign, semi_positive = _classify_bands(bands, eps_gap)
+    log_moduli, top_sign, semi_positive = _classify_forms(forms, eps_gap)
     if error is not None:
         raise error
     return log_moduli + batch.log_scale[:, None], top_sign, semi_positive
@@ -447,7 +432,7 @@ def spectrum(g: ScaledMatrix, eps_gap: float = EPS_GAP) -> Spectrum:
     """Eigenvalue moduli via a real Schur form; row 0 of :func:`spectra`.
 
     One direct LAPACK ``gees`` call without Schur vectors; complex pairs are
-    read off the standardized 2x2 blocks of its bands, so no complex
+    read off the standardized 2x2 blocks of its Schur form, so no complex
     arithmetic is involved.  The signed top eigenvalue is reported only when
     the maximum modulus is attained exactly once (within relative eps_gap)
     and by a real eigenvalue.

@@ -271,15 +271,6 @@ class Ball:
             out += rows.view(f"U{n}").ravel().tolist()
         return out
 
-    def words_at(self, rows: np.ndarray) -> list[Word]:
-        """The words at increasing rows of ``words()`` order; row 0, the identity, is dropped."""
-        starts = np.cumsum((0,) + self.sphere_sizes())
-        out: list[Word] = []
-        for n in range(1, len(starts) - 1):
-            at = rows[(starts[n] <= rows) & (rows < starts[n + 1])] - starts[n]
-            out += map(Word, _rebuild(self.parent[: n + 1], self.letter[: n + 1], at))
-        return out
-
     def lengths(self) -> np.ndarray:
         """``len(w)`` of every word, in ``words()`` order."""
         return np.repeat(np.arange(len(self.letter)), self.sphere_sizes())

@@ -699,6 +699,23 @@ class TestLimitMapSampleInverseFree:
             checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize(
+        "build, radius",
+        [(lambda: schottky_rep(SchottkyParams(rank=2, dilation=3.0)), 6),
+         (lambda: fuchsian_surface_rep(2), 4)],
+        ids=["free2-r6", "genus2-r4"],
+    )
+    def test_sample_words_spell_the_sampled_rows(self, build, radius):
+        from anosov.words import cyclic_class_rows
+
+        rep = build()
+        samples = limit_map_sample(rep, 1, radius)
+        ball = enumerate_ball(rep.presentation, radius)
+        words = list(ball.words())
+        sampled = [words[i] for i in cyclic_class_rows(ball)]
+        assert [s.word for s in samples] == [str(w) for w in sampled]
+        assert [s.inverse_word for s in samples] == [str(w.inverse()) for w in sampled]
+
 
 class TestTrackEll1:
     def test_constant_path(self, schottky):
@@ -851,7 +868,7 @@ def contraction_sup_oracle(entries, x, normal, delta, dirs):
 
 
 # (construction, g, t, expected (n, delta)); the values are those of the
-# per-query search
+# per-query bisection
 PINGPONG_CASES = {
     "quarter-rotation": (lambda rep: rep, "a", rotation_about_i(math.pi / 2),
                          (1, 0.3162259484789114)),
@@ -861,16 +878,40 @@ PINGPONG_CASES = {
 }
 
 
+def bisection_oracle(players, cap):
+    """The least delta <= cap with worst(delta) <= delta as the power search
+    found it before :func:`_fixed_point`: per-query masked maxima, bisected
+    from (0, cap] for up to 60 halvings.  ``players`` holds (entries, x,
+    normal, dirs) per player."""
+
+    def worst(delta):
+        return max(contraction_sup_oracle(entries, x, normal, delta, dirs)
+                   for entries, x, normal, dirs in players)
+
+    if worst(cap) > cap:
+        return None
+    lo, hi = 0.0, cap
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            break
+        if worst(mid) <= mid:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 class TestPingpongOracle:
     @pytest.mark.parametrize("case", list(PINGPONG_CASES))
     def test_every_query_matches_per_query_oracle(self, schottky, monkeypatch, case):
         import anosov.certify as certify
 
         build, g, t, expected = PINGPONG_CASES[case]
-        normals, made, queries = [], {}, []
+        normals, made, found = [], {}, []
         real_normal = certify._hyperplane_normal
         real_sines = certify._contraction_sines
-        real_sup = certify._contraction_sup
+        real_fixed_point = certify._fixed_point
 
         def spy_normal(plane):
             normals.append(real_normal(plane))
@@ -878,23 +919,27 @@ class TestPingpongOracle:
 
         def spy_sines(entries, x, dirs):
             sines = real_sines(entries, x, dirs)
-            made[id(sines)] = (sines, entries, x, dirs)
+            made[id(sines)] = (entries, x, dirs)
             return sines
 
-        def spy_sup(sines, separation, delta):
-            _, entries, x, dirs = made[id(sines)]
-            (normal,) = [n for n in normals if np.array_equal(np.abs(dirs @ n), separation)]
-            value = real_sup(sines, separation, delta)
-            assert value == contraction_sup_oracle(entries, x, normal, delta, dirs)
-            queries.append(delta)
+        def spy_fixed_point(sines, separations, cap):
+            players = []
+            for s, separation in zip(sines, separations):
+                entries, x, dirs = made[id(s)]
+                (normal,) = [n for n in normals if np.array_equal(np.abs(dirs @ n), separation)]
+                players.append((entries, x, normal, dirs))
+            value = real_fixed_point(sines, separations, cap)
+            assert value == bisection_oracle(players, cap)
+            found.append(value)
             return value
 
         monkeypatch.setattr(certify, "_hyperplane_normal", spy_normal)
         monkeypatch.setattr(certify, "_contraction_sines", spy_sines)
-        monkeypatch.setattr(certify, "_contraction_sup", spy_sup)
+        monkeypatch.setattr(certify, "_fixed_point", spy_fixed_point)
         result = pingpong_power(build(schottky), parse_word(g), t)
         assert (result.n, result.delta) == expected
-        assert len(queries) > 100 and len(queries) % 4 == 0
+        assert len(found) == result.n and found[-1] == result.delta
+        assert all(value is None for value in found[:-1])
 
     def test_hyperplane_normal_is_scipy_null_space(self):
         import scipy.linalg
@@ -910,11 +955,19 @@ class TestPingpongOracle:
         with pytest.raises(TransversalityFailure, match="not a hyperplane"):
             _hyperplane_normal(np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
 
-    def test_empty_mask_reads_zero(self):
-        from anosov.certify import _contraction_sup
+    def test_fixed_point_hand_cases(self):
+        from anosov.certify import _fixed_point
 
-        assert _contraction_sup(np.array([0.5, 0.25]), np.array([0.1, 0.2]), 0.3) == 0.0
-        assert _contraction_sup(np.array([0.5, 0.25]), np.array([0.1, 0.2]), 0.15) == 0.25
+        sines, seps = [np.array([0.5, 0.25])], [np.array([0.1, 0.2])]
+        # above the largest separation no direction is left, and worst is -inf
+        assert _fixed_point(sines, seps, 0.3) == np.nextafter(0.2, 1.0)
+        assert _fixed_point(sines, seps, 0.2) is None
+        # on the step (0.1, 0.2] worst is 0.15, which holds itself
+        sines = [np.array([0.5]), np.array([0.15])]
+        seps = [np.array([0.1]), np.array([0.2])]
+        assert _fixed_point(sines, seps, 0.3) == 0.15
+        assert _fixed_point(sines, seps, 0.15) == 0.15
+        assert _fixed_point(sines, seps, np.nextafter(0.15, 0.0)) is None
 
 
 class TestDeterminism:

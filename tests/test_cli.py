@@ -428,6 +428,29 @@ class TestInvalidInputExits3:
         assert capsys.readouterr().err == f"error: construction kind {kind!r} does not read {unread}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "desc, message",
+        [
+            ({"kind": "schottky", "rank": 0}, "rank must be at least 1"),
+            ({"kind": "schottky", "angles": [0, 3.5]}, "axis angles must lie in [0, pi)"),
+            ({"kind": "schottky", "angles": [0, 0.1]},
+             "axis angles 0,1 separated by less than pi/(2*rank)"),
+            ({"kind": "schottky", "angles": [0]}, "need one axis angle per generator"),
+            ({"kind": "schottky", "trace_signs": [1, 2]}, "trace signs must be +1 or -1"),
+            ({"kind": "schottky", "dilation": [3.0, 0.5]}, "dilation 0.5 must exceed 1"),
+            ({"kind": "tau2-schottky", "twists": [0.3]}, "need one twist per generator"),
+        ],
+        ids=["rank-0", "angle-range", "angles-close", "angles-count", "trace-sign",
+             "dilation-below-1", "twists-count"],
+    )
+    def test_invalid_schottky_descriptor(self, tmp_path, capsys, desc, message):
+        out = tmp_path / "run"
+        code = run("gap-profile", "--construction", json.dumps(desc), "--radius", "2",
+                   "--out", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestCertifyCommand:
     def test_schottky_certified_exit0(self, tmp_path):
@@ -514,6 +537,8 @@ def test_handlers_compute_and_main_puts_out(tmp_path, monkeypatch, capsys, argv)
     assert capsys.readouterr().out == "".join(line + "\n" for line in result.lines)
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert summary["command"] == argv[0] and summary.items() >= result.summary.items()
+    # the config echo holds the construction, the seed and the settings the command reads
+    assert set(summary["config"]) == {"construction", "seed", *READS[argv[0]]}
     out = tmp_path / "run"
     expected = {(out / name).resolve() for name in [*result.reports, "summary.json"]}
     assert {p.resolve() for p in out.iterdir()} == expected
@@ -742,6 +767,24 @@ class TestOtherCommands:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: computed plane is not invariant\n"
         assert not out.exists()
+
+    def test_pingpong_no_power_found_exit2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run("pingpong", "--construction", '{"kind":"schottky"}', "--g", "a", "--t", "b",
+                   "--max-n", "2", "--out", str(out))
+        assert code == EXIT_INCONCLUSIVE
+        assert capsys.readouterr().out == "pingpong: no power up to 2 satisfies the criterion\n"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["found"] is False
+        assert "n" not in summary and "delta" not in summary
+
+    def test_per_generator_schottky_lists(self, tmp_path, capsys):
+        desc = {"kind": "schottky", "rank": 3, "dilation": [3, 4, 5], "angles": [0, 1, 2],
+                "trace_signs": [1, -1, 1]}
+        code = run("gap-profile", "--construction", json.dumps(desc), "--radius", "2",
+                   "--out", str(tmp_path / "run"))
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == "gap-profile: 37 words, k = [1]\n"
 
     def test_pingpong_needs_conjugator(self, tmp_path):
         code = run("pingpong", "--construction", SCHOTTKY, "--g", "a",

@@ -19,7 +19,8 @@ and 6 transversality failures at seeds 0 and 1, tau2-schottky (k = 2, R = 5)
 
 The positivity scan reads eigenvalues, which are conjugation invariants:
 its columns must agree across the rotations, conjugates and powers of a
-word, and between a word at k and its inverse at d - k.
+word, between a word at k and its inverse at d - k, and between the scan
+of rho* at k and that of rho at d - k.
 
 Conjugation keeps the Schottky verdict, but not every finite-radius verdict:
 at cond(P) = 10 (seed 0) tau2-schottky k = 1 and 3 at R = 6 go from Refuted
@@ -234,3 +235,31 @@ def test_conjugated_sym5_scan_keeps_every_column(cond, seed):
         assert (q.verdict, q.witness, q.n_proximal, q.n_negative) == (
             p.verdict, p.witness, p.n_proximal, p.n_negative)
         np.testing.assert_allclose(q.log_gap, p.log_gap, rtol=1e-8, atol=0.0)
+
+
+# (construction, radius, k values on the dual) of the scan duality checks
+DUAL_SCAN_CASES = {
+    "schottky": (CASES["schottky"][0], 5, [1]),
+    "tau2-schottky": (CASES["tau2-schottky"][0], 5, [1, 2, 3]),
+    "sym5-schottky": (SCAN_CASES["sym5-schottky"][0], 6, [1, 2, 3, 4, 5]),
+}
+
+
+@pytest.mark.parametrize("case", list(DUAL_SCAN_CASES))
+def test_dual_scan_at_k_is_the_scan_at_d_minus_k(case):
+    # rho*(w) has the inverse moduli of rho(w), so its gap at k is rho's at
+    # d - k, and (det > 0) its top-k sign product rho's top-(d-k) one; the
+    # gaps agree to 6.6e-12 relative at most (Sym^5, R = 6)
+    build, radius, ks = DUAL_SCAN_CASES[case]
+    rep = build()
+    d = rep.dim
+    reports = {r.k: r for r in scan_positivities(rep, [d - k for k in ks], radius)}
+    for q in scan_positivities(dual(rep), ks, radius):
+        p = reports[d - q.k]
+        assert q.words == p.words
+        for column in ("proximal", "ell1_sign", "semiproximal_positive", "unresolved"):
+            assert np.array_equal(getattr(q, column), getattr(p, column)), column
+        for name in ("verdict", "witness", "witness_recheck", "n_proximal", "n_negative",
+                     "n_unresolved", "semiproximal_failures"):
+            assert getattr(q, name) == getattr(p, name), name
+        np.testing.assert_allclose(q.log_gap, p.log_gap, rtol=1e-10, atol=0.0)
