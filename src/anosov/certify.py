@@ -42,7 +42,6 @@ from .linalg import (
     proximality_reports,
     require_gap_index,
     spectra,
-    spectrum,
     transverse_mask,
 )
 from .words import (
@@ -380,10 +379,8 @@ def scan_positivities(
         recheck = False
         if witness is not None:
             base = evaluate(rep, parse_word(witness))
-            lifted = compound_matrix(base, k) if k > 1 else base
-            sp = spectrum(lifted, eps_gap=eps_gap)
-            recheck = sp.is_proximal(1) and sp.top_sign == -1
-        if witness is not None:
+            (gap_open,), (sign,) = _top_signs(ScaledBatch.stack([base]), k, eps_gap)
+            recheck = gap_open and sign == -1
             verdict = "NotPositivelyProximal" if recheck else "Inconclusive"
         elif n_unresolved:
             verdict = "Inconclusive"
@@ -444,22 +441,21 @@ def limit_map_sample(
     k: int,
     radius: int,
     eps_gap: float = EPS_GAP,
-    seed: int = 0,
 ) -> list[LimitSample]:
     """One sample per primitive letter-level cyclic class of the ball.
 
     The sampled words are the first of each class in ball order, found from
     integer word codes by :func:`cyclic_class_rows`, and read from the
     ball's :meth:`Ball.word_strings`; an inverse is spelled reversed with
-    its cases swapped.  They are classified by one :func:`proximality_reports`
-    call, the i-th with power-iteration audit generator
-    ``default_rng([seed, i])``.  The planes of a biproximal word's inverse
-    are its own planes at d - k, the roles swapped: its inverse attracts to
-    its repelling k-plane and repels from its attracting (d-k)-plane.  When
-    2k = d they are read from the same reports; otherwise from one more
-    call, at d - k and without the audit, on the same matrices.  No matrix
-    is inverted.  The first failure met, stage by stage, raises.  Raises
-    NoProximalElements when no sampled word is proximal at k.
+    its cases swapped.  They are classified, and their attracting planes
+    audited, by one :func:`proximality_reports` call; nothing is random.
+    The planes of a biproximal word's inverse are its own planes at d - k,
+    the roles swapped: its inverse attracts to its repelling k-plane and
+    repels from its attracting (d-k)-plane.  When 2k = d they are read from
+    the same reports; otherwise from one more call, at d - k and without the
+    audit, on the same matrices.  No matrix is inverted.  The first failure
+    met, stage by stage, raises.  Raises NoProximalElements when no sampled
+    word is proximal at k.
     """
     if radius < 2:
         raise InsufficientRadius("limit sampling needs radius >= 2")
@@ -468,8 +464,7 @@ def limit_map_sample(
     ball = enumerate_ball(rep.presentation, radius)
     rows = cyclic_class_rows(ball)
     sampled = evaluate_ball(rep, ball).take(rows)
-    rngs = [np.random.default_rng([seed, index]) for index in range(len(rows))]
-    fwd = proximality_reports(sampled, k, eps_gap=eps_gap, rngs=rngs)
+    fwd = proximality_reports(sampled, k, eps_gap=eps_gap)
     if not any(report.is_proximal for report in fwd):
         raise NoProximalElements(f"no P_{k}-proximal element in the radius-{radius} ball")
     biproximal = [j for j, report in enumerate(fwd) if report.is_biproximal]

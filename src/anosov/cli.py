@@ -17,9 +17,11 @@ and a ``deform`` sign table above ``BALL_GUARD``.  Numerical failures exit
 3 too, for now: ``zero eigenvalue``, ``computed plane is not invariant``,
 ``condition number ... exceeds 1e+12``.
 
-All randomness flows through the single seed recorded in the summary.  Runs
-are single-threaded: ``--threads`` is accepted for compatibility and ignored,
-and it is left out of the config echo.
+The one random input, ``deform``'s perturbation noise, is drawn from the
+seed recorded in the summary; the other commands accept and echo the seed
+but draw nothing from it.  Runs are single-threaded: ``--threads`` is
+accepted for compatibility and ignored, and it is left out of the config
+echo.
 """
 
 from __future__ import annotations
@@ -334,7 +336,7 @@ def _single_k(cfg: ExperimentConfig, command: str) -> int:
 def cmd_limit_set(cfg: ExperimentConfig, rep: Representation) -> Run:
     k = _single_k(cfg, "limit-set")
     try:
-        samples = cert.limit_map_sample(rep, k, cfg.radius, eps_gap=cfg.eps_gap, seed=cfg.seed)
+        samples = cert.limit_map_sample(rep, k, cfg.radius, eps_gap=cfg.eps_gap)
     except NoProximalElements as exc:
         return Run(EXIT_INCONCLUSIVE, {"error": str(exc)}, [f"limit-set: {exc}"])
     audit = cert.audit_limit_samples(samples, cond_threshold=cfg.cond_threshold)

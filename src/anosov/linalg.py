@@ -322,13 +322,13 @@ def _no_select(re: float, im: float) -> None:
 
 
 def _real_schur(
-    a: np.ndarray, compute_v: int = 0, select: Callable[[float, float], bool] | None = None
+    a: np.ndarray, select: Callable[[float, float], bool] | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Real Schur form ``a = z t z^T`` of a finite float64 square matrix:
     ``(t, z, sdim)`` from one LAPACK ``gees`` call; ``a`` is not overwritten.
 
     With ``select(re, im)`` the eigenvalues it accepts are moved to the top
-    left and ``sdim`` counts them; ``z`` is only computed with ``compute_v=1``.
+    left, ``sdim`` counts them and ``z`` is computed; without, it is not.
     The workspace is the minimal ``3d``, so there is no workspace query;
     failures raise :class:`EigensolveFailure` with the messages of SciPy's
     ``schur`` wrapper, which also validates its input and queries first.
@@ -343,7 +343,7 @@ def _real_schur(
     t, sdim, _, _, z, _, info = _GEES(
         select or _no_select,
         a,
-        compute_v=compute_v,
+        compute_v=int(select is not None),
         sort_t=int(select is not None),
         lwork=max(1, 3 * d),
     )
@@ -634,7 +634,7 @@ def _invariant_plane(entries: np.ndarray, log_thresh: float, count: int, top: bo
         sort = lambda x, y: math.hypot(x, y) > thr  # noqa: E731
     else:
         sort = lambda x, y: math.hypot(x, y) < thr  # noqa: E731
-    _, z, sdim = _real_schur(entries, compute_v=1, select=sort)
+    _, z, sdim = _real_schur(entries, select=sort)
     if sdim != count:
         raise EigensolveFailure(
             f"ordered Schur selected {sdim} eigenvalues, expected {count}"
@@ -643,35 +643,13 @@ def _invariant_plane(entries: np.ndarray, log_thresh: float, count: int, top: bo
 
 
 #: Smallest eigenvalue gap for which the 200-step power-iteration audit can
-#: reach the 1e-6 angle target from a generic start.
+#: reach the 1e-6 angle target from a start in the complement of the
+#: repelling plane.
 _VERIFIABLE_GAP = 1.1
 
 _POWER_ITERATIONS = 200
 _POWER_ANGLE_TOL = 1e-6
 _INVARIANCE_TOL = 1e-6
-
-
-def _power_iteration_check(
-    entries: np.ndarray,
-    attracting: np.ndarray,
-    repelling: np.ndarray,
-    rng: np.random.Generator,
-) -> None:
-    d, k = attracting.shape
-    # resample if the random start is nearly tangent to the repelling plane
-    start = orthonormalize(rng.standard_normal((d, k)))
-    for _ in range(8):
-        if is_transverse(start, repelling):
-            break
-        start = orthonormalize(rng.standard_normal((d, k)))
-    v = start
-    for _ in range(_POWER_ITERATIONS):
-        v = orthonormalize(entries @ v)
-        if subspace_angle(v, attracting) < _POWER_ANGLE_TOL:
-            return
-    raise EigensolveFailure(
-        "power iteration did not converge to the computed attracting plane"
-    )
 
 
 def require_gap_index(k: int, d: int) -> None:
@@ -684,7 +662,6 @@ def _proximality_reports(
     batch: ScaledBatch,
     k: int,
     eps_gap: float,
-    rngs: Sequence[np.random.Generator] | None,
     verify: bool,
 ) -> list[ProximalityReport]:
     """The body of :func:`proximality_reports`; its warnings name the line
@@ -710,10 +687,21 @@ def _proximality_reports(
             raise EigensolveFailure("computed plane is not invariant")
     gap_eig = [math.exp(gap) if gap < 700 else math.inf for gap in log_gap]
     if verify:
-        for j, i in enumerate(proximal):
-            if gap_eig[i] >= _VERIFIABLE_GAP:
-                rng = rngs[i] if rngs is not None else np.random.default_rng(0)
-                _power_iteration_check(entries[j], attracting[j], repelling[j], rng)
+        audited = [gap_eig[i] >= _VERIFIABLE_GAP for i in proximal]
+        m, plus = entries[audited], attracting[audited]
+        # a start s in the complement of R splits as p + r, p attracting, r in
+        # R, <s, r> = 0: |r| <= |p|, so no start is tangent to R
+        v = np.linalg.qr(repelling[audited], mode="complete")[0][..., d - k:]
+        for _ in range(_POWER_ITERATIONS):
+            v = orthonormalize(m @ v)
+            left = ~(subspace_angle(v, plus) < _POWER_ANGLE_TOL)  # NaN stays
+            m, plus, v = m[left], plus[left], v[left]
+            if not len(v):
+                break
+        if len(v):
+            raise EigensolveFailure(
+                "power iteration did not converge to the computed attracting plane"
+            )
     planes_of = dict(zip(proximal, zip(attracting, repelling)))
     reports = []
     for i, gap in enumerate(log_gap):
@@ -744,7 +732,6 @@ def proximality_reports(
     batch: ScaledBatch,
     k: int,
     eps_gap: float = EPS_GAP,
-    rngs: Sequence[np.random.Generator] | None = None,
     verify: bool = True,
 ) -> list[ProximalityReport]:
     """Classify proximality of every matrix of a batch at gap index ``k``.
@@ -753,32 +740,30 @@ def proximality_reports(
     the generalized eigenspaces of the k largest-modulus eigenvalues and its
     repelling plane the complementary invariant subspace.  Invariance of both
     planes is always checked; with ``verify`` the attracting plane is also
-    audited by power iteration from a random start, drawn from ``rngs[i]``
-    (``default_rng(0)`` when ``rngs`` is None), whenever the gap is large
-    enough for 200 iterations to converge.
+    audited by power iteration whenever the gap is large enough for 200
+    iterations to converge.  Each audited row starts from the orthogonal
+    complement of its repelling plane, so the audit is deterministic.
 
     The stages run over the whole batch in turn: one :func:`spectra` call;
     the two ordered-Schur planes of each proximal row; both invariance
-    checks as stacked products, QRs and norms; the power-iteration audits,
-    row by row.  The first row that fails a stage raises, so with several
-    failing rows the error need not be that of the first failing row.  A
-    MarginalGapWarning is emitted per row whose open gap is within a decade
-    of ``eps_gap``, once every row has passed.
+    checks and the power iteration as stacked products, QRs and norms, a row
+    leaving the iteration once it has converged.  The first row that fails
+    a stage raises, so with several failing rows the error need not be that
+    of the first failing row.  A MarginalGapWarning is emitted per row whose
+    open gap is within a decade of ``eps_gap``, once every row has passed.
     """
-    return _proximality_reports(batch, k, eps_gap, rngs, verify)
+    return _proximality_reports(batch, k, eps_gap, verify)
 
 
 def proximality_report(
     g: ScaledMatrix,
     k: int,
     eps_gap: float = EPS_GAP,
-    rng: np.random.Generator | None = None,
     verify: bool = True,
 ) -> ProximalityReport:
     """Classify proximality of ``g`` at gap index ``k`` and extract planes:
     the one-row case of :func:`proximality_reports`."""
-    rngs = None if rng is None else [rng]
-    return _proximality_reports(ScaledBatch.stack([g]), k, eps_gap, rngs, verify)[0]
+    return _proximality_reports(ScaledBatch.stack([g]), k, eps_gap, verify)[0]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,7 @@
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from anosov import (
     fuchsian_surface_rep,
     schottky_rep,
 )
+from anosov.cli import main
 
 
 @pytest.fixture
@@ -41,3 +46,22 @@ def random_invertible(rng, d, spread=1.0):
         a = spread * rng.standard_normal((d, d))
         if abs(np.linalg.det(a)) > 1e-6:
             return a
+
+
+def _seedless_outputs(argv, seed, out):
+    """Exit code, stdout, stderr and the written files of one CLI run at
+    ``--seed seed``, with the seed's two echoes taken out of summary.json."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main([*argv, "--seed", str(seed), "--out", str(out)])
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    if "summary.json" in files:
+        summary = json.loads(files["summary.json"])
+        assert summary.pop("seed") == summary["config"].pop("seed") == seed
+        files["summary.json"] = json.dumps(summary)
+    return code, stdout.getvalue(), stderr.getvalue(), files
+
+
+@pytest.fixture(scope="session")
+def seedless_outputs():
+    return _seedless_outputs

@@ -244,6 +244,24 @@ class TestProximalityReport:
                     break
             assert subspace_angle(v, rep.attracting_plane) < 1e-6
 
+    def test_audit_refuses_an_invariant_plane_that_does_not_attract(self, monkeypatch):
+        # at k = 1 on diag(3, 2, 1) the line e2 is invariant, so it passes
+        # both invariance checks, but power iteration converges to e1
+        real = linalg._invariant_plane
+
+        def second_axis(entries, log_thresh, count, top):
+            if top:
+                return np.eye(3)[:, 1:2]
+            return real(entries, log_thresh, count, top)
+
+        monkeypatch.setattr(linalg, "_invariant_plane", second_axis)
+        g = sm(np.diag([3.0, 2.0, 1.0]))
+        message = "^power iteration did not converge to the computed attracting plane$"
+        with pytest.raises(EigensolveFailure, match=message):
+            proximality_report(g, 1, verify=True)
+        report = proximality_report(g, 1, verify=False)
+        assert np.array_equal(report.attracting_plane, np.eye(3)[:, 1:2])
+
     def test_matches_spectrum_gap(self, rng):
         # proximality_report verdict agrees with the spectrum gap on randoms
         for _ in range(40):
@@ -295,16 +313,6 @@ class TestProximalityReports:
                 reports = proximality_reports(stack, k, verify=False)
                 for i, report in enumerate(reports):
                     assert_same_report(report, proximality_report(stack[i], k, verify=False))
-
-    def test_each_row_audits_with_its_own_generator(self):
-        # gaps 2 (audited), 1.05 (below the verifiable gap) and none
-        batch = ScaledBatch.stack([sm(np.diag([2.0, 1.0])), sm(np.diag([1.05, 1.0])),
-                                   sm([[0.0, -1.0], [1.0, 0.0]])])
-        rngs = [np.random.default_rng(i) for i in range(3)]
-        proximality_reports(batch, 1, rngs=rngs)
-        fresh = [np.random.default_rng(i).bit_generator.state for i in range(3)]
-        drawn = [r.bit_generator.state != f for r, f in zip(rngs, fresh)]
-        assert drawn == [True, False, False]
 
     def test_empty_batch(self):
         assert proximality_reports(ScaledBatch.stack([sm(np.eye(3))]).take(slice(0)), 1) == []

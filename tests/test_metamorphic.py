@@ -44,9 +44,11 @@ from anosov import (
     fuchsian_surface_rep,
     gap_profiles,
     limit_map_sample,
+    orthonormalize,
     realify_rep,
     scan_positivities,
     schottky_rep,
+    subspace_angle,
     sym_power_rep,
 )
 from word_oracle import conjugacy_key, cyclic_reduce
@@ -149,9 +151,10 @@ LIMIT_CASES = {
 
 
 @functools.cache
-def limit_audit(case):
+def limit_samples(case):
     build, k, radius = LIMIT_CASES[case]
-    return audit_limit_samples(limit_map_sample(build(), k, radius))
+    samples = limit_map_sample(build(), k, radius)
+    return samples, audit_limit_samples(samples)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -162,8 +165,18 @@ def test_conjugated_limit_set_audit_is_unchanged(case, cond, seed):
     # the audit does change (see the module docstring)
     build, k, radius = LIMIT_CASES[case]
     rep = build()
-    conjugated = conjugate(rep, conjugator(rep.dim, cond, seed))
-    assert audit_limit_samples(limit_map_sample(conjugated, k, radius)) == limit_audit(case)
+    p = conjugator(rep.dim, cond, seed)
+    samples, audit = limit_samples(case)
+    conjugated = limit_map_sample(conjugate(rep, p), k, radius)
+    assert audit_limit_samples(conjugated) == audit
+    # every plane is P times rho's: 5.5e-13 in sine at most over these cases
+    assert [s.word for s in conjugated] == [s.word for s in samples]
+    for after, before in zip(conjugated, samples):
+        for name in ("plus_k", "minus_dk", "minus_k", "plus_dk"):
+            plane, base = getattr(after, name), getattr(before, name)
+            assert (plane is None) == (base is None), (after.word, name)
+            if plane is not None:
+                assert subspace_angle(plane, orthonormalize(p @ base)) < 1e-10, (after.word, name)
 
 
 # (construction, radius, k values) of the positivity scans
