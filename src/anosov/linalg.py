@@ -18,8 +18,12 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from itertools import combinations
 from typing import Callable, NamedTuple, Sequence
 
@@ -312,9 +316,29 @@ def singular_values(g: ScaledMatrix) -> SingularValues:
     return SingularValues(log_values=_as_readonly(log_singular_values(ScaledBatch.stack([g]))[0]))
 
 
-#: LAPACK's double-precision real Schur routine, looked up on the first
-#: Schur form, so that commands taking none never import ``scipy.linalg``.
+#: LAPACK's double-precision real Schur routine, taken on the first Schur
+#: form from SciPy's LAPACK extension module alone (:func:`_flapack`), so
+#: that no command imports ``scipy.linalg``.
 _GEES = None
+
+
+def _flapack():
+    """``scipy.linalg._flapack``, the extension module ``get_lapack_funcs``
+    takes ``dgees`` from, loaded without the ``scipy.linalg`` package init.
+
+    The module is registered in ``sys.modules`` (or the entry already there
+    is reused), so a later ``import scipy.linalg`` shares it and its
+    ``dgees`` is the very handle ``get_lapack_funcs`` returns.
+    """
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        spec = PathFinder.find_spec(name, [os.path.join(p, "linalg") for p in scipy.__path__])
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
 
 
 def _no_select(re: float, im: float) -> None:
@@ -332,13 +356,12 @@ def _real_schur(
     The workspace is the minimal ``3d``, so there is no workspace query;
     failures raise :class:`EigensolveFailure` with the messages of SciPy's
     ``schur`` wrapper, which also validates its input and queries first.
-    The ``gees`` handle is looked up on the first Schur form.
+    The ``gees`` handle is taken from :func:`_flapack` on the first Schur
+    form.
     """
     global _GEES
     if _GEES is None:
-        import scipy.linalg
-
-        _GEES = scipy.linalg.get_lapack_funcs(("gees",), (np.empty((1, 1)),))[0]
+        _GEES = _flapack().dgees
     d = a.shape[0]
     t, sdim, _, _, z, _, info = _GEES(
         select or _no_select,

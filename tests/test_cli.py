@@ -1127,18 +1127,25 @@ def test_gap_csv_memory_is_bounded(tmp_path):
 
 
 #: Runs commands in one fresh interpreter and prints, per command, its exit
-#: code and whether ``scipy.linalg`` was imported by then.
+#: code and whether ``scipy.linalg`` and SciPy's LAPACK extension module were
+#: imported by then.
 SCIPY_PROBE = """
 import json, sys, tempfile
 from anosov import cli
 out = tempfile.mkdtemp()
 for argv in json.loads(sys.argv[1]):
     code = cli.main([*argv, "--out", out])
-    print(json.dumps([argv[0], json.loads(argv[2])["kind"], code, "scipy.linalg" in sys.modules]))
+    print(json.dumps([argv[0], json.loads(argv[2])["kind"], code,
+                      "scipy.linalg" in sys.modules, "scipy.linalg._flapack" in sys.modules]))
 """
 
 
-def test_scipy_linalg_is_loaded_only_for_a_schur_form():
+def probe_env():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_no_command_imports_scipy_linalg():
     kinds = [
         {"kind": "schottky"},
         {"kind": "fuchsian-surface", "genus": 2},
@@ -1150,19 +1157,57 @@ def test_scipy_linalg_is_loaded_only_for_a_schur_form():
     runs = [[c[0], "--construction", json.dumps(d), *c[1:]] for d in kinds for c in commands]
     # a scan reads class spectra and takes no Schur form ...
     runs.append(["scan-positivity", "--construction", '{"kind":"sym-power","m":3}', "--k", "3", "--radius", "2"])
-    # ... until a negative witness is rechecked, so the probe can see scipy.linalg arrive
-    runs.append(["scan-positivity", "--construction", '{"kind":"sym-power","m":5}', "--k", "3", "--radius", "4"])
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    no_schur = len(runs)
+    # ... until a negative witness is rechecked; these all take Schur forms
+    runs += [
+        ["scan-positivity", "--construction", '{"kind":"sym-power","m":5}', "--k", "3", "--radius", "4"],
+        ["limit-set", "--construction", SCHOTTKY, "--k", "1", "--radius", "3"],
+        ["deform", "--construction", SYM5, "--k", "2", "--radius", "2", "--steps", "3"],
+        ["pingpong", "--construction", SCHOTTKY, "--g", "a", "--t", "b"],
+    ]
     result = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(runs)],
-                            env=env, capture_output=True, text=True, timeout=300)
+                            env=probe_env(), capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     rows = [json.loads(line) for line in result.stdout.splitlines() if line.startswith("[")]
     assert len(rows) == len(runs)
-    for command, kind, code, loaded in rows[:-1]:
+    for i, (command, kind, code, linalg_loaded, flapack_loaded) in enumerate(rows):
         assert code in (EXIT_OK, EXIT_REFUTED), (command, kind, code)
-        assert not loaded, (command, kind)
-    assert rows[-1] == ["scan-positivity", "sym-power", EXIT_REFUTED, True]
+        assert not linalg_loaded, (command, kind)
+        # SciPy's LAPACK extension arrives with the first Schur form
+        assert flapack_loaded == (i >= no_schur), (command, kind)
+    assert rows[no_schur][:3] == ["scan-positivity", "sym-power", EXIT_REFUTED]
+
+
+#: Runs a Schur-taking command with ``scipy.linalg`` imported after (order 1)
+#: or before (order 2) it, then prints whether the ``gees`` handle is the one
+#: ``get_lapack_funcs`` returns, and the columns of ``spectra`` of one fixed
+#: batch of 15 x 15 matrices.
+SCHUR_ORDER_PROBE = """
+import json, sys, tempfile
+import numpy as np
+if sys.argv[1] == "before":
+    import scipy.linalg
+from anosov import ScaledBatch, cli, linalg
+code = cli.main(["limit-set", "--construction", '{"kind":"schottky"}', "--k", "1", "--radius", "3",
+                 "--out", tempfile.mkdtemp()])
+import scipy.linalg
+gees = scipy.linalg.get_lapack_funcs(("gees",), (np.empty((1, 1)),))[0]
+batch = ScaledBatch(np.random.default_rng(7).standard_normal((4, 15, 15)), np.zeros(4))
+columns = [c.tolist() for c in linalg.spectra(batch)]
+print(json.dumps([code, linalg._GEES is gees, columns]))
+"""
+
+
+def test_schur_handle_is_scipys_in_either_import_order():
+    outputs = {}
+    for order in ("after", "before"):
+        result = subprocess.run([sys.executable, "-c", SCHUR_ORDER_PROBE, order],
+                                env=probe_env(), capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        code, same_handle, columns = json.loads(result.stdout.splitlines()[-1])
+        assert (code, same_handle) == (EXIT_OK, True), order
+        outputs[order] = columns
+    assert outputs["after"] == outputs["before"]
 
 
 @pytest.mark.parametrize("m", [68, 100])
