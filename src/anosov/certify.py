@@ -99,16 +99,17 @@ class _ColumnRecord:
 class GapProfile(_ColumnRecord):
     """Per-word log singular-value gaps over a ball, at one index k.
 
-    Columns are in ball order: ``words`` (shared by every k of one scan),
-    ``lengths``, ``log_gap`` = log(sigma_k / sigma_{k+1}) clipped at 0 and
-    ``log_total`` = log(sigma_1 / sigma_d).
+    Columns are in ball order: ``words`` (the ball's
+    :class:`~anosov.words.WordStrings` view, spelled on demand and shared
+    by every k of one scan), ``lengths``, ``log_gap`` = log(sigma_k /
+    sigma_{k+1}) clipped at 0 and ``log_total`` = log(sigma_1 / sigma_d).
     """
 
     k: int
     radius: int
     dim: int
     presentation: str
-    words: list[str]
+    words: Sequence[str]
     lengths: np.ndarray
     log_gap: np.ndarray
     log_total: np.ndarray
@@ -268,8 +269,9 @@ class PositivityReport(_ColumnRecord):
     recheck fails or, without a witness, when some word is unresolved.
     Words failing positive semi-proximality obstruct any invariant properly
     convex cone, so they are collected separately.  Per-word columns are in
-    ball order; ``ell1_sign`` is +-1 when the signed top eigenvalue is
-    defined, else 0.  An ``unresolved`` word's class did not settle (see
+    ball order, ``words`` being the ball's :class:`~anosov.words.WordStrings`
+    view, spelled on demand; ``ell1_sign`` is +-1 when the signed top
+    eigenvalue is defined, else 0.  An ``unresolved`` word's class did not settle (see
     :func:`linalg.class_spectra`): it is neither proximal nor a
     semi-proximality failure, and its ``log_gap`` is NaN.
     """
@@ -277,7 +279,7 @@ class PositivityReport(_ColumnRecord):
     k: int
     radius: int
     dim_scanned: int
-    words: list[str]
+    words: Sequence[str]
     lengths: np.ndarray
     proximal: np.ndarray
     ell1_sign: np.ndarray
@@ -395,7 +397,7 @@ def scan_positivities(
                 log_gap=log_gap, unresolved=unresolved,
                 n_proximal=n_proximal, n_negative=len(negative), n_unresolved=n_unresolved,
                 verdict=verdict, witness=witness, witness_recheck=recheck,
-                semiproximal_failures=tuple(words[i] for i in np.flatnonzero(~semiproximal)),
+                semiproximal_failures=tuple(words.take(np.flatnonzero(~semiproximal))),
             )
         )
     return reports
@@ -445,10 +447,11 @@ def limit_map_sample(
     """One sample per primitive letter-level cyclic class of the ball.
 
     The sampled words are the first of each class in ball order, found from
-    integer word codes by :func:`cyclic_class_rows`, and read from the
-    ball's :meth:`Ball.word_strings`; an inverse is spelled reversed with
-    its cases swapped.  They are classified, and their attracting planes
-    audited, by one :func:`proximality_reports` call; nothing is random.
+    integer word codes by :func:`cyclic_class_rows`, and only those rows are
+    spelled, by the ball's :meth:`Ball.word_strings` view; an inverse is
+    spelled reversed with its cases swapped.  They are classified, and their
+    attracting planes audited, by one :func:`proximality_reports` call;
+    nothing is random.
     The planes of a biproximal word's inverse are its own planes at d - k,
     the roles swapped: its inverse attracts to its repelling k-plane and
     repels from its attracting (d-k)-plane.  When 2k = d they are read from
@@ -473,12 +476,11 @@ def limit_map_sample(
     else:
         dual = proximality_reports(sampled.take(biproximal), d - k, eps_gap=eps_gap, verify=False)
     inverse_planes = {j: (r.repelling_plane, r.attracting_plane) for j, r in zip(biproximal, dual)}
-    words = ball.word_strings()
     samples = []
-    for j, (row, report) in enumerate(zip(rows.tolist(), fwd)):
+    for j, (word, report) in enumerate(zip(ball.word_strings().take(rows), fwd)):
         minus_k, plus_dk = inverse_planes.get(j, (None, None))
         samples.append(LimitSample(
-            word=words[row], inverse_word=words[row][::-1].swapcase(),
+            word=word, inverse_word=word[::-1].swapcase(),
             dynamics_preserving=report.is_proximal, log_gap=report.log_gap,
             plus_k=report.attracting_plane, minus_dk=report.repelling_plane,
             minus_k=minus_k, plus_dk=plus_dk,

@@ -304,7 +304,9 @@ def log_singular_values(batch: ScaledBatch) -> np.ndarray:
     sv, _, error = _singular_value_check(batch.entries, cond_limit=COND_LIMIT)
     if error is not None:
         raise error
-    return np.log(sv) + batch.log_scale[:, None]
+    np.log(sv, out=sv)  # in place: one (n, d) array per batch
+    sv += batch.log_scale[:, None]
+    return sv
 
 
 def singular_values(g: ScaledMatrix) -> SingularValues:

@@ -31,6 +31,7 @@ letter (:func:`evaluate_ball`).
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -47,6 +48,9 @@ from .errors import (
 from .linalg import ScaledBatch, ScaledMatrix
 
 BALL_GUARD = 1_000_000
+
+#: Words spelled at a time when a :class:`WordStrings` view is iterated.
+SPELL_ROWS = 4096
 
 _SURFACE_RELATOR_TOL = 1e-6
 
@@ -234,6 +238,8 @@ class Ball:
     Word i of sphere n (n >= 1) is word ``parent[n][i]`` of sphere n-1
     followed by the letter ``letter[n][i]``; sphere 0 is the identity, with
     parent -1 and letter 0.  Within a sphere words are in shortlex order.
+    These arrays are the only copy of the words: :meth:`word_strings` is a
+    view that spells the rows it is asked for.
     """
 
     presentation: Presentation
@@ -254,22 +260,9 @@ class Ball:
         for sphere in self.spheres:
             yield from sphere
 
-    def word_strings(self) -> list[str]:
-        """``str(w)`` of every word, in ``words()`` order.
-
-        Per sphere n, the code points of its words are an (m, n) array: the
-        parents' rows plus one letter column, read as m strings of length n.
-        """
-        offset = self.presentation.n_generators  # letters run from -offset to offset
-        points = np.zeros(2 * offset + 1, dtype=np.uint32)
-        for l in self.presentation.letters():
-            points[l + offset] = ord(letter_str(l))
-        out = [word_str(())]
-        rows = np.zeros((1, 0), dtype=np.uint32)
-        for n, (parent, letter) in enumerate(zip(self.parent[1:], self.letter[1:]), 1):
-            rows = np.column_stack([rows[parent], points[letter + offset]])
-            out += rows.view(f"U{n}").ravel().tolist()
-        return out
+    def word_strings(self) -> "WordStrings":
+        """``str(w)`` of every word, in ``words()`` order, as a view spelled on demand."""
+        return WordStrings(self)
 
     def lengths(self) -> np.ndarray:
         """``len(w)`` of every word, in ``words()`` order."""
@@ -280,6 +273,72 @@ class Ball:
 
     def __len__(self) -> int:
         return sum(self.sphere_sizes())
+
+
+class WordStrings(Sequence[str]):
+    """Read-only view of ``str(w)`` for every word of a ball, in ``words()`` order.
+
+    It holds no strings, only the ball, and spells just the rows asked for,
+    sphere by sphere: the code points of m rows of sphere n are gathered into
+    an (m, n) array by walking their parents up n levels, and read as m
+    strings of length n.  Iteration spells :data:`SPELL_ROWS` rows at a time.
+    The view compares equal to any sequence of the same strings.
+    """
+
+    def __init__(self, ball: Ball) -> None:
+        # code points indexed by letter: a negative letter wraps to the end
+        self._points = np.zeros(2 * ball.presentation.n_generators + 1, dtype=np.uint32)
+        for l in ball.presentation.letters():
+            self._points[l] = ord(letter_str(l))
+        self._ball = ball
+        self._starts = np.cumsum((0,) + ball.sphere_sizes())  # sphere n: starts[n]:starts[n+1]
+
+    def __len__(self) -> int:
+        return int(self._starts[-1])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            rows = np.arange(start, stop, step)
+            return self.take(rows) if step > 0 else self.take(rows[::-1])[::-1]
+        i = operator.index(index)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"word index {i} out of range for {len(self)} words")
+        return self.take([i % len(self)])[0]
+
+    def __iter__(self) -> Iterator[str]:
+        for lo in range(0, len(self), SPELL_ROWS):
+            yield from self[lo : lo + SPELL_ROWS]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def take(self, rows: Sequence[int] | np.ndarray) -> list[str]:
+        """The words of the given ascending rows; raises IndexError for a row
+        outside ``0 <= row < len(self)``."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if np.any(rows[1:] < rows[:-1]):
+            raise ValueError("word rows must ascend")
+        if len(rows) and not (0 <= rows[0] and rows[-1] < len(self)):
+            raise IndexError(f"word rows outside 0..{len(self) - 1}")
+        cuts = np.searchsorted(rows, self._starts).tolist()  # sphere n: rows[cuts[n]:cuts[n+1]]
+        out: list[str] = []
+        for n, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            if lo < hi:
+                out += self._spell(n, rows[lo:hi] - self._starts[n])
+        return out
+
+    def _spell(self, n: int, rows: np.ndarray) -> list[str]:
+        """The words of the given rows of sphere n."""
+        if n == 0:
+            return [word_str(())] * len(rows)
+        points = np.empty((len(rows), n), dtype=np.uint32)
+        for level in range(n, 0, -1):
+            points[:, level - 1] = self._points[self._ball.letter[level][rows]]
+            rows = self._ball.parent[level][rows]
+        return points.view(f"U{n}").ravel().tolist()
 
 
 def _check_guard(total: int) -> None:

@@ -1126,6 +1126,22 @@ def test_gap_csv_memory_is_bounded(tmp_path):
     assert peak < 4 * 2**20
 
 
+def test_certify_memory_is_bounded(tmp_path):
+    # genus 2 at R=6 has 155,577 words; held as a list of str until the
+    # report is written they took about 10 MiB and the peak read 19.0 MiB.
+    # The report's word column is a view that spells one chunk at a time.
+    cfg = ExperimentConfig(construction={"kind": "fuchsian-surface", "genus": 2}, radius=6)
+    rep = build_representation(cfg.construction)
+    tracemalloc.start()
+    try:
+        result = cmd_certify(cfg, rep, profile_only=False)
+        write_run(tmp_path, result.summary, result.reports)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * 2**20
+
+
 #: Runs commands in one fresh interpreter and prints, per command, its exit
 #: code and whether ``scipy.linalg`` and SciPy's LAPACK extension module were
 #: imported by then.

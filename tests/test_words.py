@@ -30,8 +30,8 @@ from anosov import (
     word_str,
     words_equal,
 )
-from anosov.cli import ExperimentConfig, cmd_construct, write_run
-from anosov.words import cyclic_class_rows, cyclic_classes, shortlex_key
+from anosov.cli import CSV_CHUNK_ROWS, ExperimentConfig, cmd_construct, write_run
+from anosov.words import SPELL_ROWS, cyclic_class_rows, cyclic_classes, shortlex_key
 from word_oracle import conjugacy_key, cyclic_reduce, is_primitive_cyclic, per_word_class_rows
 
 F2 = Presentation.free(2)
@@ -307,11 +307,43 @@ class TestEnumerateBall:
         ids=["free2-r10", "genus2-r6", "free13-r3", "genus3-r4", "free1-r30", "radius0"],
     )
     def test_word_strings_are_str_of_words(self, p, radius):
-        # free rank 13 reaches the last letters, z and Z; radius 0 is "<id>"
+        # free rank 13 reaches the last letters, z and Z; radius 0 is "<id>".
+        # The view spells only the rows asked for, sphere segment by sphere
+        # segment: slices across every chunk and sphere boundary, negative
+        # indices and unordered rows must read the same strings.
         ball = enumerate_ball(p, radius)
+        oracle = [str(w) for w in ball.words()]
         strings = ball.word_strings()
-        assert strings == [str(w) for w in ball.words()]
+        n = len(oracle)
+        assert len(strings) == n
+        assert strings == oracle and oracle == strings and strings == tuple(oracle)
+        assert strings != oracle[:-1] and strings != [*oracle[:-1], "?"]
+        assert list(strings) == oracle  # full iteration, SPELL_ROWS rows at a time
         assert all(type(s) is str for s in strings)
+        spheres = np.cumsum(ball.sphere_sizes()).tolist()
+        for c in sorted({*range(0, n + 1, CSV_CHUNK_ROWS), *range(0, n + 1, SPELL_ROWS), *spheres}):
+            for piece in (slice(max(c - 2, 0), c + 2), slice(max(c - 700, 0), c + 3),
+                          slice(c, c + CSV_CHUNK_ROWS), slice(max(c - 1, 0), c + 2, 2)):
+                assert strings[piece] == oracle[piece], piece
+            if c < n:
+                assert strings[c] == oracle[c] and strings[c - n] == oracle[c - n]
+        for piece in (slice(None), slice(None, None, -1), slice(-5, None), slice(1, None, 7),
+                      slice(n, n + 3), slice(5, 2)):
+            assert strings[piece] == oracle[piece], piece
+        assert strings[-1] == oracle[-1] and strings[-n] == oracle[0]
+        assert strings[np.int64(n - 1)] == oracle[-1]
+        for i in (n, -n - 1, n + CSV_CHUNK_ROWS):
+            with pytest.raises(IndexError):
+                strings[i]
+        rows = np.sort(np.random.default_rng(0).choice(n, size=min(n, 500), replace=False))
+        assert strings.take(rows) == [oracle[i] for i in rows]
+        assert strings.take([]) == []
+        for bad in ([n], [-1], [0, n]):
+            with pytest.raises(IndexError):
+                strings.take(bad)
+        if n > 1:
+            with pytest.raises(ValueError, match="ascend"):
+                strings.take([1, 0])
 
     def test_surface_genus2_radius2(self):
         ball = enumerate_ball(S2, 2)
