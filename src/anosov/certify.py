@@ -39,10 +39,10 @@ from .linalg import (
     maximal_minors,
     orthonormalize,
     proximality_report,
-    proximality_reports,
     require_gap_index,
     spectra,
     transverse_mask,
+    word_reports,
 )
 from .words import (
     Ball,
@@ -449,43 +449,34 @@ def limit_map_sample(
     The sampled words are the first of each class in ball order, found from
     integer word codes by :func:`cyclic_class_rows`, and only those rows are
     spelled, by the ball's :meth:`Ball.word_strings` view; an inverse is
-    spelled reversed with its cases swapped.  They are classified, and their
-    attracting planes audited, by one :func:`proximality_reports` call;
-    nothing is random.
-    The planes of a biproximal word's inverse are its own planes at d - k,
-    the roles swapped: its inverse attracts to its repelling k-plane and
-    repels from its attracting (d-k)-plane.  When 2k = d they are read from
-    the same reports; otherwise from one more call, at d - k and without the
-    audit, on the same matrices.  No matrix is inverted.  The first failure
-    met, stage by stage, raises.  Raises NoProximalElements when no sampled
+    spelled reversed with its cases swapped.  One :func:`word_reports` call
+    on the generator images and the sampled words' letters gives every gap
+    and plane, with no product formed for them and no matrix inverted: a
+    word's planes are column slices of the settled frames of the word and of
+    its transpose word, its inverse's planes among them.  Nothing is random.
+    The first failure met raises.  Raises NoProximalElements when no sampled
     word is proximal at k.
     """
     if radius < 2:
         raise InsufficientRadius("limit sampling needs radius >= 2")
-    d = rep.dim
-    require_gap_index(k, d)
+    require_gap_index(k, rep.dim)
     ball = enumerate_ball(rep.presentation, radius)
     rows = cyclic_class_rows(ball)
-    sampled = evaluate_ball(rep, ball).take(rows)
-    fwd = proximality_reports(sampled, k, eps_gap=eps_gap)
-    if not any(report.is_proximal for report in fwd):
+    letters = ScaledBatch.stack([rep.image(l) for l in rep.presentation.letters()])
+    # letter l sits at 2(|l| - 1) + (l < 0) of presentation.letters()
+    words = [2 * (np.abs(w) - 1) + (w < 0) for w in ball.letter_rows(rows)]
+    reports = word_reports(letters, words, k, eps_gap=eps_gap)
+    if not any(report.is_proximal for report in reports):
         raise NoProximalElements(f"no P_{k}-proximal element in the radius-{radius} ball")
-    biproximal = [j for j, report in enumerate(fwd) if report.is_biproximal]
-    if 2 * k == d:
-        dual = [fwd[j] for j in biproximal]
-    else:
-        dual = proximality_reports(sampled.take(biproximal), d - k, eps_gap=eps_gap, verify=False)
-    inverse_planes = {j: (r.repelling_plane, r.attracting_plane) for j, r in zip(biproximal, dual)}
-    samples = []
-    for j, (word, report) in enumerate(zip(ball.word_strings().take(rows), fwd)):
-        minus_k, plus_dk = inverse_planes.get(j, (None, None))
-        samples.append(LimitSample(
+    return [
+        LimitSample(
             word=word, inverse_word=word[::-1].swapcase(),
             dynamics_preserving=report.is_proximal, log_gap=report.log_gap,
             plus_k=report.attracting_plane, minus_dk=report.repelling_plane,
-            minus_k=minus_k, plus_dk=plus_dk,
-        ))
-    return samples
+            minus_k=report.inverse_attracting_plane, plus_dk=report.inverse_repelling_plane,
+        )
+        for word, report in zip(ball.word_strings().take(rows), reports)
+    ]
 
 
 @dataclass(frozen=True)
@@ -762,26 +753,24 @@ def pingpong_power(
     ``t`` may be a word of the group or an explicit conjugating matrix (for
     example a rotation moving the axis of g onto a transverse axis).
     Returns None when no N <= max_n satisfies the criterion; raises
-    NotBiproximal when g is not biproximal at k = 1.  The attracting point
-    of g^-1 is g's repelling line at d - 1 and its repelling hyperplane g's
-    attracting one, read from g's report at k = 1 when d = 2 and from one
-    report at d - 1 otherwise.  The sines of all sample directions are
-    computed once per player and power, and delta is read from them by one
-    sort.
+    NotBiproximal when g is not biproximal at k = 1.  Both of g's fixed
+    points and hyperplanes come from one :func:`proximality_report` at
+    k = 1: g^-1 attracts to g's repelling line and repels from g's
+    attracting hyperplane.  The sines of all sample directions are computed
+    once per player and power, and delta is read from them by one sort.
     """
     mg = evaluate(rep, g)
     d = mg.dim
-    fwd = proximality_report(mg, 1, eps_gap=eps_gap, verify=False)
+    fwd = proximality_report(mg, 1, eps_gap=eps_gap)
     if not fwd.is_biproximal:
         raise NotBiproximal("base element is not biproximal at k = 1")
     conj = _conjugator(rep, t)
     if conj.dim != d:
         raise DimensionMismatch("conjugator dimension mismatch")
-    dual = fwd if d == 2 else proximality_report(mg, d - 1, eps_gap=eps_gap, verify=False)
     b_mat = conj @ mg @ conj.inverse()
     # (base matrix, attracting point, repelling plane) of g, g^-1, t g t^-1, t g^-1 t^-1
     sides = [(mg, fwd.attracting_plane[:, 0], fwd.repelling_plane),
-             (mg.inverse(), dual.repelling_plane[:, 0], dual.attracting_plane)]
+             (mg.inverse(), fwd.inverse_attracting_plane[:, 0], fwd.inverse_repelling_plane)]
     for (_, x, plane), base in zip(sides[:2], (b_mat, b_mat.inverse())):
         p = conj.entries @ x
         sides.append((base, p / np.linalg.norm(p), orthonormalize(conj.entries @ plane)))

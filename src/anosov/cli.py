@@ -14,8 +14,10 @@ command does not read (:func:`_commands`), non-finite thresholds or
 ``t_rotation``, negative seeds, construction keys the kind does not read, a
 from-file ``log_scale`` beyond the float64 range, a ``deform`` radius below 1
 and a ``deform`` sign table above ``BALL_GUARD``.  Numerical failures exit
-3 too, for now: ``zero eigenvalue``, ``computed plane is not invariant``,
-``condition number ... exceeds 1e+12``.
+3 too, for now: ``zero eigenvalue``, ``condition number ... exceeds 1e+12``
+and, from ``limit-set`` and ``pingpong`` planes, ``eigenvalues did not settle
+within 128 periods``, ``largest moduli not read from the leading frame
+columns`` and ``computed plane is not invariant``.
 
 The one random input, ``deform``'s perturbation noise, is drawn from the
 seed recorded in the summary; the other commands accept and echo the seed

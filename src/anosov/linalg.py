@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 from itertools import combinations
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -257,7 +257,10 @@ class ProximalityReport:
     ``attracting_plane`` (d x k) and ``repelling_plane`` (d x (d-k)) carry
     orthonormal bases of the dominant and complementary invariant subspaces;
     both are None when the matrix is not proximal at k (a flag, not an
-    error).  ``is_positively_proximal`` is only defined for k = 1.
+    error).  ``inverse_attracting_plane`` (d x k) and
+    ``inverse_repelling_plane`` (d x (d-k)) are those of the inverse, None
+    unless the matrix is biproximal.  ``is_positively_proximal`` is only
+    defined for k = 1.
     """
 
     k: int
@@ -268,6 +271,8 @@ class ProximalityReport:
     is_positively_proximal: bool | None
     attracting_plane: np.ndarray | None
     repelling_plane: np.ndarray | None
+    inverse_attracting_plane: np.ndarray | None
+    inverse_repelling_plane: np.ndarray | None
 
 
 def _singular_value_check(
@@ -343,44 +348,25 @@ def _flapack():
     return sys.modules[name]
 
 
-def _no_select(re: float, im: float) -> None:
-    return None
+def _real_schur(a: np.ndarray) -> np.ndarray:
+    """Real Schur form ``t`` of a finite float64 square matrix ``a``, from
+    one LAPACK ``gees`` call without Schur vectors; ``a`` is not overwritten.
 
-
-def _real_schur(
-    a: np.ndarray, select: Callable[[float, float], bool] | None = None
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Real Schur form ``a = z t z^T`` of a finite float64 square matrix:
-    ``(t, z, sdim)`` from one LAPACK ``gees`` call; ``a`` is not overwritten.
-
-    With ``select(re, im)`` the eigenvalues it accepts are moved to the top
-    left, ``sdim`` counts them and ``z`` is computed; without, it is not.
     The workspace is the minimal ``3d``, so there is no workspace query;
     failures raise :class:`EigensolveFailure` with the messages of SciPy's
     ``schur`` wrapper, which also validates its input and queries first.
-    The ``gees`` handle is taken from :func:`_flapack` on the first Schur
-    form.
+    The ``gees`` handle is taken from :func:`_flapack` on the first call.
     """
     global _GEES
     if _GEES is None:
         _GEES = _flapack().dgees
     d = a.shape[0]
-    t, sdim, _, _, z, _, info = _GEES(
-        select or _no_select,
-        a,
-        compute_v=int(select is not None),
-        sort_t=int(select is not None),
-        lwork=max(1, 3 * d),
-    )
+    t, _, _, _, _, _, info = _GEES(lambda re, im: None, a, compute_v=0, lwork=max(1, 3 * d))
     if info < 0:
         raise EigensolveFailure(f"illegal value in {-info}-th argument of internal gees")
-    if info == d + 1:
-        raise EigensolveFailure("Eigenvalues could not be separated for reordering.")
-    if info == d + 2:
-        raise EigensolveFailure("Leading eigenvalues do not satisfy sort condition.")
     if info > 0:
         raise EigensolveFailure("Schur form not found. Possibly ill-conditioned.")
-    return t, z, sdim
+    return t
 
 
 def _classify_forms(forms: np.ndarray, eps_gap: float) -> tuple[np.ndarray, ...]:
@@ -443,7 +429,7 @@ def spectra(batch: ScaledBatch, eps_gap: float = EPS_GAP) -> tuple[np.ndarray, .
     forms = np.empty((n_ok, *batch.entries.shape[1:]))
     for i in range(n_ok):
         try:
-            forms[i] = _real_schur(batch.entries[i])[0]
+            forms[i] = _real_schur(batch.entries[i])
         except EigensolveFailure as exc:
             forms, error = forms[:i], exc
             break
@@ -477,10 +463,10 @@ MAX_PERIODS = 128
 
 #: Relative change of a period's log moduli below which they have settled,
 #: and (times 16, at most 1e-2) the largest entry of Q_start^T Q_end below a
-#: split for which the leading subspace counts as invariant.  Both are raised
-#: to the rounding of one QR step, unit roundoff times the largest condition
-#: number of a letter's image: the floor at which the iteration stops
-#: improving.
+#: split for which the leading subspace counts as invariant.  Both are raised,
+#: word by word, to the rounding of one QR step, unit roundoff times the
+#: largest condition number of the word's letters: the floor at which the
+#: iteration stops improving.
 _SETTLE_TOL = 1e-12
 
 
@@ -490,17 +476,24 @@ class ClassSpectra(NamedTuple):
     ``log_moduli`` (n, d) is nonincreasing per row; ``signs`` (n, d) is +-1
     for a real eigenvalue and 0 for each member of a complex-conjugate pair,
     whose two columns are adjacent with equal moduli; an ``unresolved`` row
-    did not settle within :data:`MAX_PERIODS` periods and holds NaN moduli.
+    did not settle within :data:`MAX_PERIODS` periods and holds NaN moduli
+    and frames.  ``frames`` (n, d, d) holds each row's settled orthogonal
+    frame and ``columns`` (n, d) the frame column that each modulus was read
+    from: where modulus j-1 exceeds modulus j and ``columns[:, :j]`` holds
+    0..j-1, the first j columns of the frame span the invariant subspace of
+    the product for its j largest moduli.
     """
 
     log_moduli: np.ndarray
     signs: np.ndarray
     unresolved: np.ndarray
+    frames: np.ndarray
+    columns: np.ndarray
 
 
 def _group_spectra(
     m: np.ndarray, steps: Sequence[np.ndarray], log_diag: np.ndarray, split: np.ndarray,
-    real_tol: float,
+    real_tol: np.ndarray, frames: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log moduli and signs of every group of columns between invariant splits.
 
@@ -511,8 +504,12 @@ def _group_spectra(
     multiply blockwise), so a group's eigenvalues are those of that small
     product, each R block scaled by the geometric mean of its diagonal.  A
     one-column group is a real eigenvalue whose sign is its entry of ``m``;
-    an eigenvalue with imaginary part within ``real_tol`` of its modulus is
-    read as real.
+    an eigenvalue with imaginary part within ``real_tol`` (one per row) of
+    its modulus is read as real.  A wider group comes out in the order of
+    its moduli, and its columns of ``frames`` (Q_start) are turned, in
+    place, to an orthonormal basis whose leading columns span the small
+    product's eigenvectors in that order, a complex pair as the real and
+    imaginary parts of one vector.
     """
     n, d = log_diag.shape
     log_moduli, signs = np.empty((n, d)), np.empty((n, d), dtype=int)
@@ -530,12 +527,18 @@ def _group_spectra(
             for step in steps:
                 scale = np.log(np.diagonal(step[block], axis1=1, axis2=2)).mean(axis=1)
                 product = step[block] @ product / np.exp(scale)[:, None, None]
-            mu = np.linalg.eigvals(m[block] @ product)
+            mu, vectors = np.linalg.eig(m[block] @ product)
             mean = log_diag[r, cols].mean(axis=1, keepdims=True)
-            log_moduli[r, cols] = mean + np.log(np.abs(mu))
+            lm = mean + np.log(np.abs(mu))
+            order = np.argsort(-lm, axis=1, kind="stable")
+            mu, log_moduli[r, cols] = (np.take_along_axis(x, order, 1) for x in (mu, lm))
+            vectors = np.take_along_axis(vectors, order[:, None, :], 2)
+            basis = np.where(np.imag(mu)[:, None, :] < 0.0, np.imag(vectors), np.real(vectors))
+            turn = np.linalg.qr(basis)[0]
+            frames[r, :, cols] = np.swapaxes(turn, 1, 2) @ frames[r, :, cols]
         # a real eigenvalue of several at one modulus may come out with a
         # rounding-size imaginary part: only a resolved one makes a pair
-        real = np.abs(np.imag(mu)) <= real_tol * np.abs(mu)
+        real = np.abs(np.imag(mu)) <= real_tol[r] * np.abs(mu)
         signs[r, cols] = np.where(real, np.sign(np.real(mu)), 0)
     return log_moduli, signs
 
@@ -551,7 +554,8 @@ def _generic_frame(d: int) -> np.ndarray:
 
 
 def class_spectra(letters: ScaledBatch, words: Sequence[np.ndarray]) -> ClassSpectra:
-    """Eigenvalues of the products along cyclic words, without forming them.
+    """Eigenvalues and invariant frames of the products along cyclic words,
+    without forming them.
 
     ``letters`` holds the image of each letter; ``words`` is a sequence of
     (n_r, r) arrays of letter indices, one row per word, and the result has
@@ -566,27 +570,37 @@ def class_spectra(letters: ScaledBatch, words: Sequence[np.ndarray]) -> ClassSpe
     A complex pair, or any cluster of equal moduli, settles only as a group.
     A word is read, and leaves the stack, when two periods agree on the
     splits and, to :data:`_SETTLE_TOL` relative (or the rounding floor of
-    its letters, if higher), on the log-diagonal sum of every group, and no
-    group spans more than that floor lets a formed product resolve; after
-    :data:`MAX_PERIODS` it is unresolved.  Eigenvalues are conjugacy
-    invariants, so a word stands for its class.
+    its own letters, if higher), on the log-diagonal sum of every group, and
+    no group spans more than that floor lets a formed product resolve; after
+    :data:`MAX_PERIODS` it is unresolved.  Its frame is the Q_start of the
+    period read, each wider group turned to its eigenvectors.  Eigenvalues
+    are conjugacy invariants, so a word stands for its class; its frame
+    belongs to the word itself.  A word's result does not depend on the
+    other words.  Raises SingularInput for a singular or non-finite letter
+    image.
     """
     d = letters.entries.shape[-1]
-    sv = np.linalg.svd(letters.entries, compute_uv=False)
+    if not np.isfinite(letters.entries).all():
+        raise SingularInput("singular matrix")
+    sv, _, error = _singular_value_check(letters.entries)
+    if error is not None:
+        raise error
     unit = np.finfo(float).eps / 2
-    tol = max(_SETTLE_TOL, float((sv[:, 0] / sv[:, -1]).max()) * unit)
-    split_tol, spread_limit = min(16 * tol, 1e-2), math.log(tol / unit)
-    parts = []
+    cond = sv[:, 0] / sv[:, -1]
+    parts = [(np.empty((0, d)), np.empty((0, d), dtype=int), np.empty(0, dtype=bool),
+              np.empty((0, d, d)), np.empty((0, d), dtype=int))]
     for codes in words:
         n, r = codes.shape
+        tol = np.maximum(_SETTLE_TOL, cond[codes].max(axis=1, initial=0.0) * unit)
         log_moduli, signs = np.full((n, d), np.nan), np.zeros((n, d), dtype=int)
+        frames, columns = np.full((n, d, d), np.nan), np.tile(np.arange(d), (n, 1))
         unresolved = np.ones(n, dtype=bool)
         active = np.arange(n)
         q = np.broadcast_to(_generic_frame(d), (n, d, d))
         last = None
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for _ in range(MAX_PERIODS):
-                start, steps = q, []
+                start, steps, t = q, [], tol[active]
                 for i in range(r - 1, -1, -1):
                     q, rr = np.linalg.qr(letters.entries[codes[active, i]] @ q)
                     flip = np.where(np.diagonal(rr, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
@@ -595,6 +609,7 @@ def class_spectra(letters: ScaledBatch, words: Sequence[np.ndarray]) -> ClassSpe
                 log_diag = sum(np.log(np.diagonal(rr, axis1=1, axis2=2)) for rr in steps)
                 m = np.swapaxes(start, 1, 2) @ q
                 split = np.ones((len(active), d + 1), dtype=bool)
+                split_tol = np.minimum(16 * t, 1e-2)
                 for s in range(1, d):
                     split[:, s] = np.abs(m[:, s:, :s]).max(axis=(1, 2)) <= split_tol
                 # per group of columns: its log-diagonal sum and spread, at each column
@@ -603,28 +618,29 @@ def class_spectra(letters: ScaledBatch, words: Sequence[np.ndarray]) -> ClassSpe
                 flat = log_diag.ravel()
                 sums = np.repeat(np.add.reduceat(flat, at), sizes).reshape(-1, d)
                 spread = np.maximum.reduceat(flat, at) - np.minimum.reduceat(flat, at)
-                narrow = np.repeat(spread <= spread_limit, sizes).reshape(-1, d).all(axis=1)
-                ready = last is not None and narrow & (split == last[0]).all(axis=1) & (
-                    np.abs(sums - last[1]) <= tol * np.maximum(np.abs(sums), 1.0)
+                narrow = np.repeat(spread <= np.log(t / unit)[at // d], sizes)
+                ready = last is not None and narrow.reshape(-1, d).all(axis=1) & (
+                    split == last[0]).all(axis=1) & (
+                    np.abs(sums - last[1]) <= t[:, None] * np.maximum(np.abs(sums), 1.0)
                 ).all(axis=1)
                 if np.any(ready):
                     done = active[ready]
+                    frame = start[ready]
                     lm, sg = _group_spectra(m[ready], [rr[ready] for rr in steps],
-                                            log_diag[ready], split[ready], math.sqrt(tol))
+                                            log_diag[ready], split[ready], np.sqrt(t[ready]),
+                                            frame)
                     order = np.argsort(-lm, axis=1, kind="stable")
                     rows = np.arange(len(done))[:, None]
                     scale = letters.log_scale[codes[done]].sum(axis=1)
                     log_moduli[done] = lm[rows, order] + scale[:, None]
-                    signs[done] = sg[rows, order]
+                    signs[done], frames[done], columns[done] = sg[rows, order], frame, order
                     unresolved[done] = False
                     keep = ~ready
                     active, q, split, sums = active[keep], q[keep], split[keep], sums[keep]
                     if not len(active):
                         break
                 last = split, sums
-        parts.append((log_moduli, signs, unresolved))
-    if not parts:
-        return ClassSpectra(np.empty((0, d)), np.empty((0, d), dtype=int), np.empty(0, dtype=bool))
+        parts.append((log_moduli, signs, unresolved, frames, columns))
     return ClassSpectra(*map(np.concatenate, zip(*parts)))
 
 
@@ -652,28 +668,9 @@ def subspace_angle(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     return float(sines) if sines.ndim == 0 else sines
 
 
-def _invariant_plane(entries: np.ndarray, log_thresh: float, count: int, top: bool) -> np.ndarray:
-    """Orthonormal basis of the invariant subspace above/below a modulus threshold."""
-    thr = math.exp(log_thresh)
-    if top:
-        sort = lambda x, y: math.hypot(x, y) > thr  # noqa: E731
-    else:
-        sort = lambda x, y: math.hypot(x, y) < thr  # noqa: E731
-    _, z, sdim = _real_schur(entries, select=sort)
-    if sdim != count:
-        raise EigensolveFailure(
-            f"ordered Schur selected {sdim} eigenvalues, expected {count}"
-        )
-    return z[:, :count]
-
-
-#: Smallest eigenvalue gap for which the 200-step power-iteration audit can
-#: reach the 1e-6 angle target from a start in the complement of the
-#: repelling plane.
-_VERIFIABLE_GAP = 1.1
-
-_POWER_ITERATIONS = 200
-_POWER_ANGLE_TOL = 1e-6
+#: Largest |(I - P P^T) W P| / |W P| (spectral norms) for which a plane P
+#: counts as invariant under W: P is then exactly invariant under W + E with
+#: |E| at most that times |W P|.  At k = 1 it is the sine between W p and p.
 _INVARIANCE_TOL = 1e-6
 
 
@@ -683,112 +680,118 @@ def require_gap_index(k: int, d: int) -> None:
         raise DimensionMismatch(f"k={k} out of range for dimension {d}")
 
 
-def _proximality_reports(
-    batch: ScaledBatch,
-    k: int,
-    eps_gap: float,
-    verify: bool,
+def _word_reports(
+    letters: ScaledBatch, words: Sequence[np.ndarray], k: int, eps_gap: float
 ) -> list[ProximalityReport]:
-    """The body of :func:`proximality_reports`; its warnings name the line
-    that called the public function."""
-    d = batch.entries.shape[-1]
+    """The body of :func:`word_reports`; its warnings name the line that
+    called the public function."""
+    d = letters.entries.shape[-1]
     require_gap_index(k, d)
-    log_moduli, top_sign, _ = spectra(batch, eps_gap=eps_gap)
-    log_gap = (log_moduli[:, k - 1] - log_moduli[:, k]).tolist()
-    inverse_gap = (log_moduli[:, d - k - 1] - log_moduli[:, d - k]).tolist()
-    lm_entries = log_moduli - batch.log_scale[:, None]
-    log_thresh = 0.5 * (lm_entries[:, k - 1] + lm_entries[:, k])
+    fwd = class_spectra(letters, words)
+    transposed = ScaledBatch(np.swapaxes(letters.entries, 1, 2), letters.log_scale)
+    bwd = class_spectra(transposed, [codes[:, ::-1] for codes in words])
+    if fwd.unresolved.any() or bwd.unresolved.any():
+        raise EigensolveFailure(f"eigenvalues did not settle within {MAX_PERIODS} periods")
+    log_moduli = fwd.log_moduli
     tol = math.log1p(eps_gap)
-    proximal = [i for i, gap in enumerate(log_gap) if gap > tol]
-    attracting = np.empty((len(proximal), d, k))
-    repelling = np.empty((len(proximal), d, d - k))
-    for j, i in enumerate(proximal):
-        attracting[j] = _invariant_plane(batch.entries[i], log_thresh[i], k, top=True)
-        repelling[j] = _invariant_plane(batch.entries[i], log_thresh[i], d - k, top=False)
-    entries = batch.entries[proximal]
-    for planes in (attracting, repelling):
-        image = orthonormalize(entries @ planes)
-        if np.any(subspace_angle(image, planes) > _INVARIANCE_TOL):
-            raise EigensolveFailure("computed plane is not invariant")
-    gap_eig = [math.exp(gap) if gap < 700 else math.inf for gap in log_gap]
-    if verify:
-        audited = [gap_eig[i] >= _VERIFIABLE_GAP for i in proximal]
-        m, plus = entries[audited], attracting[audited]
-        # a start s in the complement of R splits as p + r, p attracting, r in
-        # R, <s, r> = 0: |r| <= |p|, so no start is tangent to R
-        v = np.linalg.qr(repelling[audited], mode="complete")[0][..., d - k:]
-        for _ in range(_POWER_ITERATIONS):
-            v = orthonormalize(m @ v)
-            left = ~(subspace_angle(v, plus) < _POWER_ANGLE_TOL)  # NaN stays
-            m, plus, v = m[left], plus[left], v[left]
-            if not len(v):
-                break
-        if len(v):
-            raise EigensolveFailure(
-                "power iteration did not converge to the computed attracting plane"
-            )
-    planes_of = dict(zip(proximal, zip(attracting, repelling)))
-    reports = []
-    for i, gap in enumerate(log_gap):
-        is_proximal = gap > tol
-        plus, minus = planes_of.get(i, (None, None))
-        reports.append(ProximalityReport(
-            k=k,
-            gap_eig=gap_eig[i],
-            log_gap=gap,
-            is_proximal=is_proximal,
-            is_biproximal=is_proximal and inverse_gap[i] > tol,
-            is_positively_proximal=bool(is_proximal and top_sign[i] == 1) if k == 1 else None,
-            attracting_plane=plus,
-            repelling_plane=minus,
-        ))
-    decade = math.log1p(10 * eps_gap)
-    for gap in log_gap:
+    log_gap = log_moduli[:, k - 1] - log_moduli[:, k]
+    proximal = log_gap > tol
+    biproximal = proximal & (log_moduli[:, d - k - 1] - log_moduli[:, d - k] > tol)
+    # the product W of each word, whose planes are checked under W (Q's) and
+    # W^T (Q_T's), the matrix that expands them
+    products = [np.empty((0, d, d))]
+    for codes in words:
+        w = letters.take(codes[:, 0])
+        for i in range(1, codes.shape[1]):
+            w = ScaledBatch.from_arrays(w.entries @ letters.entries[codes[:, i]],
+                                        w.log_scale + letters.log_scale[codes[:, i]])
+        products.append(w.entries)
+    product = np.concatenate(products)
+    for found, image in ((fwd, product), (bwd, np.swapaxes(product, 1, 2))):
+        for j, rows in ((k, proximal), (d - k, biproximal)):
+            if np.any(found.columns[rows, :j] >= j):
+                raise EigensolveFailure("largest moduli not read from the leading frame columns")
+            plane = found.frames[rows, :, :j]
+            moved = image[rows] @ plane
+            resid = moved - plane @ (np.swapaxes(plane, 1, 2) @ moved)
+            norms = np.linalg.norm(np.stack([resid, moved]), 2, axis=(-2, -1))
+            if np.any(norms[0] > _INVARIANCE_TOL * norms[1]):
+                raise EigensolveFailure("computed plane is not invariant")
+    reports, decade = [], math.log1p(10 * eps_gap)
+    for i, gap in enumerate(log_gap.tolist()):
         if tol < gap <= decade:
             warnings.warn(
                 f"gap at k={k} is within a decade of eps_gap; verdict is marginal",
                 MarginalGapWarning,
                 stacklevel=3,
             )
+        q, q_t = fwd.frames[i], bwd.frames[i]
+        reports.append(ProximalityReport(
+            k=k,
+            gap_eig=math.exp(gap) if gap < 700 else math.inf,
+            log_gap=gap,
+            is_proximal=bool(proximal[i]),
+            is_biproximal=bool(biproximal[i]),
+            is_positively_proximal=bool(proximal[i] and fwd.signs[i, 0] == 1) if k == 1 else None,
+            attracting_plane=q[:, :k] if proximal[i] else None,
+            repelling_plane=q_t[:, k:] if proximal[i] else None,
+            inverse_attracting_plane=q_t[:, d - k:] if biproximal[i] else None,
+            inverse_repelling_plane=q[:, :d - k] if biproximal[i] else None,
+        ))
     return reports
+
+
+def word_reports(
+    letters: ScaledBatch,
+    words: Sequence[np.ndarray],
+    k: int,
+    eps_gap: float = EPS_GAP,
+) -> list[ProximalityReport]:
+    """Classify the products along words at gap index ``k``, without forming
+    them for the planes.
+
+    ``letters`` and ``words`` are as for :func:`class_spectra`: one report
+    per word row, in order.  One pass gives the gaps, the top sign and the
+    planes, as column slices of two settled frames: Q of the word and Q_T
+    of its transpose word (the transposed letter images in reverse order),
+    whose product is W^T.  The attracting k- and (d-k)-planes of W are
+    Q[:, :k] and Q[:, :d-k]; its repelling (d-k)-plane is Q_T[:, k:], the
+    orthogonal complement of W^T's attracting k-plane; the inverse's
+    attracting k-plane is Q_T[:, d-k:].  No matrix is inverted.  The
+    repelling plane is set when the word is proximal at k, the inverse's
+    planes (``inverse_repelling_plane`` being W's attracting (d-k)-plane)
+    when it is biproximal.
+
+    The stages run over all words in turn, and the first that fails raises:
+    a singular letter image (SingularInput); a word that does not settle; a
+    needed plane whose moduli did not come out of the leading frame columns;
+    a leading slice of Q or Q_T that is not invariant under the formed W or
+    W^T, the matrix that expands it.  A MarginalGapWarning is emitted per
+    row whose open gap is within a decade of ``eps_gap``, once every row has
+    passed.
+    """
+    return _word_reports(letters, words, k, eps_gap)
 
 
 def proximality_reports(
     batch: ScaledBatch,
     k: int,
     eps_gap: float = EPS_GAP,
-    verify: bool = True,
 ) -> list[ProximalityReport]:
-    """Classify proximality of every matrix of a batch at gap index ``k``.
-
-    One report per row.  When a row is proximal, its attracting plane spans
-    the generalized eigenspaces of the k largest-modulus eigenvalues and its
-    repelling plane the complementary invariant subspace.  Invariance of both
-    planes is always checked; with ``verify`` the attracting plane is also
-    audited by power iteration whenever the gap is large enough for 200
-    iterations to converge.  Each audited row starts from the orthogonal
-    complement of its repelling plane, so the audit is deterministic.
-
-    The stages run over the whole batch in turn: one :func:`spectra` call;
-    the two ordered-Schur planes of each proximal row; both invariance
-    checks and the power iteration as stacked products, QRs and norms, a row
-    leaving the iteration once it has converged.  The first row that fails
-    a stage raises, so with several failing rows the error need not be that
-    of the first failing row.  A MarginalGapWarning is emitted per row whose
-    open gap is within a decade of ``eps_gap``, once every row has passed.
-    """
-    return _proximality_reports(batch, k, eps_gap, verify)
+    """Classify proximality of every matrix of a batch at gap index ``k``:
+    the one-letter-word case of :func:`word_reports`, each matrix its own
+    letter.  A row's report does not depend on the other rows."""
+    return _word_reports(batch, [np.arange(len(batch))[:, None]], k, eps_gap)
 
 
 def proximality_report(
     g: ScaledMatrix,
     k: int,
     eps_gap: float = EPS_GAP,
-    verify: bool = True,
 ) -> ProximalityReport:
     """Classify proximality of ``g`` at gap index ``k`` and extract planes:
     the one-row case of :func:`proximality_reports`."""
-    return _proximality_reports(ScaledBatch.stack([g]), k, eps_gap, verify)[0]
+    return _word_reports(ScaledBatch.stack([g]), [np.zeros((1, 1), dtype=np.intp)], k, eps_gap)[0]
 
 
 @dataclass(frozen=True)

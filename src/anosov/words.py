@@ -271,6 +271,20 @@ class Ball:
     def sphere_sizes(self) -> tuple[int, ...]:
         return tuple(len(l) for l in self.letter)
 
+    def letter_rows(self, rows: Sequence[int] | np.ndarray) -> list[np.ndarray]:
+        """The letters of the given ascending rows, one (m, n) array for the m
+        rows of each sphere n that holds any; raises IndexError for a row
+        outside the ball."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if np.any(rows[1:] < rows[:-1]):
+            raise ValueError("word rows must ascend")
+        starts = np.cumsum((0,) + self.sphere_sizes())  # sphere n: starts[n]:starts[n+1]
+        if len(rows) and not (0 <= rows[0] and rows[-1] < starts[-1]):
+            raise IndexError(f"word rows outside 0..{starts[-1] - 1}")
+        cuts = np.searchsorted(rows, starts).tolist()  # sphere n: rows[cuts[n]:cuts[n+1]]
+        return [_walk(self.parent[: n + 1], self.letter[: n + 1], rows[lo:hi] - starts[n])
+                for n, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if lo < hi]
+
     def __len__(self) -> int:
         return sum(self.sphere_sizes())
 
@@ -279,10 +293,10 @@ class WordStrings(Sequence[str]):
     """Read-only view of ``str(w)`` for every word of a ball, in ``words()`` order.
 
     It holds no strings, only the ball, and spells just the rows asked for,
-    sphere by sphere: the code points of m rows of sphere n are gathered into
-    an (m, n) array by walking their parents up n levels, and read as m
-    strings of length n.  Iteration spells :data:`SPELL_ROWS` rows at a time.
-    The view compares equal to any sequence of the same strings.
+    sphere by sphere: the code points of the (m, n) letters of m rows of
+    sphere n (:meth:`Ball.letter_rows`) are read as m strings of length n.
+    Iteration spells :data:`SPELL_ROWS` rows at a time.  The view compares
+    equal to any sequence of the same strings.
     """
 
     def __init__(self, ball: Ball) -> None:
@@ -290,11 +304,10 @@ class WordStrings(Sequence[str]):
         self._points = np.zeros(2 * ball.presentation.n_generators + 1, dtype=np.uint32)
         for l in ball.presentation.letters():
             self._points[l] = ord(letter_str(l))
-        self._ball = ball
-        self._starts = np.cumsum((0,) + ball.sphere_sizes())  # sphere n: starts[n]:starts[n+1]
+        self._ball, self._size = ball, len(ball)
 
     def __len__(self) -> int:
-        return int(self._starts[-1])
+        return self._size
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -318,27 +331,14 @@ class WordStrings(Sequence[str]):
     def take(self, rows: Sequence[int] | np.ndarray) -> list[str]:
         """The words of the given ascending rows; raises IndexError for a row
         outside ``0 <= row < len(self)``."""
-        rows = np.asarray(rows, dtype=np.intp)
-        if np.any(rows[1:] < rows[:-1]):
-            raise ValueError("word rows must ascend")
-        if len(rows) and not (0 <= rows[0] and rows[-1] < len(self)):
-            raise IndexError(f"word rows outside 0..{len(self) - 1}")
-        cuts = np.searchsorted(rows, self._starts).tolist()  # sphere n: rows[cuts[n]:cuts[n+1]]
         out: list[str] = []
-        for n, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            if lo < hi:
-                out += self._spell(n, rows[lo:hi] - self._starts[n])
+        for letters in self._ball.letter_rows(rows):
+            n = letters.shape[1]
+            if n == 0:
+                out += [word_str(())] * len(letters)
+            else:
+                out += self._points[letters].view(f"U{n}").ravel().tolist()
         return out
-
-    def _spell(self, n: int, rows: np.ndarray) -> list[str]:
-        """The words of the given rows of sphere n."""
-        if n == 0:
-            return [word_str(())] * len(rows)
-        points = np.empty((len(rows), n), dtype=np.uint32)
-        for level in range(n, 0, -1):
-            points[:, level - 1] = self._points[self._ball.letter[level][rows]]
-            rows = self._ball.parent[level][rows]
-        return points.view(f"U{n}").ravel().tolist()
 
 
 def _check_guard(total: int) -> None:
@@ -346,13 +346,15 @@ def _check_guard(total: int) -> None:
         raise ResourceLimit(f"ball size exceeds guard {BALL_GUARD}")
 
 
-def _rebuild(parents: list, letters: list, rows: np.ndarray) -> list[tuple[int, ...]]:
-    """Letter tuples of the given rows of the last sphere of a ball's (parent, letter) arrays."""
-    columns = []
-    for parent, letter in zip(parents[:0:-1], letters[:0:-1]):  # spheres n..1
-        columns.append(letter[rows].tolist())
-        rows = parent[rows]
-    return list(zip(*reversed(columns)))
+def _walk(parents: Sequence[np.ndarray], letters: Sequence[np.ndarray],
+          rows: np.ndarray) -> np.ndarray:
+    """The letters of the given rows of the last sphere of a ball's (parent,
+    letter) arrays, one row each, gathered by walking up their parents."""
+    out = np.empty((len(rows), len(letters) - 1), dtype=np.int8)  # letters lie in +-26
+    for level in range(len(letters) - 1, 0, -1):
+        out[:, level - 1] = letters[level][rows]
+        rows = parents[level][rows]
+    return out
 
 
 def enumerate_ball(p: Presentation, radius: int) -> Ball:
@@ -406,7 +408,7 @@ def enumerate_ball(p: Presentation, radius: int) -> Ball:
             if screened:
                 flag |= np.isin(window, codes)
             search = np.flatnonzero(flag & keep)
-            words = _rebuild(parents + [parent], letters + [letter], search)
+            words = map(tuple, _walk(parents + [parent], letters + [letter], search).tolist())
             keep[search] = [_surface_canonical(w, p.n) == w for w in words]
             tail = window[keep]
             tail %= base ** min(n, half - 1)

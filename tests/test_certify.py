@@ -10,10 +10,12 @@ from anosov import (
     DimensionMismatch,
     GapProfile,
     InsufficientRadius,
+    LimitSample,
     NoProximalElements,
     NotBiproximal,
     Presentation,
     Representation,
+    ScaledBatch,
     ScaledMatrix,
     SchottkyParams,
     SingularInput,
@@ -47,8 +49,10 @@ from anosov import (
     spectrum,
     subspace_angle,
     sym_power_rep,
+    symmetric_power,
     track_ball_along_path,
     track_ell1_along_path,
+    word_reports,
 )
 
 F2 = Presentation.free(2)
@@ -523,33 +527,29 @@ class TestLimitMapSample:
 
 
 def per_word_limit_samples(rep, k, radius, eps_gap=1e-8):
-    """The sampling loop word by word: one forward report per sampled word
-    and, for a biproximal word when 2k != d, one more at d - k, whose
-    repelling and attracting planes are its inverse's attracting and
-    repelling planes; the oracle for limit_map_sample."""
+    """The sampling loop word by word: the sampled words found by the word
+    oracle, each reported alone by one :func:`word_reports` call on its own
+    letters; the oracle for limit_map_sample, whose one batched call must
+    give every word this one-row report bit for bit."""
     from anosov.words import word_str
     from word_oracle import conjugacy_key, is_primitive_cyclic
 
+    letters = ScaledBatch.stack([rep.image(l) for l in rep.presentation.letters()])
+    index = {l: i for i, l in enumerate(rep.presentation.letters())}
     ball = enumerate_ball(rep.presentation, radius)
-    images = evaluate_ball(rep, ball)
     samples, seen = [], set()
-    for i, w in enumerate(ball.words()):
+    for w in ball.words():
         if len(w) == 0 or not is_primitive_cyclic(w.letters):
             continue
         key = conjugacy_key(w.letters)
         if key in seen:
             continue
         seen.add(key)
-        m = images[i]
-        fwd = proximality_report(m, k, eps_gap=eps_gap)
-        minus_k = plus_dk = None
-        if fwd.is_biproximal:
-            d = rep.dim
-            dual = fwd if 2 * k == d else proximality_report(m, d - k, eps_gap=eps_gap,
-                                                             verify=False)
-            minus_k, plus_dk = dual.repelling_plane, dual.attracting_plane
-        samples.append((str(w), word_str(w.inverse().letters), fwd.is_proximal, fwd.log_gap,
-                        fwd.attracting_plane, fwd.repelling_plane, minus_k, plus_dk))
+        codes = np.array([[index[l] for l in w.letters]])
+        report = word_reports(letters, [codes], k, eps_gap=eps_gap)[0]
+        samples.append((str(w), word_str(w.inverse().letters), report.is_proximal,
+                        report.log_gap, report.attracting_plane, report.repelling_plane,
+                        report.inverse_attracting_plane, report.inverse_repelling_plane))
     return samples
 
 
@@ -631,34 +631,6 @@ class TestLimitMapSampleOracle:
         marginal = [s for s in samples if s.log_gap <= math.log1p(1e-7)]
         assert len(warned) == len(marginal) == 4
 
-    def test_forward_failures_win_over_dual_failures(self, schottky, monkeypatch):
-        import anosov.linalg
-        from anosov import EigensolveFailure
-
-        # at d = 3, k = 1 the inverse planes come from a second call at
-        # d - k = 2; "a" is sampled before "ab", but every forward report
-        # comes first, so the forward failure of "ab" wins over the failure
-        # of "a" at d - k (its attracting 2-plane)
-        sym2 = sym_power_rep(schottky, 2)
-        planted = {
-            (evaluate(sym2, parse_word("a")).entries.tobytes(), 2, True): "dual of a",
-            (evaluate(sym2, parse_word("ab")).entries.tobytes(), 1, True): "forward of ab",
-        }
-        real = anosov.linalg._invariant_plane
-
-        def failing(entries, log_thresh, count, top):
-            message = planted.get((np.ascontiguousarray(entries).tobytes(), count, top))
-            if message is not None:
-                raise EigensolveFailure(message)
-            return real(entries, log_thresh, count, top)
-
-        monkeypatch.setattr(anosov.linalg, "_invariant_plane", failing)
-        with pytest.raises(EigensolveFailure, match="^forward of ab$"):
-            limit_map_sample(sym2, 1, 3)
-        del planted[evaluate(sym2, parse_word("ab")).entries.tobytes(), 1, True]
-        with pytest.raises(EigensolveFailure, match="^dual of a$"):
-            limit_map_sample(sym2, 1, 3)
-
 
 # (construction, k, radius) of the inverse-free sampling checks
 INVERSE_FREE_CASES = {
@@ -683,20 +655,20 @@ class TestLimitMapSampleInverseFree:
         build, k, radius = INVERSE_FREE_CASES[case]
         rep = build()
         calls = []
-        real_reports = certify.proximality_reports
+        real_reports = certify.word_reports
 
         def no_inverse(self):
             raise AssertionError("ScaledBatch.inverse called")
 
         def counted(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(args[2])
             return real_reports(*args, **kwargs)
 
         monkeypatch.setattr(ScaledBatch, "inverse", no_inverse)
-        monkeypatch.setattr(certify, "proximality_reports", counted)
+        monkeypatch.setattr(certify, "word_reports", counted)
         samples = limit_map_sample(rep, k, radius)
         monkeypatch.undo()
-        assert calls == ([k] if 2 * k == rep.dim else [k, rep.dim - k])
+        assert calls == [k]
         # the planes span those of the report of the inverted matrix
         ball = enumerate_ball(rep.presentation, radius)
         sampled = evaluate_ball(rep, ball).take(cyclic_class_rows(ball))
@@ -705,7 +677,7 @@ class TestLimitMapSampleInverseFree:
             assert (s.minus_k is None) == (s.plus_dk is None)
             if s.minus_k is None:
                 continue
-            bwd = proximality_report(sampled[i].inverse(), k, verify=False)
+            bwd = proximality_report(sampled[i].inverse(), k)
             assert subspace_angle(s.minus_k, bwd.attracting_plane) <= 1e-10, s.word
             assert subspace_angle(s.plus_dk, bwd.repelling_plane) <= 1e-10, s.word
             checked += 1
@@ -727,6 +699,69 @@ class TestLimitMapSampleInverseFree:
         sampled = [words[i] for i in cyclic_class_rows(ball)]
         assert [s.word for s in samples] == [str(w) for w in sampled]
         assert [s.inverse_word for s in samples] == [str(w.inverse()) for w in sampled]
+
+
+def sym_power_oracle_planes(base, m, k, radius):
+    """(plus_k, minus_dk, minus_k, plus_dk) of every sampled word of Sym^m
+    of a 2-dimensional ``base``, from the eigenvectors of the word's base
+    image alone.  With P = [u | v] those eigenvectors, the expanding one
+    first, scaled to det 1, Sym^m(P) diagonalizes the word's Sym^m image
+    with moduli in decreasing order, so its first j columns span the
+    invariant subspace of the j largest moduli and its last j that of the
+    j smallest."""
+    from anosov.words import cyclic_class_rows
+
+    ball = enumerate_ball(base.presentation, radius)
+    images = evaluate_ball(base, ball)
+    d = m + 1
+    planes = []
+    for i in cyclic_class_rows(ball):
+        mu, vectors = np.linalg.eig(images.entries[i])
+        p = vectors[:, np.argsort(-np.abs(mu))]
+        p = p / math.sqrt(abs(np.linalg.det(p)))
+        p[:, 1] *= np.sign(np.linalg.det(p))
+        s = symmetric_power(p, m).array()
+        planes.append(tuple(orthonormalize(c) for c in (s[:, :k], s[:, k:], s[:, d - k:],
+                                                         s[:, :d - k])))
+    return planes
+
+
+#: (m, k, radius) -> (pairs checked, transversality failures) of the Sym^m
+#: Schottky audits, where they were measured on the oracle planes
+SYM_POWER_AUDITS = {(5, k, 3): (240, 18) for k in (1, 2, 3)} | {
+    (5, 1, 4): (1122, 106), (5, 3, 4): (1122, 114), (3, 1, 4): (1122, 26), (3, 1, 5): (6642, 190),
+}
+
+
+class TestLimitMapSampleSymPowerOracle:
+    """Limit planes of Sym^3, Sym^5 and Sym^9 Schottky against Sym^m of the
+    base eigenvectors: every plane within 1e-10 in sine (1e-8 at Sym^9,
+    whose letters raise the settling tolerance to about 4e-8; 7.5e-9 is
+    measured), and the same audit."""
+
+    @pytest.mark.parametrize(
+        "m, k, radius",
+        [(3, k, r) for k in (1, 2) for r in (4, 5)]
+        + [(5, k, r) for k in (1, 2, 3) for r in range(3, 8)]
+        + [(9, 5, r) for r in (2, 3, 4)],
+    )
+    def test_planes_match_sym_power_of_base_eigenvectors(self, schottky, m, k, radius):
+        samples = limit_map_sample(sym_power_rep(schottky, m), k, radius)
+        oracle = sym_power_oracle_planes(schottky, m, k, radius)
+        assert len(samples) == len(oracle)
+        names = ("plus_k", "minus_dk", "minus_k", "plus_dk")
+        for s, planes in zip(samples, oracle):
+            assert s.dynamics_preserving
+            for name, expected in zip(names, planes):
+                sine = subspace_angle(getattr(s, name), expected)
+                assert sine <= (1e-8 if m == 9 else 1e-10), (s.word, name)
+        exact = [LimitSample(s.word, s.inverse_word, True, s.log_gap, *planes)
+                 for s, planes in zip(samples, oracle)]
+        audit = audit_limit_samples(samples)
+        assert audit == audit_limit_samples(exact)
+        if (m, k, radius) in SYM_POWER_AUDITS:
+            counts = audit.n_pairs_checked, len(audit.transversality_failures)
+            assert counts == SYM_POWER_AUDITS[m, k, radius]
 
 
 class TestTrackEll1:

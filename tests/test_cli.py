@@ -759,14 +759,19 @@ class TestOtherCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n"] == 1
 
-    @pytest.mark.parametrize("k", ["1", "3"])
-    def test_sym5_limit_set_plane_failure_exit3(self, tmp_path, capsys, k):
+    @pytest.mark.parametrize("k, span", [("1", [6, 6]), ("3", [10, 20])], ids=["1", "3"])
+    def test_sym5_limit_set_radius3_is_audited(self, tmp_path, k, span):
+        # these runs exited 3 (computed plane is not invariant) while planes
+        # came from ordered Schur forms of the formed products; 18 of the 240
+        # pairs fail the 1e8 condition rule, as Sym^5 of the base planes do
         out = tmp_path / "run"
         code = run("limit-set", "--construction", SYM5, "--k", k, "--radius", "3",
                    "--out", str(out))
-        assert code == EXIT_USAGE
-        assert capsys.readouterr().err == "error: computed plane is not invariant\n"
-        assert not out.exists()
+        assert code == EXIT_REFUTED
+        audit = json.loads((out / "summary.json").read_text())["audit"]
+        assert (audit["n_samples"], audit["n_pairs_checked"]) == (8, 240)
+        assert len(audit["transversality_failures"]) == 18
+        assert [audit["span_rank"], audit["span_dim"]] == span
 
     def test_pingpong_no_power_found_exit2(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -1171,15 +1176,18 @@ def test_no_command_imports_scipy_linalg():
     ]
     commands = [["construct"], ["gap-profile", "--radius", "4"], ["certify", "--radius", "4"]]
     runs = [[c[0], "--construction", json.dumps(d), *c[1:]] for d in kinds for c in commands]
-    # a scan reads class spectra and takes no Schur form ...
-    runs.append(["scan-positivity", "--construction", '{"kind":"sym-power","m":3}', "--k", "3", "--radius", "2"])
+    # a scan, limit-set and pingpong read class spectra and take no Schur form ...
+    runs += [
+        ["scan-positivity", "--construction", '{"kind":"sym-power","m":3}', "--k", "3", "--radius", "2"],
+        ["limit-set", "--construction", SCHOTTKY, "--k", "1", "--radius", "3"],
+        ["limit-set", "--construction", SYM5, "--k", "3", "--radius", "3"],
+        ["pingpong", "--construction", SCHOTTKY, "--g", "a", "--t", "b"],
+    ]
     no_schur = len(runs)
-    # ... until a negative witness is rechecked; these all take Schur forms
+    # ... until a negative witness is rechecked; these take Schur forms
     runs += [
         ["scan-positivity", "--construction", '{"kind":"sym-power","m":5}', "--k", "3", "--radius", "4"],
-        ["limit-set", "--construction", SCHOTTKY, "--k", "1", "--radius", "3"],
         ["deform", "--construction", SYM5, "--k", "2", "--radius", "2", "--steps", "3"],
-        ["pingpong", "--construction", SCHOTTKY, "--g", "a", "--t", "b"],
     ]
     result = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(runs)],
                             env=probe_env(), capture_output=True, text=True, timeout=300)
@@ -1204,7 +1212,7 @@ import numpy as np
 if sys.argv[1] == "before":
     import scipy.linalg
 from anosov import ScaledBatch, cli, linalg
-code = cli.main(["limit-set", "--construction", '{"kind":"schottky"}', "--k", "1", "--radius", "3",
+code = cli.main(["deform", "--construction", '{"kind":"schottky"}', "--radius", "2", "--steps", "3",
                  "--out", tempfile.mkdtemp()])
 import scipy.linalg
 gees = scipy.linalg.get_lapack_funcs(("gees",), (np.empty((1, 1)),))[0]

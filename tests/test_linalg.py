@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,21 +247,43 @@ class TestProximalityReport:
 
     def test_audit_refuses_an_invariant_plane_that_does_not_attract(self, monkeypatch):
         # at k = 1 on diag(3, 2, 1) the line e2 is invariant, so it passes
-        # both invariance checks, but power iteration converges to e1
-        real = linalg._invariant_plane
+        # the invariance check; a frame that leads with it, its modulus read
+        # from column 0 and the top one from column 1, is refused
+        real = linalg.class_spectra
 
-        def second_axis(entries, log_thresh, count, top):
-            if top:
-                return np.eye(3)[:, 1:2]
-            return real(entries, log_thresh, count, top)
+        def second_axis_first(letters, words):
+            found = real(letters, words)
+            swap = [1, 0, 2]
+            return found._replace(frames=found.frames[:, :, swap],
+                                  columns=np.array(swap)[found.columns])
 
-        monkeypatch.setattr(linalg, "_invariant_plane", second_axis)
+        monkeypatch.setattr(linalg, "class_spectra", second_axis_first)
         g = sm(np.diag([3.0, 2.0, 1.0]))
-        message = "^power iteration did not converge to the computed attracting plane$"
+        message = "^largest moduli not read from the leading frame columns$"
         with pytest.raises(EigensolveFailure, match=message):
-            proximality_report(g, 1, verify=True)
-        report = proximality_report(g, 1, verify=False)
-        assert np.array_equal(report.attracting_plane, np.eye(3)[:, 1:2])
+            proximality_report(g, 1)
+        monkeypatch.undo()
+        np.testing.assert_allclose(np.abs(proximality_report(g, 1).attracting_plane),
+                                   np.eye(3)[:, :1], atol=1e-12)
+
+    def test_unsettled_word_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_PERIODS", 1)
+        with pytest.raises(EigensolveFailure, match="^eigenvalues did not settle within 1 periods$"):
+            proximality_report(sm(np.diag([3.0, 2.0, 1.0])), 1)
+
+    def test_plane_that_is_not_invariant_raises(self, monkeypatch):
+        # a frame turned off its invariant flag by a small rotation, with the
+        # columns it claims: only the invariance check can refuse it
+        real = linalg.class_spectra
+        turn = np.linalg.qr(np.eye(3) + 1e-3 * np.arange(9.0).reshape(3, 3))[0]
+
+        def turned(letters, words):
+            found = real(letters, words)
+            return found._replace(frames=found.frames @ turn)
+
+        monkeypatch.setattr(linalg, "class_spectra", turned)
+        with pytest.raises(EigensolveFailure, match="^computed plane is not invariant$"):
+            proximality_report(sm(np.diag([3.0, 2.0, 1.0])), 1)
 
     def test_matches_spectrum_gap(self, rng):
         # proximality_report verdict agrees with the spectrum gap on randoms
@@ -269,7 +292,7 @@ class TestProximalityReport:
             g = sm(rng.standard_normal((d, d)))
             sp = spectrum(g)
             for k in range(1, d):
-                report = proximality_report(g, k, verify=False)
+                report = proximality_report(g, k)
                 assert report.is_proximal == sp.is_proximal(k)
                 assert report.is_biproximal == (sp.is_proximal(k) and sp.is_proximal(d - k))
 
@@ -281,8 +304,9 @@ def report_fields(report):
 
 def assert_same_report(report, expected):
     assert report_fields(report) == report_fields(expected)
-    for plane, oracle in ((report.attracting_plane, expected.attracting_plane),
-                          (report.repelling_plane, expected.repelling_plane)):
+    for name in ("attracting_plane", "repelling_plane", "inverse_attracting_plane",
+                 "inverse_repelling_plane"):
+        plane, oracle = getattr(report, name), getattr(expected, name)
         assert (plane is None) == (oracle is None)
         if plane is not None:
             assert np.array_equal(plane, oracle)
@@ -310,9 +334,9 @@ class TestProximalityReports:
             assert inverses.log_scale[i] == inverse.log_scale
         for k in (1, 2, 4):
             for stack in (batch, inverses):
-                reports = proximality_reports(stack, k, verify=False)
+                reports = proximality_reports(stack, k)
                 for i, report in enumerate(reports):
-                    assert_same_report(report, proximality_report(stack[i], k, verify=False))
+                    assert_same_report(report, proximality_report(stack[i], k))
 
     def test_empty_batch(self):
         assert proximality_reports(ScaledBatch.stack([sm(np.eye(3))]).take(slice(0)), 1) == []
@@ -329,14 +353,17 @@ class TestProximalityReports:
         assert all(w.filename == __file__ for w in [*caught, *caught_one])
 
     def test_failing_batch_raises_without_warning(self, monkeypatch):
-        import warnings
-
         batch = ScaledBatch.stack([sm(np.diag([1.0 + 5e-8, 1.0])), sm(np.diag([3.0, 1.0]))])
 
-        def failing(entries, *args, **kwargs):
-            raise EigensolveFailure("planted")
+        real, calls = linalg.class_spectra, []
 
-        monkeypatch.setattr(linalg, "_invariant_plane", failing)
+        def failing(letters, words):
+            calls.append(words)
+            if len(calls) == 2:  # the transpose word's frames
+                raise EigensolveFailure("planted")
+            return real(letters, words)
+
+        monkeypatch.setattr(linalg, "class_spectra", failing)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EigensolveFailure, match="planted"):
@@ -735,7 +762,7 @@ class TestSpectraOracle:
         def schur(a, *args, **kwargs):
             for row, t in forms.items():
                 if np.array_equal(a, batch.entries[row]):
-                    return t, None, 0
+                    return t
             return real_schur(a, *args, **kwargs)
 
         monkeypatch.setattr(linalg, "_real_schur", schur)
@@ -845,33 +872,77 @@ class TestClassSpectra:
         found = linalg.class_spectra(ScaledBatch.stack([sm(np.eye(2))]), [])
         assert found.log_moduli.shape == (0, 2) and len(found.unresolved) == 0
 
+    def test_frames_span_the_leading_invariant_subspaces(self, rng):
+        d = 5
+        batch, mats = self.letters(rng, d, 3)
+        words = [rng.integers(0, 3, size=(40, r)) for r in (1, 2, 3)]
+        found = linalg.class_spectra(batch, words)
+        rows = [w for group in words for w in group]
+        assert found.frames.shape == (len(rows), d, d)
+        for i, w in enumerate(rows):
+            q = found.frames[i]
+            np.testing.assert_allclose(q.T @ q, np.eye(d), atol=1e-12)
+            product = np.linalg.multi_dot([mats[l] for l in w] + [np.eye(d)])
+            gaps = found.log_moduli[i, :-1] - found.log_moduli[i, 1:]
+            for j in np.flatnonzero(gaps > 1e-3) + 1:
+                assert (found.columns[i, :j] < j).all()
+                image = product @ q[:, :j]
+                assert np.linalg.norm(image - q[:, :j] @ (q[:, :j].T @ image), 2) <= (
+                    1e-10 * np.linalg.norm(image, 2))
+
+    def test_a_group_is_turned_to_its_eigenvectors(self):
+        # moduli 1 + 5e-8 and 1 settle as one group: its columns are turned
+        # so that the first spans the eigenvector of the larger, which a
+        # separation of 5e-8 fixes only to about u / 5e-8 (6.3e-9 here)
+        q = np.linalg.qr(np.array([[1.0, 2.0, 0.5], [-0.5, 1.0, 1.0], [0.3, 0.2, 1.0]]))[0]
+        a = q @ np.diag([1.0 + 5e-8, 1.0, 0.25]) @ q.T
+        found = linalg.class_spectra(ScaledBatch.stack([sm(a)]), [np.array([[0]])])
+        np.testing.assert_allclose(found.log_moduli[0, :2], [math.log1p(5e-8), 0.0], atol=1e-13)
+        assert found.columns.tolist() == [[0, 1, 2]]
+        assert subspace_angle(found.frames[0][:, :1], q[:, :1]) <= 1e-7
+
+    @pytest.mark.parametrize("letter", [np.diag([1.0, 0.0]), np.array([[1.0, np.inf], [0.0, 1.0]]),
+                                        np.array([[1.0, np.nan], [0.0, 1.0]])],
+                             ids=["singular", "infinite", "nan"])
+    def test_singular_letter_raises(self, letter):
+        letters = ScaledBatch(np.stack([np.eye(2), letter]), np.zeros(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularInput, match="^singular matrix$"):
+                linalg.class_spectra(letters, [np.array([[0, 1]])])
+            with pytest.raises(SingularInput, match="^singular matrix$"):
+                proximality_reports(letters, 1)
+
 
 class TestOrderedSchur:
-    """``_invariant_plane`` runs the ordered Schur of ``scipy.linalg.schur``."""
+    """The reports' planes against the ordered Schur vectors of
+    ``scipy.linalg.schur``, and the LAPACK failures of ``_real_schur``."""
 
     @pytest.mark.parametrize("m, k", [(1, 1), (3, 2)])
     def test_planes_match_scipy(self, schottky2, m, k):
         rep = sym_power_rep(schottky2, m) if m > 1 else schottky2
+        d = rep.dim
         images = evaluate_ball(rep, enumerate_ball(rep.presentation, 3))
         for i in range(1, len(images)):
             g = images[i]
+            report = proximality_report(g, k)
             lm = spectrum(g).log_moduli - g.log_scale
-            thr = 0.5 * (lm[k - 1] + lm[k])
-            for top, count in ((True, k), (False, g.dim - k)):
-                plane = linalg._invariant_plane(g.entries, thr, count, top)
-                if top:
-                    sort = lambda x, y: math.hypot(x, y) > math.exp(thr)  # noqa: E731
-                else:
-                    sort = lambda x, y: math.hypot(x, y) < math.exp(thr)  # noqa: E731
-                _, z, sdim = scipy.linalg.schur(g.entries, output="real", sort=sort)
-                assert sdim == count
-                assert np.array_equal(plane, z[:, :count])
+            # (plane, split, whether scipy selects the moduli above it)
+            for plane, j, top in ((report.attracting_plane, k, True),
+                                  (report.repelling_plane, k, False),
+                                  (report.inverse_attracting_plane, d - k, False),
+                                  (report.inverse_repelling_plane, d - k, True)):
+                thr = math.exp(0.5 * (lm[j - 1] + lm[j]))
+                _, z, sdim = scipy.linalg.schur(
+                    g.entries, output="real",
+                    sort=lambda x, y, thr=thr, top=top: (math.hypot(x, y) > thr) == top,
+                )
+                assert plane.shape == (d, sdim)
+                assert subspace_angle(plane, z[:, :sdim]) <= 1e-10
 
     @pytest.mark.parametrize(
         "info, message",
         [
-            (4, "Eigenvalues could not be separated for reordering."),
-            (5, "Leading eigenvalues do not satisfy sort condition."),
             (2, "Schur form not found. Possibly ill-conditioned."),
             (-3, "illegal value in 3-th argument of internal gees"),
         ],
@@ -880,13 +951,8 @@ class TestOrderedSchur:
         a = np.diag([2.0, 1.0, 0.5])
         monkeypatch.setattr(linalg, "_GEES", lambda *args, **kwargs: (a, 0, a[0], a[0], a, a[0], info))
         with pytest.raises(EigensolveFailure) as exc:
-            linalg._invariant_plane(a, 0.0, 1, True)
+            linalg._real_schur(a)
         assert str(exc.value) == message
-
-    def test_selected_count_mismatch(self):
-        with pytest.raises(EigensolveFailure) as exc:
-            linalg._invariant_plane(np.diag([2.0, 1.0, 0.5]), math.log(0.75), 1, True)
-        assert str(exc.value) == "ordered Schur selected 2 eigenvalues, expected 1"
 
 
 class TestNormalizeToSl:
