@@ -25,6 +25,7 @@ from .errors import (
     InsufficientRadius,
     NoProximalElements,
     NotBiproximal,
+    SingularInput,
     TransversalityFailure,
 )
 from .exterior import compound_batch, compound_matrix
@@ -49,6 +50,7 @@ from .words import (
     Presentation,
     Representation,
     Word,
+    ball_image_chunks,
     cyclic_class_rows,
     cyclic_classes,
     enumerate_ball,
@@ -123,7 +125,8 @@ class GapProfile(_ColumnRecord):
         )
 
     def per_length_minima(self, column: str = "log_gap") -> dict[int, float]:
-        starts = np.flatnonzero(np.diff(self.lengths, prepend=-1))  # sphere starts
+        # sphere starts; a prepend of the lengths' own type keeps the diff narrow
+        starts = np.flatnonzero(np.diff(self.lengths, prepend=self.lengths[:1] - 1))
         minima = np.minimum.reduceat(getattr(self, column), starts)
         return dict(zip(self.lengths[starts].tolist(), minima.tolist()))
 
@@ -131,24 +134,42 @@ class GapProfile(_ColumnRecord):
 def gap_profiles(
     rep: Representation, ks: Sequence[int], radius: int
 ) -> list[GapProfile]:
-    """One gap profile per k in ``ks``, read from one stacked SVD of the ball.
+    """One gap profile per k in ``ks``, read from one stacked SVD per chunk
+    of the ball's images (:func:`~anosov.words.ball_image_chunks`).
 
     Every k is checked against the dimension before the ball is enumerated.
+    Only the ``log_total`` and per-k ``log_gap`` columns are kept: no
+    whole-ball image stack or singular-value table is formed.  An
+    evaluation failure anywhere raises before any singular-value failure;
+    otherwise the first failing word in ball order raises.
     """
     d = rep.dim
     for k in ks:
         require_gap_index(k, d)
     ball = enumerate_ball(rep.presentation, radius)
-    log_sv = log_singular_values(evaluate_ball(rep, ball))
+    log_total, log_gaps = np.empty(len(ball)), [np.empty(len(ball)) for _ in ks]
+    error = None
+    for lo, chunk in ball_image_chunks(rep, ball):
+        rows, log_sv = slice(lo, lo + len(chunk)), None
+        if error is None:  # after one, walk on: an evaluation failure comes first
+            try:
+                log_sv = log_singular_values(chunk)
+            except SingularInput as exc:
+                error = exc
+        del chunk  # dropped before the walk makes the next one
+        if log_sv is not None:
+            np.subtract(log_sv[:, 0], log_sv[:, -1], out=log_total[rows])
+            for k, log_gap in zip(ks, log_gaps):
+                np.maximum(log_sv[:, k - 1] - log_sv[:, k], 0.0, out=log_gap[rows])
+    if error is not None:
+        raise error
     words, lengths = ball.word_strings(), ball.lengths()
-    log_total = log_sv[:, 0] - log_sv[:, -1]
     return [
         GapProfile(
             k=k, radius=radius, dim=d, presentation=rep.presentation.describe(), words=words,
-            lengths=lengths, log_gap=np.maximum(log_sv[:, k - 1] - log_sv[:, k], 0.0),
-            log_total=log_total,
+            lengths=lengths, log_gap=log_gap, log_total=log_total,
         )
-        for k in ks
+        for k, log_gap in zip(ks, log_gaps)
     ]
 
 

@@ -52,15 +52,20 @@ from .constructions import (
 )
 from .errors import InsufficientRadius, NoProximalElements, ResourceLimit, ToolkitError
 from .linalg import EPS_GAP, TRANSVERSALITY_COND, require_gap_index
-from .words import BALL_GUARD, Representation, Word, enumerate_ball, parse_word, reduce_word
+from .words import (
+    BALL_GUARD,
+    SPELL_ROWS,
+    Representation,
+    Word,
+    enumerate_ball,
+    parse_word,
+    reduce_word,
+)
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
-
-#: Rows formatted per write by :func:`_write_csv`.
-CSV_CHUNK_ROWS = 4096
 
 
 class ConfigError(Exception):
@@ -202,8 +207,9 @@ def _write_csv(path: Path, header: list[str], columns: Sequence[Sequence]) -> No
 
     A field is ``str`` of a plain Python value, so a float is written as its
     ``repr``; no field holds a comma, quote or newline, so none is quoted.
-    Rows are formatted and written :data:`CSV_CHUNK_ROWS` at a time, so only
-    one chunk's Python values and text are alive at once.  Each distinct
+    Rows are formatted and written :data:`~anosov.words.SPELL_ROWS` at a
+    time, the rows a word view spells at once, so only one chunk's Python
+    values and text are alive at once.  Each distinct
     array chunk is formatted once: a chunk with the same dtype and bytes as
     an earlier one in its row range reuses that one's text (bits, not values:
     0.0 and -0.0 differ, a NaN equals itself).  At d = 2, for instance,
@@ -215,11 +221,11 @@ def _write_csv(path: Path, header: list[str], columns: Sequence[Sequence]) -> No
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, n, CSV_CHUNK_ROWS):
+        for lo in range(0, n, SPELL_ROWS):
             texts: dict = {}
             fields = []
             for c in columns:
-                chunk = c[lo : lo + CSV_CHUNK_ROWS]
+                chunk = c[lo : lo + SPELL_ROWS]
                 if isinstance(chunk, np.ndarray):
                     key = (chunk.dtype, chunk.tobytes())
                     if key not in texts:

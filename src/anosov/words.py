@@ -18,14 +18,19 @@ radii used here this yields unique canonical forms (checked in the tests
 against a pairwise word-problem oracle and Cannon's growth series).
 
 A ball is held as per-sphere arrays: each word of sphere n is a word of
-sphere n-1 (its ``parent`` index) followed by one ``letter``.  Both
+sphere n-1 (its ``parent`` index, int32, since a ball holds at most
+``BALL_GUARD`` words) followed by one ``letter`` (int8, since letters lie in
++-26); nothing else of a word is stored.  Both
 families walk the same way: every word of sphere n-1 is extended by every
 letter but the inverse of its last one, and a surface-group child is kept
 only when it is its own canonical form.  A surface child reaches the closure
 search only when it holds a half-relator window; this is exact, since a child
 is freely reduced and without such a window admits no move.  A ball's images
 are evaluated the same way, sphere by sphere, with one stacked multiply per
-letter (:func:`evaluate_ball`).
+letter, and are read in chunks of at most :data:`WALK_ELEMENTS` entries; of
+earlier spheres only the previous one's images are kept, as the parents of
+the current one (:func:`ball_image_chunks`; :func:`evaluate_ball` joins the
+chunks).
 """
 
 from __future__ import annotations
@@ -49,8 +54,12 @@ from .linalg import ScaledBatch, ScaledMatrix
 
 BALL_GUARD = 1_000_000
 
-#: Words spelled at a time when a :class:`WordStrings` view is iterated.
+#: Words spelled at a time when a :class:`WordStrings` view is iterated,
+#: and so report rows written at a time.
 SPELL_ROWS = 4096
+
+#: Image entries (rows times d^2) in one chunk of :func:`ball_image_chunks`.
+WALK_ELEMENTS = 1 << 16
 
 _SURFACE_RELATOR_TOL = 1e-6
 
@@ -238,6 +247,7 @@ class Ball:
     Word i of sphere n (n >= 1) is word ``parent[n][i]`` of sphere n-1
     followed by the letter ``letter[n][i]``; sphere 0 is the identity, with
     parent -1 and letter 0.  Within a sphere words are in shortlex order.
+    ``parent`` arrays are int32 and ``letter`` arrays int8, 5 bytes a word.
     These arrays are the only copy of the words: :meth:`word_strings` is a
     view that spells the rows it is asked for.
     """
@@ -265,8 +275,10 @@ class Ball:
         return WordStrings(self)
 
     def lengths(self) -> np.ndarray:
-        """``len(w)`` of every word, in ``words()`` order."""
-        return np.repeat(np.arange(len(self.letter)), self.sphere_sizes())
+        """``len(w)`` of every word, in ``words()`` order, in the smallest
+        signed integer type that holds the radius."""
+        kind = np.min_scalar_type(-self.radius - 1)  # a signed type holding -r-1 holds r
+        return np.repeat(np.arange(len(self.letter), dtype=kind), self.sphere_sizes())
 
     def sphere_sizes(self) -> tuple[int, ...]:
         return tuple(len(l) for l in self.letter)
@@ -383,7 +395,7 @@ def enumerate_ball(p: Presentation, radius: int) -> Ball:
     # codes the last 2g-1 letter keys in base B = 4g and ``held`` flags a
     # half-relator window.  Codes are below B^(2g), and are held in the
     # smallest type that holds B^(2g) (Python ints past genus 6).
-    alphabet = np.array(p.letters())
+    alphabet = np.array(p.letters(), dtype=np.int8)
     surface = p.family == "surface"
     if surface:
         half, halves = _half_table(p.n)
@@ -392,14 +404,14 @@ def enumerate_ball(p: Presentation, radius: int) -> Ball:
         code_type = np.min_scalar_type(base**half)
         keys = np.arange(base, dtype=code_type)  # the alphabet is in letter-key order
         tail, held = np.zeros(1, dtype=code_type), np.zeros(1, dtype=bool)
-    parents, letters = [np.array([-1])], [np.array([0])]
+    parents, letters = [np.array([-1], dtype=np.int32)], [np.array([0], dtype=np.int8)]
     total = 1
     for n in range(1, radius + 1):
         last = letters[-1]
         screened = surface and n >= half  # may a child be rejected?
         if not screened:  # every child is kept: check before stacking them
             _check_guard(total + len(last) * len(alphabet) - np.count_nonzero(last))
-        parent = np.repeat(np.arange(len(last)), len(alphabet))
+        parent = np.repeat(np.arange(len(last), dtype=np.int32), len(alphabet))
         letter = np.tile(alphabet, len(last))
         keep = letter != -last[parent]
         if surface:
@@ -511,28 +523,60 @@ def evaluate(rep: Representation, word: Word | Sequence[int]) -> ScaledMatrix:
     return m
 
 
-def evaluate_ball(rep: Representation, ball: Ball) -> ScaledBatch:
-    """Images of the ball's words, in ``ball.words()`` order.
+def _extend(rep: Representation, prev: ScaledBatch, parent: np.ndarray, letter: np.ndarray,
+            out: ScaledBatch | None = None) -> ScaledBatch:
+    """Images of the words ``prev[parent[i]]`` followed by ``letter[i]``, into
+    ``out`` or a new batch: one batched multiply per letter, renormalized."""
+    if out is None:
+        out = ScaledBatch(np.empty((len(letter), rep.dim, rep.dim)), np.empty(len(letter)))
+    for l in rep.presentation.letters():
+        sel = np.flatnonzero(letter == l)
+        if len(sel):
+            image = prev.take(parent[sel]) @ rep.image(l)
+            out.entries[sel], out.log_scale[sel] = image.entries, image.log_scale
+    return out
 
-    Sphere n is computed from sphere n-1 with one batched multiply per
-    letter: the images of the parents of the words ending in that letter,
-    times the letter's image, then renormalized.  Each image is
-    bit-identical to :func:`evaluate` of its word.
+
+def ball_image_chunks(rep: Representation, ball: Ball) -> Iterator[tuple[int, ScaledBatch]]:
+    """Images of the ball's words as ``(first row, batch)`` chunks of
+    consecutive rows, in ``ball.words()`` order.
+
+    Sphere n is computed from sphere n-1 in chunks of at most
+    :data:`WALK_ELEMENTS` entries that never cross a sphere's end, with one
+    batched multiply per letter: the images of the parents of the chunk's
+    words ending in that letter, times the letter's image, then
+    renormalized.  Each image is bit-identical to :func:`evaluate` of its
+    word.  Only the previous sphere's images are kept, and no chunk of the
+    last sphere (each is yielded straight from :func:`_extend`), so a walk
+    holds about one sphere's images besides the chunk its reader holds, not
+    the ball's.  The first chunk that fails to renormalize raises.
     """
-    sizes = ball.sphere_sizes()
-    entries = np.empty((sum(sizes), rep.dim, rep.dim))
-    log_scale = np.empty(sum(sizes))
-    entries[0], log_scale[0] = np.eye(rep.dim), 0.0
-    start = 0
-    for parent, letter, prev_size in zip(ball.parent[1:], ball.letter[1:], sizes):
-        prev = ScaledBatch(entries[start : start + prev_size], log_scale[start : start + prev_size])
-        start += prev_size
-        for l in rep.presentation.letters():
-            sel = np.flatnonzero(letter == l)
-            if len(sel):
-                image = prev.take(parent[sel]) @ rep.image(l)
-                entries[start + sel], log_scale[start + sel] = image.entries, image.log_scale
-    return ScaledBatch(entries, log_scale)
+    d = rep.dim
+    step = max(1, WALK_ELEMENTS // (d * d))
+    prev = ScaledBatch(np.eye(d)[None], np.zeros(1))
+    yield 0, prev
+    start = 1
+    for n in range(1, len(ball.letter)):
+        parent, letter = ball.parent[n], ball.letter[n]
+        sphere = None  # a sphere with children is kept whole, as their parents
+        if n < ball.radius:
+            sphere = ScaledBatch(np.empty((len(letter), d, d)), np.empty(len(letter)))
+        for lo in range(0, len(letter), step):
+            rows = slice(lo, lo + step)
+            out = None if sphere is None else sphere.take(rows)
+            yield start + lo, _extend(rep, prev, parent[rows], letter[rows], out)
+        prev, start = sphere, start + len(letter)
+
+
+def evaluate_ball(rep: Representation, ball: Ball) -> ScaledBatch:
+    """Images of the ball's words, in ``ball.words()`` order: the chunks of
+    :func:`ball_image_chunks` joined into one batch."""
+    n, d = len(ball), rep.dim
+    out = ScaledBatch(np.empty((n, d, d)), np.empty(n))
+    for lo, chunk in ball_image_chunks(rep, ball):
+        rows = slice(lo, lo + len(chunk))
+        out.entries[rows], out.log_scale[rows] = chunk.entries, chunk.log_scale
+    return out
 
 
 @dataclass(frozen=True)

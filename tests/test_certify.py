@@ -1,4 +1,6 @@
+import functools
 import itertools
+import json
 import math
 import warnings
 
@@ -54,6 +56,8 @@ from anosov import (
     track_ell1_along_path,
     word_reports,
 )
+from anosov.cli import EXIT_USAGE, main
+from anosov.words import ball_image_chunks
 
 F2 = Presentation.free(2)
 
@@ -128,6 +132,132 @@ class TestGapProfile:
         with pytest.raises(SingularInput) as exc:
             gap_profiles(sym5, [1], 4)
         assert str(exc.value) == failures[0][1]
+
+
+#: Balls for the chunked-walk tests: (representation builder, presentation,
+#: radius, gap indices).  The walk's default chunk holds 16,384 rows at d = 2.
+#: Small chunks walk few words at a time, so the largest balls get no
+#: one-row chunks and their 7-row chunks check only the profile columns.
+WALK_BALLS = {
+    "free2-r10": (lambda: schottky_rep(SchottkyParams(rank=2, dilation=3.0)), F2, 10, [1]),
+    "genus2-r6": (lambda: fuchsian_surface_rep(2), Presentation.surface(2), 6, [1]),
+    "genus3-r4": (lambda: fuchsian_surface_rep(3), Presentation.surface(3), 4, [1]),
+    "free1-r30": (lambda: schottky_rep(SchottkyParams(rank=1, dilation=1.5)),
+                  Presentation.free(1), 30, [1]),
+    "radius0": (lambda: schottky_rep(SchottkyParams(rank=2, dilation=3.0)), F2, 0, [1]),
+    "free2-r6": (lambda: schottky_rep(SchottkyParams(rank=2, dilation=3.0)), F2, 6, [1]),
+    "genus2-r4": (lambda: fuchsian_surface_rep(2), Presentation.surface(2), 4, [1]),
+    "tau2-r6": (lambda: realify_rep(schottky_rep(SchottkyParams(
+        rank=2, dilation=3.0, field="complex", twists=(0.3, 0.7)))), F2, 6, [3, 1, 2]),
+}
+WALK_CASES = [(name, rows) for name in WALK_BALLS for rows in (None, 7)] + [
+    (name, 1) for name in ("genus3-r4", "free1-r30", "radius0", "free2-r6", "genus2-r4", "tau2-r6")
+]
+CHUNK_CASES = [(name, rows) for name, rows in WALK_CASES
+               if rows is None or name not in ("free2-r10", "genus2-r6")]
+
+
+@pytest.fixture(scope="module")
+def walk_reference():
+    """Per ball: its representation, ball and whole-ball log singular values."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            build, p, radius, _ = WALK_BALLS[name]
+            rep, ball = build(), enumerate_ball(p, radius)
+            cache[name] = rep, ball, log_singular_values(evaluate_ball(rep, ball))
+        return cache[name]
+
+    return get
+
+
+def walk_rows(monkeypatch, rows, d):
+    """Set the walk's chunk to the given number of rows (None: the default)."""
+    if rows is not None:
+        monkeypatch.setattr("anosov.words.WALK_ELEMENTS", rows * d * d)
+
+
+class TestChunkedWalk:
+    @pytest.mark.parametrize("name, rows", WALK_CASES,
+                             ids=[f"{name}-rows{rows or 'default'}" for name, rows in WALK_CASES])
+    def test_columns_match_whole_ball_reference(self, walk_reference, monkeypatch, name, rows):
+        rep, ball, log_sv = walk_reference(name)
+        ks = WALK_BALLS[name][3]
+        walk_rows(monkeypatch, rows, rep.dim)
+        profiles = gap_profiles(rep, ks, ball.radius)
+        assert [p.k for p in profiles] == ks
+        for k, profile in zip(ks, profiles):
+            assert np.array_equal(profile.log_total, log_sv[:, 0] - log_sv[:, -1])
+            gap = np.maximum(log_sv[:, k - 1] - log_sv[:, k], 0.0)
+            assert np.array_equal(profile.log_gap, gap)
+            assert np.array_equal(profile.lengths, ball.lengths())
+
+    @pytest.mark.parametrize("name, rows", CHUNK_CASES,
+                             ids=[f"{name}-rows{rows or 'default'}" for name, rows in CHUNK_CASES])
+    def test_chunks_tile_the_ball_and_join_into_evaluate(self, walk_reference, monkeypatch,
+                                                         name, rows):
+        # chunks tile the ball in order and never cross a sphere's end;
+        # evaluate_ball joins them into the images of evaluate, word by word
+        rep, ball, _ = walk_reference(name)
+        walk_rows(monkeypatch, rows, rep.dim)
+        images = evaluate_ball(rep, ball)
+        starts = np.cumsum((0,) + ball.sphere_sizes())
+        firsts, sizes = map(list, zip(*((lo, len(c)) for lo, c in ball_image_chunks(rep, ball))))
+        assert firsts == np.cumsum([0] + sizes[:-1]).tolist() and sum(sizes) == len(ball)
+        assert set(starts[:-1].tolist()) <= set(firsts)
+        sphere_of = functools.partial(np.searchsorted, starts, side="right")
+        assert all(sphere_of(lo) == sphere_of(lo + m - 1) for lo, m in zip(firsts, sizes))
+        if rows is not None:
+            assert max(sizes) <= rows
+        edges = sorted({r for lo in firsts for r in (lo - 1, lo) if r >= 0})
+        rng = np.random.default_rng(0)
+        sample = rng.choice(len(ball), size=min(len(ball), 200), replace=False)
+        check = sorted({*edges[:400], *edges[-400:], *sample.tolist()})
+        words = list(ball.words())
+        for i in check:
+            plain = evaluate(rep, words[i])
+            assert images.log_scale[i] == plain.log_scale
+            assert np.array_equal(images.entries[i], plain.entries)
+
+    @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "rows1", "rows7"])
+    def test_sym5_known_failure_at_every_chunk_size(self, tmp_path, capsys, monkeypatch, rows):
+        # the benchmark's stored known failure of sym5-certify-r4
+        walk_rows(monkeypatch, rows, 6)
+        base = {"kind": "schottky", "rank": 2, "dilation": 3.0}
+        sym5 = {"kind": "sym-power", "m": 5, "base": base}
+        argv = ["certify", "--construction", json.dumps(sym5), "--k", "1", "--radius", "4",
+                "--out", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.strip() == "error: condition number 2.059e+14 exceeds 1e+12"
+
+    @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "rows1", "rows7"])
+    def test_evaluation_failure_wins_over_earlier_svd_failure(self, schottky, monkeypatch, rows):
+        # Sym^5 at R=4 first fails its singular-value check at row 17, in
+        # sphere 3; a renormalization failure planted in the last chunk of
+        # sphere 4 raises instead, as when the whole ball was evaluated first
+        sym5 = sym_power_rep(schottky, 5)
+        walk_rows(monkeypatch, rows, sym5.dim)
+        original = ScaledBatch.from_arrays.__func__
+        calls, planted = [], None
+
+        def from_arrays(cls, a, log_scale):
+            calls.append(len(a))
+            if len(calls) == planted:
+                raise SingularInput("planted")
+            return original(cls, a, log_scale)
+
+        monkeypatch.setattr(ScaledBatch, "from_arrays", classmethod(from_arrays))
+        evaluate_ball(sym5, enumerate_ball(F2, 4))
+        planted = len(calls)  # the walk's last renormalization, in sphere 4's last chunk
+        calls.clear()
+        with pytest.raises(SingularInput, match="planted"):
+            gap_profiles(sym5, [1], 4)
+        assert len(calls) == planted
+        calls.clear()
+        planted = None
+        with pytest.raises(SingularInput, match="condition number 2.059e"):
+            gap_profiles(sym5, [1], 4)
 
 
 class TestCertifyAnosov:

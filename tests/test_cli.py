@@ -22,7 +22,6 @@ from anosov import (
 )
 from anosov import certify as cert
 from anosov.cli import (
-    CSV_CHUNK_ROWS,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_REFUTED,
@@ -37,6 +36,7 @@ from anosov.cli import (
     main,
     write_run,
 )
+from anosov.words import SPELL_ROWS
 
 DATA = Path(__file__).parent / "data"
 
@@ -1101,7 +1101,7 @@ class TestWriteCsv:
         assert self.written(tmp_path, header, columns) == self.oracle(header, columns)
 
     def test_columns_equal_in_first_chunk_only(self, tmp_path):
-        n = CSV_CHUNK_ROWS + 1
+        n = SPELL_ROWS + 1
         x = np.linspace(0.0, 1.0, n)
         y = x.copy()
         y[-1] = -2.5
@@ -1131,11 +1131,18 @@ def test_gap_csv_memory_is_bounded(tmp_path):
     assert peak < 4 * 2**20
 
 
-def test_certify_memory_is_bounded(tmp_path):
-    # genus 2 at R=6 has 155,577 words; held as a list of str until the
-    # report is written they took about 10 MiB and the peak read 19.0 MiB.
-    # The report's word column is a view that spells one chunk at a time.
-    cfg = ExperimentConfig(construction={"kind": "fuchsian-surface", "genus": 2}, radius=6)
+@pytest.mark.parametrize(
+    "construction, radius, bound_mib",
+    [({"kind": "fuchsian-surface", "genus": 2}, 6, 8), ({"kind": "schottky"}, 10, 6)],
+    ids=["genus2-r6", "free2-r10"],
+)
+def test_certify_memory_is_bounded(tmp_path, construction, radius, bound_mib):
+    # genus 2 at R=6 has 155,577 words and F2 at R=10 118,097.  Held as a
+    # whole-ball image stack and (n, d) singular-value table, with int64
+    # parent, letter and length arrays, the peaks read 12.5 and 9.6 MiB.
+    # The images are walked in chunks and the word column is a view that
+    # spells one chunk at a time.
+    cfg = ExperimentConfig(construction=construction, radius=radius)
     rep = build_representation(cfg.construction)
     tracemalloc.start()
     try:
@@ -1144,7 +1151,7 @@ def test_certify_memory_is_bounded(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 15 * 2**20
+    assert peak < bound_mib * 2**20
 
 
 #: Runs commands in one fresh interpreter and prints, per command, its exit

@@ -22,6 +22,7 @@ from anosov import (
     enumerate_ball,
     evaluate,
     evaluate_ball,
+    fuchsian_surface_rep,
     parse_word,
     realify_rep,
     reduce_word,
@@ -30,7 +31,7 @@ from anosov import (
     word_str,
     words_equal,
 )
-from anosov.cli import CSV_CHUNK_ROWS, ExperimentConfig, cmd_construct, write_run
+from anosov.cli import ExperimentConfig, cmd_construct, write_run
 from anosov.words import SPELL_ROWS, cyclic_class_rows, cyclic_classes, shortlex_key
 from word_oracle import conjugacy_key, cyclic_reduce, is_primitive_cyclic, per_word_class_rows
 
@@ -321,9 +322,9 @@ class TestEnumerateBall:
         assert list(strings) == oracle  # full iteration, SPELL_ROWS rows at a time
         assert all(type(s) is str for s in strings)
         spheres = np.cumsum(ball.sphere_sizes()).tolist()
-        for c in sorted({*range(0, n + 1, CSV_CHUNK_ROWS), *range(0, n + 1, SPELL_ROWS), *spheres}):
+        for c in sorted({*range(0, n + 1, SPELL_ROWS), *spheres}):
             for piece in (slice(max(c - 2, 0), c + 2), slice(max(c - 700, 0), c + 3),
-                          slice(c, c + CSV_CHUNK_ROWS), slice(max(c - 1, 0), c + 2, 2)):
+                          slice(c, c + SPELL_ROWS), slice(max(c - 1, 0), c + 2, 2)):
                 assert strings[piece] == oracle[piece], piece
             if c < n:
                 assert strings[c] == oracle[c] and strings[c - n] == oracle[c - n]
@@ -332,7 +333,7 @@ class TestEnumerateBall:
             assert strings[piece] == oracle[piece], piece
         assert strings[-1] == oracle[-1] and strings[-n] == oracle[0]
         assert strings[np.int64(n - 1)] == oracle[-1]
-        for i in (n, -n - 1, n + CSV_CHUNK_ROWS):
+        for i in (n, -n - 1, n + SPELL_ROWS):
             with pytest.raises(IndexError):
                 strings[i]
         rows = np.sort(np.random.default_rng(0).choice(n, size=min(n, 500), replace=False))
@@ -414,6 +415,34 @@ class TestEnumerateBall:
         for n, (parent, letter) in enumerate(spheres, start=1):
             assert np.array_equal(ball.parent[n], parent)
             assert np.array_equal(ball.letter[n], letter)
+
+    @pytest.mark.parametrize(
+        "p, build",
+        [(Presentation.free(26), lambda: schottky_rep(SchottkyParams(rank=26, dilation=3.0))),
+         (Presentation.surface(13), lambda: fuchsian_surface_rep(13))],
+        ids=["free26-r2", "genus13-r2"],
+    )
+    def test_narrow_arrays_at_the_alphabet_edge(self, p, build):
+        # 52 letters reach z and Z, the extremes of the int8 letters
+        ball = enumerate_ball(p, 2)
+        assert [a.dtype for a in ball.parent] == [np.int32] * 3
+        assert [a.dtype for a in ball.letter] == [np.int8] * 3
+        assert ball.lengths().dtype == np.int8
+        assert {26, -26} <= set(ball.letter[2].tolist())
+        words = list(ball.words())
+        assert all(reduce_word(w, p) == w for w in words)
+        assert len({w.letters for w in words}) == len(words) == 1 + 52 + 52 * 51
+        assert ball.lengths().tolist() == [len(w) for w in words]
+        assert ball.word_strings() == [str(w) for w in words]
+        assert [row for block in ball.letter_rows(range(len(ball))) for row in block.tolist()] \
+            == [list(w.letters) for w in words]
+        assert_classes_match_per_word(ball)
+        rep = build()
+        images = evaluate_ball(rep, ball)
+        for i, w in enumerate(words):
+            plain = evaluate(rep, w)
+            assert images.log_scale[i] == plain.log_scale
+            assert np.array_equal(images.entries[i], plain.entries)
 
     def test_sorted_within_spheres(self):
         for ball in (enumerate_ball(F2, 3), enumerate_ball(S2, 4)):
@@ -583,6 +612,26 @@ class TestConjugacyHelpers:
         assert is_primitive_cyclic(parse_word("aabb"))
 
 
+def assert_classes_match_per_word(ball):
+    """:func:`cyclic_classes` of every row against the per-word conjugacy key."""
+    classes = cyclic_classes(ball)
+    reps = [tuple((k // 2 + 1) * (-1 if k % 2 else 1) for k in row)
+            for q in sorted(classes.letters) for row in classes.letters[q].tolist()]
+    assert len(reps) == len(set(reps)) == classes.index.max() + 1
+    for i, w in enumerate(ball.words()):
+        c = cyclic_reduce(w.letters)
+        if not c:
+            assert (classes.index[i], classes.power[i], classes.key[i]) == (-1, 0, 0)
+            continue
+        period = next(s for s in range(1, len(c) + 1) if c == c[s:] + c[:s])
+        root = c[:period]
+        rep = reps[classes.index[i]]
+        assert rep == conjugacy_key(root), str(w)
+        assert classes.power[i] == len(c) // period
+        rotations = {root[s:] + root[:s] for s in range(period)}
+        assert bool(classes.inverted[i]) == (rep not in rotations), str(w)
+
+
 class TestCyclicClassRows:
     @pytest.mark.parametrize(
         "p, radius",
@@ -604,23 +653,7 @@ class TestCyclicClassRows:
     def test_classes_match_per_word_loop(self, p, radius):
         # each row's cyclic reduction is a power of a primitive root, whose
         # conjugacy key is its class representative, or the inverse of one
-        ball = enumerate_ball(p, radius)
-        classes = cyclic_classes(ball)
-        reps = [tuple((k // 2 + 1) * (-1 if k % 2 else 1) for k in row)
-                for q in sorted(classes.letters) for row in classes.letters[q].tolist()]
-        assert len(reps) == len(set(reps)) == classes.index.max() + 1
-        for i, w in enumerate(ball.words()):
-            c = cyclic_reduce(w.letters)
-            if not c:
-                assert (classes.index[i], classes.power[i], classes.key[i]) == (-1, 0, 0)
-                continue
-            period = next(s for s in range(1, len(c) + 1) if c == c[s:] + c[:s])
-            root = c[:period]
-            rep = reps[classes.index[i]]
-            assert rep == conjugacy_key(root), str(w)
-            assert classes.power[i] == len(c) // period
-            rotations = {root[s:] + root[:s] for s in range(period)}
-            assert bool(classes.inverted[i]) == (rep not in rotations), str(w)
+        assert_classes_match_per_word(enumerate_ball(p, radius))
 
     def test_no_rotation_stack(self):
         # an (m, L, L) stack of rotations at F2 R=10 would need about 126 MB
