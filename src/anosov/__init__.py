@@ -37,7 +37,6 @@ from .linalg import (
     normalize_to_sl,
     orthonormalize,
     proximality_report,
-    proximality_reports,
     singular_values,
     spectra,
     spectrum,

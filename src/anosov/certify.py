@@ -28,11 +28,12 @@ from .errors import (
     SingularInput,
     TransversalityFailure,
 )
+from . import linalg
 from .exterior import compound_batch, compound_matrix
 from .linalg import (
     EPS_GAP,
-    STACK_ELEMENTS,
     TRANSVERSALITY_COND,
+    ProximalityReport,
     ScaledBatch,
     ScaledMatrix,
     class_spectra,
@@ -56,6 +57,7 @@ from .words import (
     enumerate_ball,
     evaluate,
     evaluate_ball,
+    letter_key,
     parse_word,
     word_str,
 )
@@ -325,8 +327,8 @@ def _ball_spectra(rep: Representation, ball: Ball) -> tuple[np.ndarray, np.ndarr
     moduli and the signs in reverse order.  The identity has all moduli 0.
     """
     classes = cyclic_classes(ball)
-    letters = ScaledBatch.stack([rep.image(l) for l in rep.presentation.letters()])
-    found = class_spectra(letters, [classes.letters[q] for q in sorted(classes.letters)])
+    found = class_spectra(rep.letter_images(),
+                          [classes.letters[q] for q in sorted(classes.letters)])
     index, power, flip = classes.index, classes.power[:, None], classes.inverted
     # index -1, the identity, reads an appended row: moduli 0, signs +1, resolved
     log_moduli = np.vstack([found.log_moduli, np.zeros(rep.dim)])[index] * power
@@ -441,22 +443,20 @@ def scan_positivity(
 
 @dataclass(frozen=True)
 class LimitSample:
-    """Attracting data of one primitive conjugacy class and its inverse.
+    """One primitive conjugacy class: its sampled word, that word's inverse,
+    and the word's :class:`~anosov.linalg.ProximalityReport`, whose planes
+    are the limit points of both.
 
-    ``plus_k`` is the attracting k-plane of the element, ``minus_dk`` the
-    attracting (d-k)-plane of its inverse (the repelling complement).  The
-    secondary planes ``minus_k`` / ``plus_dk`` exist when the inverse gap is
-    also open (biproximality) and feed the span and transversality audits.
+    The word's (k-plane, (d-k)-plane) pair is the report's
+    (``attracting_plane``, ``inverse_repelling_plane``) and the inverse's is
+    (``inverse_attracting_plane``, ``repelling_plane``): the first plane of
+    the word's pair and the second of the inverse's are set when the word is
+    proximal at k, the other two when it is biproximal.
     """
 
     word: str
     inverse_word: str
-    dynamics_preserving: bool
-    log_gap: float
-    plus_k: np.ndarray | None
-    minus_dk: np.ndarray | None
-    minus_k: np.ndarray | None
-    plus_dk: np.ndarray | None
+    report: ProximalityReport
 
 
 def limit_map_sample(
@@ -471,31 +471,24 @@ def limit_map_sample(
     integer word codes by :func:`cyclic_class_rows`, and only those rows are
     spelled, by the ball's :meth:`Ball.word_strings` view; an inverse is
     spelled reversed with its cases swapped.  One :func:`word_reports` call
-    on the generator images and the sampled words' letters gives every gap
-    and plane, with no product formed for them and no matrix inverted: a
-    word's planes are column slices of the settled frames of the word and of
-    its transpose word, its inverse's planes among them.  Nothing is random.
-    The first failure met raises.  Raises NoProximalElements when no sampled
-    word is proximal at k.
+    on the letter images and the sampled words' letter keys gives every
+    sample its report, with no product formed for the planes and no matrix
+    inverted: a word's planes are column slices of the settled frames of the
+    word and of its transpose word, its inverse's planes among them.
+    Nothing is random.  The first failure met raises.  Raises
+    NoProximalElements when no sampled word is proximal at k.
     """
     if radius < 2:
         raise InsufficientRadius("limit sampling needs radius >= 2")
     require_gap_index(k, rep.dim)
     ball = enumerate_ball(rep.presentation, radius)
     rows = cyclic_class_rows(ball)
-    letters = ScaledBatch.stack([rep.image(l) for l in rep.presentation.letters()])
-    # letter l sits at 2(|l| - 1) + (l < 0) of presentation.letters()
-    words = [2 * (np.abs(w) - 1) + (w < 0) for w in ball.letter_rows(rows)]
-    reports = word_reports(letters, words, k, eps_gap=eps_gap)
+    words = [letter_key(w) for w in ball.letter_rows(rows)]
+    reports = word_reports(rep.letter_images(), words, k, eps_gap=eps_gap)
     if not any(report.is_proximal for report in reports):
         raise NoProximalElements(f"no P_{k}-proximal element in the radius-{radius} ball")
     return [
-        LimitSample(
-            word=word, inverse_word=word[::-1].swapcase(),
-            dynamics_preserving=report.is_proximal, log_gap=report.log_gap,
-            plus_k=report.attracting_plane, minus_dk=report.repelling_plane,
-            minus_k=report.inverse_attracting_plane, plus_dk=report.inverse_repelling_plane,
-        )
+        LimitSample(word=word, inverse_word=word[::-1].swapcase(), report=report)
         for word, report in zip(ball.word_strings().take(rows), reports)
     ]
 
@@ -526,17 +519,22 @@ def audit_limit_samples(
 ) -> LimitAudit:
     """Check pairwise transversality of (k, d-k)-plane pairs and span rank.
 
-    Every boundary point's k-plane is tested against the (d-k)-plane of every
-    other label in one :func:`transverse_mask` call, whose verdicts are those
-    of per-pair :func:`is_transverse` calls; failures are listed in (x, y)
-    row-major order.  The span rank is read from the same stacked Pluecker
+    Each sample gives two boundary points, labelled by its two words: the
+    word's (``attracting_plane``, ``inverse_repelling_plane``) and the
+    inverse's (``inverse_attracting_plane``, ``repelling_plane``) of its
+    report.  Every boundary point's k-plane is tested against the
+    (d-k)-plane of every other label in one :func:`transverse_mask` call,
+    whose verdicts are those of per-pair :func:`is_transverse` calls;
+    failures are listed in (x, y) row-major order.  The span rank is read from the same stacked Pluecker
     minors, each row scaled to unit norm with a positive largest entry.  That
     is :meth:`ExteriorVector.unit`'s scaling only up to the last bits: the
     stacked row norm need not round as the one-vector norm does.
     """
     points = []
     for s in samples:
-        points += [(s.word, s.plus_k, s.plus_dk), (s.inverse_word, s.minus_k, s.minus_dk)]
+        r = s.report
+        points += [(s.word, r.attracting_plane, r.inverse_repelling_plane),
+                   (s.inverse_word, r.inverse_attracting_plane, r.repelling_plane)]
     k_labels = np.array([label for label, p, _ in points if p is not None])
     k_planes = [p for _, p, _ in points if p is not None]
     dk_labels = np.array([label for label, _, p in points if p is not None])
@@ -595,12 +593,13 @@ def _top_signs(batch: ScaledBatch, k: int, eps_gap: float) -> tuple[list[bool], 
     """Proximality at 1 and top sign (or 0) of every matrix of a batch, acting
     on the k-th exterior power, as two columns.
 
-    Read in row slices whose compounds hold at most :data:`STACK_ELEMENTS`
-    entries, so a large ball in a wide exterior power is never stacked whole.
+    Read in row slices whose compounds hold at most
+    :data:`linalg.STACK_ELEMENTS` entries (read at each call), so a large
+    ball in a wide exterior power is never stacked whole.
     """
     d = batch.entries.shape[-1]
     size = math.comb(d, k) if k > 1 else d  # 0 when k > d; compound_batch raises
-    step = max(1, STACK_ELEMENTS // max(1, size * size))
+    step = max(1, linalg.STACK_ELEMENTS // max(1, size * size))
     proximal, signs = [], []
     for lo in range(0, len(batch), step):
         part = batch.take(slice(lo, lo + step))

@@ -361,7 +361,7 @@ def cmd_limit_set(cfg: ExperimentConfig, rep: Representation) -> Run:
     reports = {"limit_samples.csv": (
         ["word", "inverse_word", "dynamics_preserving", "log_gap"],
         [[s.word for s in samples], [s.inverse_word for s in samples],
-         [int(s.dynamics_preserving) for s in samples], [s.log_gap for s in samples]],
+         [int(s.report.is_proximal) for s in samples], [s.report.log_gap for s in samples]],
     )}
     return Run(EXIT_OK if audit.all_transverse else EXIT_REFUTED, summary, [line], reports)
 

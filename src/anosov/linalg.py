@@ -53,10 +53,12 @@ TRANSVERSALITY_COND = 1e8
 #: Largest allowed compound dimension C(d, k).
 COMPOUND_GUARD = 10_000
 
-#: Most float64 elements (4 MiB) that one batched compound, minor, pair or
-#: sign read stacks at once; larger batches are processed in consecutive row
-#: slices.
-STACK_ELEMENTS = 1 << 19
+#: Most float64 elements (512 KiB) that one batched walk chunk, compound,
+#: minor, pair or sign read stacks at once; larger batches are processed in
+#: consecutive row slices.  Read at call time, so one setting drives
+#: ``words.ball_image_chunks``, :func:`maximal_minors`, :func:`transverse_mask`
+#: and ``certify._top_signs``.
+STACK_ELEMENTS = 1 << 16
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -179,8 +181,11 @@ class ScaledBatch:
         logs = np.fromiter(map(math.log, m.tolist()), float, len(m))
         return cls(a, log_scale + logs)
 
-    def __matmul__(self, other: ScaledMatrix) -> "ScaledBatch":
-        """Every matrix of the stack times ``other``, renormalized in place."""
+    def __matmul__(self, other: "ScaledMatrix | ScaledBatch") -> "ScaledBatch":
+        """Every matrix of the stack times ``other``, renormalized in place:
+        one matrix is broadcast over the stack, a batch of the same length
+        is multiplied row by row (and a one-row batch on either side is
+        broadcast, as numpy's ``matmul`` broadcasts)."""
         return ScaledBatch.from_arrays(
             self.entries @ other.entries, self.log_scale + other.log_scale
         )
@@ -703,8 +708,7 @@ def _word_reports(
     for codes in words:
         w = letters.take(codes[:, 0])
         for i in range(1, codes.shape[1]):
-            w = ScaledBatch.from_arrays(w.entries @ letters.entries[codes[:, i]],
-                                        w.log_scale + letters.log_scale[codes[:, i]])
+            w = w @ letters.take(codes[:, i])
         products.append(w.entries)
     product = np.concatenate(products)
     for found, image in ((fwd, product), (bwd, np.swapaxes(product, 1, 2))):
@@ -773,24 +777,13 @@ def word_reports(
     return _word_reports(letters, words, k, eps_gap)
 
 
-def proximality_reports(
-    batch: ScaledBatch,
-    k: int,
-    eps_gap: float = EPS_GAP,
-) -> list[ProximalityReport]:
-    """Classify proximality of every matrix of a batch at gap index ``k``:
-    the one-letter-word case of :func:`word_reports`, each matrix its own
-    letter.  A row's report does not depend on the other rows."""
-    return _word_reports(batch, [np.arange(len(batch))[:, None]], k, eps_gap)
-
-
 def proximality_report(
     g: ScaledMatrix,
     k: int,
     eps_gap: float = EPS_GAP,
 ) -> ProximalityReport:
     """Classify proximality of ``g`` at gap index ``k`` and extract planes:
-    the one-row case of :func:`proximality_reports`."""
+    the one-row, one-letter case of :func:`word_reports`."""
     return _word_reports(ScaledBatch.stack([g]), [np.zeros((1, 1), dtype=np.intp)], k, eps_gap)[0]
 
 

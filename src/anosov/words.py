@@ -27,10 +27,10 @@ only when it is its own canonical form.  A surface child reaches the closure
 search only when it holds a half-relator window; this is exact, since a child
 is freely reduced and without such a window admits no move.  A ball's images
 are evaluated the same way, sphere by sphere, with one stacked multiply per
-letter, and are read in chunks of at most :data:`WALK_ELEMENTS` entries; of
-earlier spheres only the previous one's images are kept, as the parents of
-the current one (:func:`ball_image_chunks`; :func:`evaluate_ball` joins the
-chunks).
+letter, and are read in chunks of at most :data:`linalg.STACK_ELEMENTS`
+entries, the one stack budget; of earlier spheres only the previous one's
+images are kept, as the parents of the current one
+(:func:`ball_image_chunks`; :func:`evaluate_ball` joins the chunks).
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .errors import (
     ResourceLimit,
     UnknownLetter,
 )
+from . import linalg
 from .linalg import ScaledBatch, ScaledMatrix
 
 BALL_GUARD = 1_000_000
@@ -57,9 +58,6 @@ BALL_GUARD = 1_000_000
 #: Words spelled at a time when a :class:`WordStrings` view is iterated,
 #: and so report rows written at a time.
 SPELL_ROWS = 4096
-
-#: Image entries (rows times d^2) in one chunk of :func:`ball_image_chunks`.
-WALK_ELEMENTS = 1 << 16
 
 _SURFACE_RELATOR_TOL = 1e-6
 
@@ -89,12 +87,14 @@ def parse_word(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _letter_key(letter: int) -> int:
-    return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
+def letter_key(letters: int | np.ndarray) -> int | np.ndarray:
+    """The position 2(|l| - 1) + (l < 0) of a letter in shortlex order, which
+    is its index in :meth:`Presentation.letters`; elementwise on an array."""
+    return 2 * (abs(letters) - 1) + (letters < 0)
 
 
 def shortlex_key(letters: Sequence[int]) -> tuple:
-    return (len(letters), tuple(_letter_key(l) for l in letters))
+    return (len(letters), tuple(letter_key(l) for l in letters))
 
 
 @dataclass(frozen=True)
@@ -400,7 +400,7 @@ def enumerate_ball(p: Presentation, radius: int) -> Ball:
     if surface:
         half, halves = _half_table(p.n)
         base = len(alphabet)
-        codes = [sum(_letter_key(l) * base**i for i, l in enumerate(reversed(h))) for h in halves]
+        codes = [sum(letter_key(l) * base**i for i, l in enumerate(reversed(h))) for h in halves]
         code_type = np.min_scalar_type(base**half)
         keys = np.arange(base, dtype=code_type)  # the alphabet is in letter-key order
         tail, held = np.zeros(1, dtype=code_type), np.zeros(1, dtype=bool)
@@ -477,6 +477,10 @@ class Representation:
     def dim(self) -> int:
         return self.images[0].dim
 
+    def letter_images(self) -> ScaledBatch:
+        """The image of every letter, in letter-key order (:func:`letter_key`)."""
+        return ScaledBatch.stack([self.image(l) for l in self.presentation.letters()])
+
     def image(self, letter: int) -> ScaledMatrix:
         if letter > 0 and letter <= len(self.images):
             return self.images[letter - 1]
@@ -542,17 +546,17 @@ def ball_image_chunks(rep: Representation, ball: Ball) -> Iterator[tuple[int, Sc
     consecutive rows, in ``ball.words()`` order.
 
     Sphere n is computed from sphere n-1 in chunks of at most
-    :data:`WALK_ELEMENTS` entries that never cross a sphere's end, with one
-    batched multiply per letter: the images of the parents of the chunk's
-    words ending in that letter, times the letter's image, then
-    renormalized.  Each image is bit-identical to :func:`evaluate` of its
-    word.  Only the previous sphere's images are kept, and no chunk of the
-    last sphere (each is yielded straight from :func:`_extend`), so a walk
-    holds about one sphere's images besides the chunk its reader holds, not
-    the ball's.  The first chunk that fails to renormalize raises.
+    :data:`linalg.STACK_ELEMENTS` entries (read at each call) that never
+    cross a sphere's end, with one batched multiply per letter: the images
+    of the parents of the chunk's words ending in that letter, times the
+    letter's image, then renormalized.  Each image is bit-identical to
+    :func:`evaluate` of its word.  Only the previous sphere's images are
+    kept, and no chunk of the last sphere (each is yielded straight from
+    :func:`_extend`), so a walk holds about one sphere's images besides the
+    chunk its reader holds, not the ball's.  The first chunk that fails to renormalize raises.
     """
     d = rep.dim
-    step = max(1, WALK_ELEMENTS // (d * d))
+    step = max(1, linalg.STACK_ELEMENTS // (d * d))
     prev = ScaledBatch(np.eye(d)[None], np.zeros(1))
     yield 0, prev
     start = 1
@@ -614,7 +618,7 @@ def cyclic_classes(ball: Ball) -> CyclicClasses:
     code = icode = np.zeros(1, dtype=code_type)
     keys, powers, inverted = [code], [np.zeros(1, dtype=int)], [np.zeros(1, dtype=bool)]
     for n, (parent, letter) in enumerate(zip(ball.parent[1:], ball.letter[1:]), start=1):
-        key = (2 * (np.abs(letter) - 1) + (letter < 0)).astype(code_type)
+        key = letter_key(letter).astype(code_type)
         code, icode = code[parent] * base + key, (key ^ 1) * base ** (n - 1) + icode[parent]
         # t outer pairs cancel cyclically where code and icode share t leading digits
         strip = np.zeros(len(code), dtype=int)

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,7 +176,7 @@ def walk_reference():
 def walk_rows(monkeypatch, rows, d):
     """Set the walk's chunk to the given number of rows (None: the default)."""
     if rows is not None:
-        monkeypatch.setattr("anosov.words.WALK_ELEMENTS", rows * d * d)
+        monkeypatch.setattr("anosov.linalg.STACK_ELEMENTS", rows * d * d)
 
 
 class TestChunkedWalk:
@@ -524,6 +525,20 @@ class TestClassSpectraScan:
         assert report.verdict == "PositivelyProximal"
 
 
+#: the planes of a limit sample's report, and every field of a report
+PLANES = ("attracting_plane", "repelling_plane", "inverse_attracting_plane",
+          "inverse_repelling_plane")
+REPORT_FIELDS = ("k", "gap_eig", "log_gap", "is_proximal", "is_biproximal",
+                 "is_positively_proximal", *PLANES)
+
+
+def sample_points(s):
+    """The (label, k-plane, (d-k)-plane) boundary points of one limit sample."""
+    r = s.report
+    return [(s.word, r.attracting_plane, r.inverse_repelling_plane),
+            (s.inverse_word, r.inverse_attracting_plane, r.repelling_plane)]
+
+
 class TestLimitMapSample:
     def test_out_of_range_k_fails_before_enumeration(self, schottky, monkeypatch):
         import anosov.certify
@@ -540,7 +555,7 @@ class TestLimitMapSample:
         audit = audit_limit_samples(samples)
         assert audit.all_transverse
         assert audit.span_rank == 2 and audit.span_dim == 2
-        assert all(s.dynamics_preserving for s in samples)
+        assert all(s.report.is_proximal for s in samples)
 
     def test_single_generator_one_sample(self, diag_rep):
         samples = limit_map_sample(diag_rep, 1, 3)
@@ -576,7 +591,7 @@ class TestLimitMapSample:
     def test_tau2_middle_index_samples(self, tau2rep):
         samples = limit_map_sample(tau2rep, 2, 4)
         audit = audit_limit_samples(samples)
-        assert all(s.dynamics_preserving for s in samples)
+        assert all(s.report.is_proximal for s in samples)
         assert audit.all_transverse
 
     @pytest.mark.parametrize("which, k, radius", [("schottky", 1, 5), ("tau2rep", 2, 4)])
@@ -586,7 +601,7 @@ class TestLimitMapSample:
         samples = limit_map_sample(request.getfixturevalue(which), k, radius)
         points = []
         for s in samples:
-            points += [(s.word, s.plus_k, s.plus_dk), (s.inverse_word, s.minus_k, s.minus_dk)]
+            points += sample_points(s)
         failures, checked = [], 0
         for label_x, k_plane, _ in points:
             for label_y, _, dk_plane in points:
@@ -610,7 +625,7 @@ class TestLimitMapSample:
         samples = limit_map_sample(request.getfixturevalue(which), k, radius)
         points = []
         for s in samples:
-            points += [(s.word, s.plus_k, s.plus_dk), (s.inverse_word, s.minus_k, s.minus_dk)]
+            points += sample_points(s)
         failures, checked, coords = [], 0, []
         for label_x, k_plane, _ in points:
             if k_plane is None:
@@ -642,6 +657,31 @@ class TestLimitMapSample:
         else:
             assert 0 < len(failures) < checked
             assert 0 < sum(sent) < checked
+
+    @pytest.mark.parametrize("which, k, radius", [("schottky", 1, 5), ("tau2rep", 2, 4)])
+    def test_samples_hold_the_word_reports(self, request, monkeypatch, which, k, radius):
+        # each sample's report is the very object word_reports returned for
+        # its row, and the audit equals that of per-word reports of the
+        # formed products
+        import anosov.certify as certify
+
+        rep = request.getfixturevalue(which)
+        returned = []
+        real_reports = certify.word_reports
+
+        def kept(*args, **kwargs):
+            returned.append(real_reports(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(certify, "word_reports", kept)
+        samples = limit_map_sample(rep, k, radius)
+        monkeypatch.undo()
+        (reports,) = returned
+        assert len(samples) == len(reports)
+        assert all(s.report is r for s, r in zip(samples, reports))
+        per_word = [replace(s, report=proximality_report(evaluate(rep, parse_word(s.word)), k))
+                    for s in samples]
+        assert audit_limit_samples(samples) == audit_limit_samples(per_word)
 
     def test_equivariance_on_conjugates(self, schottky):
         # attracting plane of h g h^-1 equals rho(h) times that of g
@@ -677,9 +717,7 @@ def per_word_limit_samples(rep, k, radius, eps_gap=1e-8):
         seen.add(key)
         codes = np.array([[index[l] for l in w.letters]])
         report = word_reports(letters, [codes], k, eps_gap=eps_gap)[0]
-        samples.append((str(w), word_str(w.inverse().letters), report.is_proximal,
-                        report.log_gap, report.attracting_plane, report.repelling_plane,
-                        report.inverse_attracting_plane, report.inverse_repelling_plane))
+        samples.append(LimitSample(str(w), word_str(w.inverse().letters), report))
     return samples
 
 
@@ -713,12 +751,12 @@ class TestLimitMapSampleOracle:
         expected, expected_warned = warned_messages(per_word_limit_samples, rep, k, radius)
         assert len(samples) == len(expected)
         for s, e in zip(samples, expected):
-            assert (s.word, s.inverse_word, s.dynamics_preserving) == e[:3]
-            assert np.array_equal(s.log_gap, e[3])
-            for plane, oracle in zip((s.plus_k, s.minus_dk, s.minus_k, s.plus_dk), e[4:]):
-                assert (plane is None) == (oracle is None), s.word
-                if plane is not None:
-                    assert np.array_equal(plane, oracle), s.word
+            assert (s.word, s.inverse_word) == (e.word, e.inverse_word)
+            for name in REPORT_FIELDS:
+                value, oracle = getattr(s.report, name), getattr(e.report, name)
+                assert (value is None) == (oracle is None), (s.word, name)
+                if value is not None:
+                    assert np.array_equal(value, oracle), (s.word, name)
         assert warned == expected_warned
         return samples, warned
 
@@ -738,7 +776,7 @@ class TestLimitMapSampleOracle:
 
     def test_tau2_middle_index(self, tau2rep):
         samples, _ = self.assert_matches_oracle(tau2rep, 2, 4)
-        assert any(s.minus_k is not None for s in samples)
+        assert any(s.report.inverse_attracting_plane is not None for s in samples)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_sym5_compounds_free(self, schottky, k):
@@ -758,7 +796,7 @@ class TestLimitMapSampleOracle:
         samples, warned = self.assert_matches_oracle(marginal_rep(), 1, 3)
         # the four samples with gaps below log1p(1e-7) warn once each: at
         # d = 2k the inverse's gap is the same number, read from the same report
-        marginal = [s for s in samples if s.log_gap <= math.log1p(1e-7)]
+        marginal = [s for s in samples if s.report.log_gap <= math.log1p(1e-7)]
         assert len(warned) == len(marginal) == 4
 
 
@@ -804,12 +842,13 @@ class TestLimitMapSampleInverseFree:
         sampled = evaluate_ball(rep, ball).take(cyclic_class_rows(ball))
         checked = 0
         for i, s in enumerate(samples):
-            assert (s.minus_k is None) == (s.plus_dk is None)
-            if s.minus_k is None:
+            inv_k, inv_dk = s.report.inverse_attracting_plane, s.report.inverse_repelling_plane
+            assert (inv_k is None) == (inv_dk is None)
+            if inv_k is None:
                 continue
             bwd = proximality_report(sampled[i].inverse(), k)
-            assert subspace_angle(s.minus_k, bwd.attracting_plane) <= 1e-10, s.word
-            assert subspace_angle(s.plus_dk, bwd.repelling_plane) <= 1e-10, s.word
+            assert subspace_angle(inv_k, bwd.attracting_plane) <= 1e-10, s.word
+            assert subspace_angle(inv_dk, bwd.repelling_plane) <= 1e-10, s.word
             checked += 1
         assert checked > 0
 
@@ -832,7 +871,7 @@ class TestLimitMapSampleInverseFree:
 
 
 def sym_power_oracle_planes(base, m, k, radius):
-    """(plus_k, minus_dk, minus_k, plus_dk) of every sampled word of Sym^m
+    """The four report planes (:data:`PLANES`) of every sampled word of Sym^m
     of a 2-dimensional ``base``, from the eigenvectors of the word's base
     image alone.  With P = [u | v] those eigenvectors, the expanding one
     first, scaled to det 1, Sym^m(P) diagonalizes the word's Sym^m image
@@ -879,13 +918,12 @@ class TestLimitMapSampleSymPowerOracle:
         samples = limit_map_sample(sym_power_rep(schottky, m), k, radius)
         oracle = sym_power_oracle_planes(schottky, m, k, radius)
         assert len(samples) == len(oracle)
-        names = ("plus_k", "minus_dk", "minus_k", "plus_dk")
         for s, planes in zip(samples, oracle):
-            assert s.dynamics_preserving
-            for name, expected in zip(names, planes):
-                sine = subspace_angle(getattr(s, name), expected)
+            assert s.report.is_proximal
+            for name, expected in zip(PLANES, planes):
+                sine = subspace_angle(getattr(s.report, name), expected)
                 assert sine <= (1e-8 if m == 9 else 1e-10), (s.word, name)
-        exact = [LimitSample(s.word, s.inverse_word, True, s.log_gap, *planes)
+        exact = [replace(s, report=replace(s.report, **dict(zip(PLANES, planes))))
                  for s, planes in zip(samples, oracle)]
         audit = audit_limit_samples(samples)
         assert audit == audit_limit_samples(exact)
@@ -930,18 +968,33 @@ class TestTrackEll1:
         words = [w for w in enumerate_ball(F2, 2).words() if len(w) > 0]
         assert traces == [track_ell1_along_path(path, w, k) for w in words]
 
+    @pytest.mark.parametrize("budget", [1, 7 * 400])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_sliced_ball_walk_matches_per_word_traces(self, schottky, monkeypatch, k):
-        # a tiny stack budget reads each step's ball in many uneven slices
-        # (and the compound minors one matrix at a time)
+    def test_sliced_ball_walk_matches_per_word_traces(self, schottky, monkeypatch, k, budget):
+        # a tiny stack budget walks each step's ball and reads its signs in
+        # many uneven slices (at budget 1, one matrix at a time, and the
+        # compound minors one block at a time)
         sym5 = sym_power_rep(schottky, 5)
         path = perturb_path(sym5, 0.01, seed=1, steps=8)
         whole = track_ball_along_path(path, 3, k)
-        monkeypatch.setattr("anosov.certify.STACK_ELEMENTS", 7 * 400)
-        monkeypatch.setattr("anosov.linalg.STACK_ELEMENTS", 1)
+        monkeypatch.setattr("anosov.linalg.STACK_ELEMENTS", budget)
         assert track_ball_along_path(path, 3, k) == whole
         words = [w for w in enumerate_ball(F2, 3).words() if len(w) > 0]
         assert whole == [track_ell1_along_path(path, w, k) for w in words]
+
+    def test_minor_gathers_fit_one_walk_chunk(self, schottky, monkeypatch):
+        # one path step on Sym^5 at k=2, R=4: the compound's 2x2 minors of
+        # the 160 nonidentity words are gathered in slices of at most the
+        # stack budget, the walk's chunk of 2^16 entries (one gather of
+        # 144,000 elements when minors had a budget of their own, 2^19)
+        import anosov.linalg as linalg
+
+        sizes, det = [], np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda a: sizes.append(a.size) or det(a))
+        track_ball_along_path([sym_power_rep(schottky, 5)], 4, 2)
+        monkeypatch.undo()
+        assert len(sizes) > 1
+        assert max(sizes) <= linalg.STACK_ELEMENTS == 1 << 16
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_degree_out_of_range(self, schottky, k):
@@ -1158,7 +1211,7 @@ class TestDeterminism:
         s2 = limit_map_sample(schottky, 1, 3)
         for a, b in zip(s1, s2):
             assert a.word == b.word
-            np.testing.assert_array_equal(a.plus_k, b.plus_k)
+            np.testing.assert_array_equal(a.report.attracting_plane, b.report.attracting_plane)
 
 
 # Per-row loops over GapRow / PositivityRow records, as the scans ran before

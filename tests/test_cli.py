@@ -1050,7 +1050,7 @@ class TestCsvWriterOracle:
         samples = cert.limit_map_sample(build_representation(json.loads(TAU2)), 2, 4)
         expected = csv_module_bytes(
             ["word", "inverse_word", "dynamics_preserving", "log_gap"],
-            [[s.word, s.inverse_word, int(s.dynamics_preserving), repr(s.log_gap)]
+            [[s.word, s.inverse_word, int(s.report.is_proximal), repr(s.report.log_gap)]
              for s in samples],
         )
         assert (tmp_path / "limit_samples.csv").read_bytes() == expected

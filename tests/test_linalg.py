@@ -23,13 +23,13 @@ from anosov import (
     normalize_to_sl,
     orthonormalize,
     proximality_report,
-    proximality_reports,
     singular_values,
     spectra,
     spectrum,
     subspace_angle,
     sym_power_rep,
     transverse_mask,
+    word_reports,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -65,6 +65,24 @@ class TestScaledMatrix:
         assert ident.distance_to_identity() < 1e-12
         np.testing.assert_allclose(a.power(3).array(), a.array() @ a.array() @ a.array(), rtol=1e-10)
         np.testing.assert_allclose(a.power(-2).array(), np.linalg.inv(a.array() @ a.array()), rtol=1e-9)
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_batch_matmul_row_by_row(self, rng, d):
+        # a batch times a batch of the same length is row i times row i, and
+        # a one-row batch on either side is broadcast, bit for bit as
+        # ScaledMatrix @; log scales near +-700 add without rounding trouble
+        def batch(n):
+            scales = rng.choice([-1.0, 1.0], n) * rng.uniform(699.0, 700.0, n)
+            return ScaledBatch.stack([sm(rng.standard_normal((d, d)), s) for s in scales])
+
+        a, b, one = batch(50), batch(50), batch(1)
+        for product, pairs in ((a @ b, zip(a, b)), (a @ one, ((x, one[0]) for x in a)),
+                               (one @ b, ((one[0], y) for y in b))):
+            assert len(product) == 50
+            for row, (x, y) in zip(product, pairs):
+                expected = x @ y
+                assert np.array_equal(row.entries, expected.entries)
+                assert row.log_scale == expected.log_scale
 
     def test_singular_row_fails_the_batch_inverse(self):
         batch = ScaledBatch.stack([sm(np.eye(2)), sm([[1.0, 2.0], [2.0, 4.0]])])
@@ -302,6 +320,11 @@ def report_fields(report):
             report.is_biproximal, report.is_positively_proximal)
 
 
+def one_letter_words(batch):
+    """Every matrix of a batch as a one-letter word of :func:`word_reports`."""
+    return [np.arange(len(batch))[:, None]]
+
+
 def assert_same_report(report, expected):
     assert report_fields(report) == report_fields(expected)
     for name in ("attracting_plane", "repelling_plane", "inverse_attracting_plane",
@@ -318,7 +341,7 @@ class TestProximalityReports:
         rep = sym_power_rep(schottky2, m) if m > 1 else schottky2
         batch = evaluate_ball(rep, enumerate_ball(rep.presentation, 2))
         batch = batch.take(slice(1, None))  # the identity has no planes to compare
-        reports = proximality_reports(batch, k)
+        reports = word_reports(batch, one_letter_words(batch), k)
         assert len(reports) == len(batch)
         assert any(r.is_proximal for r in reports)
         for i, report in enumerate(reports):
@@ -334,18 +357,19 @@ class TestProximalityReports:
             assert inverses.log_scale[i] == inverse.log_scale
         for k in (1, 2, 4):
             for stack in (batch, inverses):
-                reports = proximality_reports(stack, k)
+                reports = word_reports(stack, one_letter_words(stack), k)
                 for i, report in enumerate(reports):
                     assert_same_report(report, proximality_report(stack[i], k))
 
     def test_empty_batch(self):
-        assert proximality_reports(ScaledBatch.stack([sm(np.eye(3))]).take(slice(0)), 1) == []
+        empty = ScaledBatch.stack([sm(np.eye(3))]).take(slice(0))
+        assert word_reports(empty, one_letter_words(empty), 1) == []
 
     def test_one_warning_per_marginal_row(self):
         batch = ScaledBatch.stack([sm(np.diag([1.0 + 5e-8, 1.0])), sm(np.diag([2.0, 1.0])),
                                    sm(np.diag([1.0 + 3e-8, 1.0]))])
         with pytest.warns(MarginalGapWarning) as caught:
-            proximality_reports(batch, 1)
+            word_reports(batch, one_letter_words(batch), 1)
         assert len(caught) == 2
         with pytest.warns(MarginalGapWarning) as caught_one:
             proximality_report(batch[0], 1)
@@ -367,7 +391,7 @@ class TestProximalityReports:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EigensolveFailure, match="planted"):
-                proximality_reports(batch, 1)
+                word_reports(batch, one_letter_words(batch), 1)
 
     def test_stacked_qr_and_angles_match_per_matrix(self, rng):
         a = rng.standard_normal((40, 6, 3))
@@ -911,7 +935,7 @@ class TestClassSpectra:
             with pytest.raises(SingularInput, match="^singular matrix$"):
                 linalg.class_spectra(letters, [np.array([[0, 1]])])
             with pytest.raises(SingularInput, match="^singular matrix$"):
-                proximality_reports(letters, 1)
+                word_reports(letters, one_letter_words(letters), 1)
 
 
 class TestOrderedSchur:

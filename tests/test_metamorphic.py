@@ -156,6 +156,10 @@ def test_conjugated_schottky_stays_certified(cond, seed):
     assert certify_anosov(profile).verdict == "Certified"
 
 
+#: the planes of a limit sample's report
+PLANES = ("attracting_plane", "repelling_plane", "inverse_attracting_plane",
+          "inverse_repelling_plane")
+
 # (construction, k, radius) of the limit-set audits
 LIMIT_CASES = {
     "schottky": (CASES["schottky"][0], 1, 5),
@@ -186,8 +190,8 @@ def test_conjugated_limit_set_audit_is_unchanged(case, cond, seed):
     # every plane is P times rho's: 5.5e-13 in sine at most over these cases
     assert [s.word for s in conjugated] == [s.word for s in samples]
     for after, before in zip(conjugated, samples):
-        for name in ("plus_k", "minus_dk", "minus_k", "plus_dk"):
-            plane, base = getattr(after, name), getattr(before, name)
+        for name in PLANES:
+            plane, base = getattr(after.report, name), getattr(before.report, name)
             assert (plane is None) == (base is None), (after.word, name)
             if plane is not None:
                 assert subspace_angle(plane, orthonormalize(p @ base)) < 1e-10, (after.word, name)
@@ -207,10 +211,9 @@ def test_conjugated_audit_is_that_of_the_transported_planes(case, seed):
     rep = build()
     p = conjugator(rep.dim, 1e4, seed)
     samples, _ = limit_samples(case)
-    names = ("plus_k", "minus_dk", "minus_k", "plus_dk")
     transported = [
-        replace(s, **{n: orthonormalize(p @ getattr(s, n)) for n in names
-                      if getattr(s, n) is not None})
+        replace(s, report=replace(s.report, **{n: orthonormalize(p @ getattr(s.report, n))
+                                               for n in PLANES if getattr(s.report, n) is not None}))
         for s in samples
     ]
     audit = audit_limit_samples(limit_map_sample(conjugate(rep, p), k, radius))

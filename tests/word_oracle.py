@@ -4,7 +4,7 @@ These are the tuple loops that picked the limit-map sample words before the
 class rows were read from integer word codes.
 """
 
-from anosov.words import _free_reduce, _inverse, _letter_key
+from anosov.words import _free_reduce, _inverse, letter_key
 
 
 def cyclic_reduce(letters):
@@ -27,7 +27,7 @@ def conjugacy_key(letters):
     # of their letter-key tuples
     candidates = []
     for base in (w, _inverse(w)):
-        keys = tuple(map(_letter_key, base))
+        keys = tuple(map(letter_key, base))
         candidates += [(keys[s:] + keys[:s], base[s:] + base[:s]) for s in range(len(w))]
     return min(candidates)[1]
 
