@@ -525,10 +525,10 @@ def audit_limit_samples(
     report.  Every boundary point's k-plane is tested against the
     (d-k)-plane of every other label in one :func:`transverse_mask` call,
     whose verdicts are those of per-pair :func:`is_transverse` calls;
-    failures are listed in (x, y) row-major order.  The span rank is read from the same stacked Pluecker
-    minors, each row scaled to unit norm with a positive largest entry.  That
-    is :meth:`ExteriorVector.unit`'s scaling only up to the last bits: the
-    stacked row norm need not round as the one-vector norm does.
+    failures are listed in (x, y) row-major order.  The span rank is read
+    from the same stacked Pluecker minors, each row scaled to unit norm with
+    a positive largest entry: :meth:`ExteriorVector.unit`'s scaling up to the
+    last bits, as the stacked row norm need not round as a vector's does.
     """
     points = []
     for s in samples:
@@ -539,16 +539,16 @@ def audit_limit_samples(
     k_planes = [p for _, p, _ in points if p is not None]
     dk_labels = np.array([label for label, _, p in points if p is not None])
     dk_planes = [p for _, _, p in points if p is not None]
-    failures, checked = [], 0
-    if k_planes and dk_planes:
-        others = k_labels[:, None] != dk_labels[None, :]
-        ok = transverse_mask(np.stack(k_planes), np.stack(dk_planes), cond_threshold, others)
-        checked = int(np.count_nonzero(others))
-        x, y = np.nonzero(others & ~ok)
-        failures = list(zip(k_labels[x].tolist(), dk_labels[y].tolist()))
-    span_rank, span_dim = 0, 0
+    failures, checked, span_rank, span_dim = [], 0, 0, 0
     if k_planes:
-        coords = maximal_minors(np.stack(k_planes))
+        k_stack = np.stack(k_planes)
+        coords = maximal_minors(k_stack)
+        if dk_planes:
+            others = k_labels[:, None] != dk_labels[None, :]
+            ok = transverse_mask(k_stack, np.stack(dk_planes), cond_threshold, others, coords)
+            checked = int(np.count_nonzero(others))
+            x, y = np.nonzero(others & ~ok)
+            failures = list(zip(k_labels[x].tolist(), dk_labels[y].tolist()))
         coords /= np.linalg.norm(coords, axis=1)[:, None]
         lead = np.take_along_axis(coords, np.abs(coords).argmax(axis=1)[:, None], axis=1)
         coords *= np.where(lead < 0, -1.0, 1.0)
@@ -593,13 +593,14 @@ def _top_signs(batch: ScaledBatch, k: int, eps_gap: float) -> tuple[list[bool], 
     """Proximality at 1 and top sign (or 0) of every matrix of a batch, acting
     on the k-th exterior power, as two columns.
 
-    Read in row slices whose compounds hold at most
-    :data:`linalg.STACK_ELEMENTS` entries (read at each call), so a large
-    ball in a wide exterior power is never stacked whole.
+    Read in row slices whose compounds hold at most 8 x the stack budget
+    (:data:`linalg.STACK_ELEMENTS`, read at each call): never a large ball
+    whole, yet several compounds per :func:`spectra` call, whose per-matrix
+    LAPACK calls a threaded BLAS runs twice as fast back to back.
     """
     d = batch.entries.shape[-1]
     size = math.comb(d, k) if k > 1 else d  # 0 when k > d; compound_batch raises
-    step = max(1, linalg.STACK_ELEMENTS // max(1, size * size))
+    step = max(1, 8 * linalg.STACK_ELEMENTS // max(1, size * size))
     proximal, signs = [], []
     for lo in range(0, len(batch), step):
         part = batch.take(slice(lo, lo + step))

@@ -57,6 +57,7 @@ from .words import (
     SPELL_ROWS,
     Representation,
     Word,
+    WordStrings,
     enumerate_ball,
     parse_word,
     reduce_word,
@@ -201,18 +202,26 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _texts(chunk: np.ndarray) -> list[str]:
+    """An array chunk's fields: floats by ``repr``, others by a table of its distinct values."""
+    if chunk.dtype.kind == "f":
+        return list(map(repr, chunk.tolist()))
+    values, index = np.unique(chunk, return_inverse=True)
+    return np.array(list(map(str, values.tolist())), dtype=object)[index].tolist()
+
+
 def _write_csv(path: Path, header: list[str], columns: Sequence[Sequence]) -> None:
-    """Write equal-length columns (lists or arrays) as CSV rows; raises
-    ``ValueError`` when the lengths differ.
+    """Write equal-length columns (lists, arrays or word views) as CSV rows;
+    raises ``ValueError`` when the lengths differ.
 
     A field is ``str`` of a plain Python value, so a float is written as its
     ``repr``; no field holds a comma, quote or newline, so none is quoted.
     Rows are formatted and written :data:`~anosov.words.SPELL_ROWS` at a
-    time, the rows a word view spells at once, so only one chunk's Python
-    values and text are alive at once.  Each distinct
-    array chunk is formatted once: a chunk with the same dtype and bytes as
-    an earlier one in its row range reuses that one's text (bits, not values:
-    0.0 and -0.0 differ, a NaN equals itself).  At d = 2, for instance,
+    time, the rows a word view spells at once (and writes as spelled), so
+    only one chunk's Python values and text are alive at once.  Each distinct
+    array chunk is formatted once (:func:`_texts`): a chunk with the same
+    dtype and bytes as an earlier one in its row range reuses that one's text
+    (bits, not values: 0.0 and -0.0 differ, a NaN equals itself).  At d = 2,
     ``log_gap_1`` and ``log_total_ratio`` hold the same numbers.
     """
     n = len(columns[0])
@@ -229,10 +238,10 @@ def _write_csv(path: Path, header: list[str], columns: Sequence[Sequence]) -> No
                 if isinstance(chunk, np.ndarray):
                     key = (chunk.dtype, chunk.tobytes())
                     if key not in texts:
-                        texts[key] = list(map(str, chunk.tolist()))
+                        texts[key] = _texts(chunk)
                     fields.append(texts[key])
                 else:
-                    fields.append(list(map(str, chunk)))
+                    fields.append(chunk if isinstance(c, WordStrings) else list(map(str, chunk)))
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 

@@ -54,10 +54,10 @@ TRANSVERSALITY_COND = 1e8
 COMPOUND_GUARD = 10_000
 
 #: Most float64 elements (512 KiB) that one batched walk chunk, compound,
-#: minor, pair or sign read stacks at once; larger batches are processed in
-#: consecutive row slices.  Read at call time, so one setting drives
-#: ``words.ball_image_chunks``, :func:`maximal_minors`, :func:`transverse_mask`
-#: and ``certify._top_signs``.
+#: minor or pair stacks at once (a sign read stacks eight times as many);
+#: larger batches are processed in consecutive row slices.  Read at call
+#: time, so one setting drives ``words.ball_image_chunks``,
+#: :func:`maximal_minors`, :func:`transverse_mask` and ``certify._top_signs``.
 STACK_ELEMENTS = 1 << 16
 
 
@@ -171,7 +171,7 @@ class ScaledBatch:
     def from_arrays(cls, a: np.ndarray, log_scale: np.ndarray) -> "ScaledBatch":
         """Normalize each block of an (n, d, d) stack in place to max |entry|
         1, moving the factor into ``log_scale``."""
-        m = np.maximum(a.max(axis=(1, 2)), -a.min(axis=(1, 2)))  # max |entry|, NaN-propagating
+        m = np.abs(a).max(axis=(1, 2))  # max |entry| in one reduction, NaN-propagating
         if not np.all(np.isfinite(m)):
             raise SingularInput("matrix has non-finite entries")
         if not np.all(m):
@@ -861,6 +861,7 @@ def transverse_mask(
     dk_planes: np.ndarray,
     cond_threshold: float = TRANSVERSALITY_COND,
     where: np.ndarray | None = None,
+    k_minors: np.ndarray | None = None,
 ) -> np.ndarray:
     """Whether each k-plane spans the whole space stably with each (d-k)-plane.
 
@@ -869,6 +870,7 @@ def transverse_mask(
     [k_planes[x] | dk_planes[y]] has a positive smallest singular value and
     condition number below ``cond_threshold``.  A single d x k plane gives
     its (n,) row.  Pairs where ``where`` is False are skipped and read False.
+    ``k_minors``, when given, is :func:`maximal_minors` of the k-plane stack.
 
     For orthonormal V, W with principal angles t_i, [V | W] has singular
     values sqrt(1 +- cos t_i) and ones, so cond = (1 + cos t_min) / sin t_min
@@ -896,7 +898,8 @@ def transverse_mask(
     mask = np.empty((m, n), dtype=bool)
     step = max(1, STACK_ELEMENTS // max(1, n * d * d))
     with np.errstate(invalid="ignore"):  # non-finite pairs are left to the SVD
-        pk, pdk = maximal_minors(v), maximal_minors(w)[:, comp] * signs
+        pk = maximal_minors(v) if k_minors is None else k_minors
+        pdk = maximal_minors(w)[:, comp] * signs
         for lo in range(0, m, step):
             det = np.abs(pk[lo : lo + step] @ pdk.T)
             ok = (det > margin) & (det < math.inf)

@@ -26,8 +26,8 @@ letter but the inverse of its last one, and a surface-group child is kept
 only when it is its own canonical form.  A surface child reaches the closure
 search only when it holds a half-relator window; this is exact, since a child
 is freely reduced and without such a window admits no move.  A ball's images
-are evaluated the same way, sphere by sphere, with one stacked multiply per
-letter, and are read in chunks of at most :data:`linalg.STACK_ELEMENTS`
+are evaluated the same way, sphere by sphere, with one multiply per block of
+rows, and are read in chunks of at most :data:`linalg.STACK_ELEMENTS`
 entries, the one stack budget; of earlier spheres only the previous one's
 images are kept, as the parents of the current one
 (:func:`ball_image_chunks`; :func:`evaluate_ball` joins the chunks).
@@ -527,17 +527,19 @@ def evaluate(rep: Representation, word: Word | Sequence[int]) -> ScaledMatrix:
     return m
 
 
-def _extend(rep: Representation, prev: ScaledBatch, parent: np.ndarray, letter: np.ndarray,
+def _extend(images: ScaledBatch, prev: ScaledBatch, parent: np.ndarray, letter: np.ndarray,
             out: ScaledBatch | None = None) -> ScaledBatch:
     """Images of the words ``prev[parent[i]]`` followed by ``letter[i]``, into
-    ``out`` or a new batch: one batched multiply per letter, renormalized."""
+    ``out`` or a new batch, given the letter ``images`` in letter-key order:
+    per block of :data:`linalg.STACK_ELEMENTS` / |alphabet| entries, one
+    gather of parent and letter images and one row-by-row multiply, renormalized."""
     if out is None:
-        out = ScaledBatch(np.empty((len(letter), rep.dim, rep.dim)), np.empty(len(letter)))
-    for l in rep.presentation.letters():
-        sel = np.flatnonzero(letter == l)
-        if len(sel):
-            image = prev.take(parent[sel]) @ rep.image(l)
-            out.entries[sel], out.log_scale[sel] = image.entries, image.log_scale
+        out = ScaledBatch(np.empty((len(letter), *images.entries.shape[1:])), np.empty(len(letter)))
+    block = max(1, linalg.STACK_ELEMENTS // images.entries.size)
+    for lo in range(0, len(letter), block):
+        rows = slice(lo, lo + block)
+        image = prev.take(parent[rows]) @ images.take(letter_key(letter[rows]))
+        out.entries[rows], out.log_scale[rows] = image.entries, image.log_scale
     return out
 
 
@@ -547,15 +549,15 @@ def ball_image_chunks(rep: Representation, ball: Ball) -> Iterator[tuple[int, Sc
 
     Sphere n is computed from sphere n-1 in chunks of at most
     :data:`linalg.STACK_ELEMENTS` entries (read at each call) that never
-    cross a sphere's end, with one batched multiply per letter: the images
-    of the parents of the chunk's words ending in that letter, times the
-    letter's image, then renormalized.  Each image is bit-identical to
+    cross a sphere's end, each by :func:`_extend` in blocks of 1/|alphabet|
+    of a chunk: the images of the blocks' parents times those of their last
+    letters, row by row, then renormalized.  Each image is bit-identical to
     :func:`evaluate` of its word.  Only the previous sphere's images are
     kept, and no chunk of the last sphere (each is yielded straight from
     :func:`_extend`), so a walk holds about one sphere's images besides the
     chunk its reader holds, not the ball's.  The first chunk that fails to renormalize raises.
     """
-    d = rep.dim
+    d, images = rep.dim, rep.letter_images()
     step = max(1, linalg.STACK_ELEMENTS // (d * d))
     prev = ScaledBatch(np.eye(d)[None], np.zeros(1))
     yield 0, prev
@@ -568,7 +570,7 @@ def ball_image_chunks(rep: Representation, ball: Ball) -> Iterator[tuple[int, Sc
         for lo in range(0, len(letter), step):
             rows = slice(lo, lo + step)
             out = None if sphere is None else sphere.take(rows)
-            yield start + lo, _extend(rep, prev, parent[rows], letter[rows], out)
+            yield start + lo, _extend(images, prev, parent[rows], letter[rows], out)
         prev, start = sphere, start + len(letter)
 
 

@@ -774,6 +774,19 @@ class TestLimitMapSampleOracle:
         assert outputs == r7_at_seed_0
         assert outputs[0] == 0 and set(outputs[3]) == {"limit_samples.csv", "summary.json"}
 
+    def test_r7_minors_once_per_plane_stack(self, seedless_outputs, r7_at_seed_0, tmp_path,
+                                            monkeypatch):
+        # the k-planes' Pluecker minors serve both the transversality check and the span rank
+        import anosov.certify
+        import anosov.linalg
+
+        shapes, minors = [], anosov.linalg.maximal_minors
+        counted = lambda planes: shapes.append(planes.shape) or minors(planes)
+        monkeypatch.setattr(anosov.linalg, "maximal_minors", counted)
+        monkeypatch.setattr(anosov.certify, "maximal_minors", counted)
+        assert seedless_outputs(LIMIT_SET_R7, 0, tmp_path / "run") == r7_at_seed_0
+        assert shapes == [(510, 2, 1), (510, 2, 1)]
+
     def test_tau2_middle_index(self, tau2rep):
         samples, _ = self.assert_matches_oracle(tau2rep, 2, 4)
         assert any(s.report.inverse_attracting_plane is not None for s in samples)
@@ -968,12 +981,13 @@ class TestTrackEll1:
         words = [w for w in enumerate_ball(F2, 2).words() if len(w) > 0]
         assert traces == [track_ell1_along_path(path, w, k) for w in words]
 
-    @pytest.mark.parametrize("budget", [1, 7 * 400])
+    @pytest.mark.parametrize("budget", [1, 7 * 400 // 8])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_sliced_ball_walk_matches_per_word_traces(self, schottky, monkeypatch, k, budget):
         # a tiny stack budget walks each step's ball and reads its signs in
         # many uneven slices (at budget 1, one matrix at a time, and the
-        # compound minors one block at a time)
+        # compound minors one block at a time; sign reads take eight budgets,
+        # so 7 of the 20 x 20 compounds at k=3)
         sym5 = sym_power_rep(schottky, 5)
         path = perturb_path(sym5, 0.01, seed=1, steps=8)
         whole = track_ball_along_path(path, 3, k)

@@ -536,8 +536,12 @@ class TestEvaluate:
                 assert images[i].log_scale == plain.log_scale
                 assert np.array_equal(images[i].entries, plain.entries)
 
-    def test_ball_walk_one_multiply_per_word(self, schottky2, fuchsian2, monkeypatch):
-        # one batched multiply per sphere and letter, covering each word once
+    @pytest.mark.parametrize("budget", [None, 64 * 4], ids=["default", "small"])
+    def test_ball_walk_one_multiply_per_block(self, schottky2, fuchsian2, monkeypatch, budget):
+        # one row-by-row multiply per block of 1/|alphabet| of a chunk, covering each
+        # word once; a small budget splits spheres into several chunks of several blocks
+        if budget is not None:
+            monkeypatch.setattr("anosov.linalg.STACK_ELEMENTS", budget)
         per_word = []
         single = ScaledMatrix.__matmul__
         monkeypatch.setattr(
@@ -552,9 +556,13 @@ class TestEvaluate:
             ball = enumerate_ball(p, radius)
             batched.clear()
             evaluate_ball(rep, ball)
-            expected = sum(len(set(letter.tolist())) for letter in ball.letter[1:])
-            assert expected == radius * 2 * p.n_generators
-            assert len(batched) == expected
+            chunk = anosov.linalg.STACK_ELEMENTS // 4  # rows of 2 x 2 images
+            block = chunk // len(p.letters())
+            expected = [min(block, rows - b)
+                        for size in ball.sphere_sizes()[1:]
+                        for rows in (min(chunk, size - lo) for lo in range(0, size, chunk))
+                        for b in range(0, rows, block)]
+            assert batched == expected
             assert sum(batched) == len(ball) - 1
         assert per_word == []
 
