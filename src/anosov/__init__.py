@@ -63,7 +63,6 @@ from .words import (
     Word,
     enumerate_ball,
     evaluate,
-    evaluate_ball,
     parse_word,
     reduce_word,
     word_str,

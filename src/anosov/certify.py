@@ -13,9 +13,10 @@ for compatibility and ignored.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,16 +48,14 @@ from .linalg import (
     word_reports,
 )
 from .words import (
-    Ball,
+    CyclicClasses,
     Presentation,
     Representation,
     Word,
     ball_image_chunks,
-    cyclic_class_rows,
     cyclic_classes,
     enumerate_ball,
     evaluate,
-    evaluate_ball,
     letter_key,
     parse_word,
     word_str,
@@ -291,12 +290,12 @@ class PositivityReport(_ColumnRecord):
     witness, NoProximalFound otherwise; Inconclusive when the witness's
     recheck fails or, without a witness, when some word is unresolved.
     Words failing positive semi-proximality obstruct any invariant properly
-    convex cone, so they are collected separately.  Per-word columns are in
-    ball order, ``words`` being the ball's :class:`~anosov.words.WordStrings`
-    view, spelled on demand; ``ell1_sign`` is +-1 when the signed top
-    eigenvalue is defined, else 0.  An ``unresolved`` word's class did not settle (see
-    :func:`linalg.class_spectra`): it is neither proximal nor a
-    semi-proximality failure, and its ``log_gap`` is NaN.
+    convex cone; :attr:`semiproximal_failures` spells them on demand.  Per-word
+    columns are in ball order, ``words`` being the ball's
+    :class:`~anosov.words.WordStrings` view; ``ell1_sign`` (int8) is +-1 when
+    the signed top eigenvalue is defined, else 0.  An ``unresolved`` word's
+    class did not settle (see :func:`linalg.class_spectra`): it is neither
+    proximal nor a semi-proximality failure, and its ``log_gap`` is NaN.
     """
 
     k: int
@@ -315,24 +314,24 @@ class PositivityReport(_ColumnRecord):
     verdict: str
     witness: str | None
     witness_recheck: bool
-    semiproximal_failures: tuple[str, ...]
+
+    @property
+    def semiproximal_failures(self) -> tuple[str, ...]:
+        return tuple(self.words.take(np.flatnonzero(~self.semiproximal_positive)))
 
 
-def _ball_spectra(rep: Representation, ball: Ball) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log moduli, signs and unresolved flags of every ball word, in ball order.
+def _ball_spectra(classes: CyclicClasses, found: linalg.ClassSpectra, rows: slice) -> tuple:
+    """Log moduli, signs and unresolved flags of one row slice of the ball,
+    from the :func:`class_spectra` of the representatives of ``classes``.
 
-    One :func:`class_spectra` call on the class representatives of
-    :func:`cyclic_classes`; a word c^p takes p times its class's log moduli
-    and the p-th powers of its signs, and an inverted word the negated
-    moduli and the signs in reverse order.  The identity has all moduli 0.
+    A word c^p takes p times its class's log moduli and the p-th powers of
+    its signs, and an inverted word the negated moduli and the signs in
+    reverse order.  The identity has all moduli 0.
     """
-    classes = cyclic_classes(ball)
-    found = class_spectra(rep.letter_images(),
-                          [classes.letters[q] for q in sorted(classes.letters)])
-    index, power, flip = classes.index, classes.power[:, None], classes.inverted
+    index, power, flip = classes.index[rows], classes.power[rows, None], classes.inverted[rows]
     # index -1, the identity, reads an appended row: moduli 0, signs +1, resolved
-    log_moduli = np.vstack([found.log_moduli, np.zeros(rep.dim)])[index] * power
-    signs = np.vstack([found.signs, np.ones(rep.dim, dtype=int)])[index]
+    log_moduli = np.pad(found.log_moduli, ((0, 1), (0, 0)))[index] * power
+    signs = np.pad(found.signs, ((0, 1), (0, 0)), constant_values=1)[index]
     signs = np.where(power % 2 == 1, signs, np.abs(signs))
     log_moduli[flip], signs[flip] = -log_moduli[flip, ::-1], signs[flip, ::-1]
     return log_moduli, signs, np.append(found.unresolved, False)[index]
@@ -374,37 +373,43 @@ def scan_positivities(
 
     Every k is checked before the ball is enumerated.  All k values read one
     :func:`class_spectra` call over the ball's cyclic classes: no compound
-    and no product is formed.  The top eigenvalue of the k-th exterior power
-    is the product of the k largest, simple exactly when the gap at k is
-    open (when k = d = 1, always), its sign the product of theirs with each
-    complex pair counting +1.  A negative witness is re-verified through the
-    independent route (compound of the base-dimension product, fresh
-    eigensolve): the verdict is NotPositivelyProximal when the recheck
-    confirms it, Inconclusive when not.
+    and no product is formed; its tables are read in row slices into the report
+    columns alone.  The top eigenvalue of the k-th exterior power is the product
+    of the k largest, simple exactly when the gap at k is open (when k = d = 1,
+    always), its sign the product of theirs with each complex pair counting +1.
+    A negative witness is re-verified through the independent route (compound of
+    the base-dimension product, fresh eigensolve): the verdict is
+    NotPositivelyProximal when the recheck confirms it, Inconclusive when not.
     """
     d = rep.dim
     for k in ks:
         if k != 1 and not 1 <= k <= d - 1:
             raise DegreeMismatch(f"compound degree {k} out of range for dimension {d}")
     ball = enumerate_ball(rep.presentation, radius)
-    words, lengths = ball.word_strings(), ball.lengths()
-    log_moduli, signs, unresolved = _ball_spectra(rep, ball)
-    tol = math.log1p(eps_gap)
+    words, lengths, classes = ball.word_strings(), ball.lengths(), cyclic_classes(ball)
+    found = class_spectra(rep.letter_images(),
+                          [classes.letters[q] for q in sorted(classes.letters)])
+    n, tol, unresolved = len(ball), math.log1p(eps_gap), np.empty(len(ball), dtype=bool)
+    columns = [tuple(np.empty(n, dtype=t) for t in (float, bool, np.int8, bool)) for _ in ks]
+    step = max(1, linalg.STACK_ELEMENTS // (8 * d))  # a slice's (rows, d) temporaries
+    for rows in (slice(lo, lo + step) for lo in range(0, n, step)):
+        log_moduli, signs, unresolved[rows] = _ball_spectra(classes, found, rows)
+        for k, (log_gap, proximal, ell1_sign, semi) in zip(ks, columns):
+            log_gap[rows] = log_moduli[:, k - 1] - log_moduli[:, k] if k < d else 0.0
+            proximal[rows] = (k < d) & (log_gap[rows] > tol)
+            top = np.where(signs[:, :k] != 0, signs[:, :k], 1).prod(axis=1)
+            ell1_sign[rows] = np.where(~unresolved[rows] & ((k == d) | proximal[rows]), top, 0)
+            semi[rows] = _semiproximal_positive(log_moduli, signs, k, tol) | unresolved[rows]
     n_unresolved = int(np.count_nonzero(unresolved))
     reports = []
-    for k in ks:
-        log_gap = log_moduli[:, k - 1] - log_moduli[:, k] if k < d else np.zeros(len(words))
-        proximal = (k < d) & (log_gap > tol)
-        simple = ~unresolved & ((k == d) | proximal)
-        ell1_sign = np.where(simple, np.where(signs[:, :k] != 0, signs[:, :k], 1).prod(axis=1), 0)
-        semiproximal = _semiproximal_positive(log_moduli, signs, k, tol) | unresolved
+    for k, (log_gap, proximal, ell1_sign, semi) in zip(ks, columns):
         negative = np.flatnonzero(proximal & (ell1_sign < 0))
         witness = words[negative[0]] if len(negative) else None
         n_proximal = int(np.count_nonzero(proximal))
         recheck = False
         if witness is not None:
             base = evaluate(rep, parse_word(witness))
-            (gap_open,), (sign,) = _top_signs(ScaledBatch.stack([base]), k, eps_gap)
+            (gap_open,), (sign,) = _top_signs([ScaledBatch.stack([base])], k, eps_gap)
             recheck = gap_open and sign == -1
             verdict = "NotPositivelyProximal" if recheck else "Inconclusive"
         elif n_unresolved:
@@ -416,11 +421,10 @@ def scan_positivities(
         reports.append(
             PositivityReport(
                 k=k, radius=radius, dim_scanned=math.comb(d, k), words=words, lengths=lengths,
-                proximal=proximal, ell1_sign=ell1_sign, semiproximal_positive=semiproximal,
+                proximal=proximal, ell1_sign=ell1_sign, semiproximal_positive=semi,
                 log_gap=log_gap, unresolved=unresolved,
                 n_proximal=n_proximal, n_negative=len(negative), n_unresolved=n_unresolved,
                 verdict=verdict, witness=witness, witness_recheck=recheck,
-                semiproximal_failures=tuple(words.take(np.flatnonzero(~semiproximal))),
             )
         )
     return reports
@@ -467,8 +471,8 @@ def limit_map_sample(
 ) -> list[LimitSample]:
     """One sample per primitive letter-level cyclic class of the ball.
 
-    The sampled words are the first of each class in ball order, found from
-    integer word codes by :func:`cyclic_class_rows`, and only those rows are
+    The sampled words are the first of each class in ball order, read from
+    :func:`cyclic_classes` (``first``), and only those rows are
     spelled, by the ball's :meth:`Ball.word_strings` view; an inverse is
     spelled reversed with its cases swapped.  One :func:`word_reports` call
     on the letter images and the sampled words' letter keys gives every
@@ -482,7 +486,7 @@ def limit_map_sample(
         raise InsufficientRadius("limit sampling needs radius >= 2")
     require_gap_index(k, rep.dim)
     ball = enumerate_ball(rep.presentation, radius)
-    rows = cyclic_class_rows(ball)
+    rows = np.sort(cyclic_classes(ball).first)
     words = [letter_key(w) for w in ball.letter_rows(rows)]
     reports = word_reports(rep.letter_images(), words, k, eps_gap=eps_gap)
     if not any(report.is_proximal for report in reports):
@@ -589,27 +593,33 @@ class SignTrace:
     failing_step: int | None
 
 
-def _top_signs(batch: ScaledBatch, k: int, eps_gap: float) -> tuple[list[bool], list[int]]:
-    """Proximality at 1 and top sign (or 0) of every matrix of a batch, acting
-    on the k-th exterior power, as two columns.
+def _top_signs(batches: Iterable[ScaledBatch], k: int, eps_gap: float) -> tuple[list, list]:
+    """Proximality at 1 and top sign (or 0) of every matrix of a sequence of
+    batches, acting on the k-th exterior power, as two columns.
 
-    Read in row slices whose compounds hold at most 8 x the stack budget
-    (:data:`linalg.STACK_ELEMENTS`, read at each call): never a large ball
-    whole, yet several compounds per :func:`spectra` call, whose per-matrix
-    LAPACK calls a threaded BLAS runs twice as fast back to back.
+    Batches are joined, then read in row slices whose compounds hold at most 8 x
+    the stack budget (:data:`linalg.STACK_ELEMENTS`, read at each call): never a
+    large ball whole, yet several compounds per :func:`spectra` call, whose
+    per-matrix LAPACK calls a threaded BLAS runs twice as fast back to back.
     """
-    d = batch.entries.shape[-1]
-    size = math.comb(d, k) if k > 1 else d  # 0 when k > d; compound_batch raises
-    step = max(1, 8 * linalg.STACK_ELEMENTS // max(1, size * size))
-    proximal, signs = [], []
-    for lo in range(0, len(batch), step):
-        part = batch.take(slice(lo, lo + step))
-        scanned = compound_batch(part, k) if k > 1 else part
-        log_moduli, top_sign, _ = spectra(scanned, eps_gap=eps_gap)
-        if size < 2:
-            raise DimensionMismatch("gap index 1 out of range")
-        proximal += (log_moduli[:, 0] - log_moduli[:, 1] > math.log1p(eps_gap)).tolist()
-        signs += top_sign.tolist()
+    proximal, signs, held = [], [], []
+    for batch in itertools.chain(batches, [None]):  # None: the end, read what is held
+        if batch is not None:
+            held.append(batch)
+            d = batch.entries.shape[-1]
+            size = math.comb(d, k) if k > 1 else d  # 0 when k > d; compound_batch raises
+            step = max(1, 8 * linalg.STACK_ELEMENTS // max(1, size * size))
+        if not held or (batch is not None and sum(map(len, held)) < step):
+            continue
+        joined = ScaledBatch(*map(np.concatenate, zip(*((b.entries, b.log_scale) for b in held))))
+        held = []
+        for part in (joined.take(slice(lo, lo + step)) for lo in range(0, len(joined), step)):
+            scanned = compound_batch(part, k) if k > 1 else part
+            log_moduli, top_sign, _ = spectra(scanned, eps_gap=eps_gap)
+            if size < 2:
+                raise DimensionMismatch("gap index 1 out of range")
+            proximal += (log_moduli[:, 0] - log_moduli[:, 1] > math.log1p(eps_gap)).tolist()
+            signs += top_sign.tolist()
     return proximal, signs
 
 
@@ -645,7 +655,7 @@ def track_ell1_along_path(
     batch, compounded to degree k and read by one :func:`spectra` call."""
     images = ScaledBatch.stack([evaluate(rep, word) for rep in path])
     letters = word.letters if isinstance(word, Word) else tuple(word)
-    return _sign_trace(word_str(letters), k, *_top_signs(images, k, eps_gap))
+    return _sign_trace(word_str(letters), k, *_top_signs([images], k, eps_gap))
 
 
 def track_ball_along_path(
@@ -656,18 +666,17 @@ def track_ball_along_path(
 ) -> list[SignTrace]:
     """Sign traces of every nonidentity word of the radius ball, in ball order.
 
-    Each path step evaluates the whole ball once (:func:`evaluate_ball`) and
-    reads every word's top sign from one compound and one :func:`spectra`
-    call; the traces equal :func:`track_ell1_along_path` word by word.  The
-    first failure met, path step by path step and in ball order within a
-    step, raises.
+    Each path step walks the ball's images once (:func:`ball_image_chunks`)
+    and reads the top signs of the chunks as :func:`_top_signs` joins them;
+    the traces equal :func:`track_ell1_along_path` word by word.  The first
+    failure met raises: path step by path step, and within a step in ball
+    order, the walk running ahead of the sign reads by one joined block.
     """
     ball = enumerate_ball(path[0].presentation, radius)
     per_step = []
     for rep in path:
-        images = evaluate_ball(rep, ball)
-        words = ScaledBatch(images.entries[1:], images.log_scale[1:])  # no identity
-        per_step.append(_top_signs(words, k, eps_gap))
+        chunks = (chunk for lo, chunk in ball_image_chunks(rep, ball) if lo)  # no identity
+        per_step.append(_top_signs(chunks, k, eps_gap))
     return [
         _sign_trace(word, k, [p[i] for p, _ in per_step], [s[i] for _, s in per_step])
         for i, word in enumerate(ball.word_strings()[1:])

@@ -325,7 +325,7 @@ def cmd_scan_positivity(cfg: ExperimentConfig, rep: Representation) -> Run:
     summary = {"verdict": overall, "reports": [
         {**_fields(r, "k", "radius", "dim_scanned", "verdict", "witness", "witness_recheck",
                    "n_proximal", "n_negative", "n_unresolved"),
-         "n_semiproximal_failures": len(r.semiproximal_failures)}
+         "n_semiproximal_failures": int(np.count_nonzero(~r.semiproximal_positive))}
         for r in scans
     ]}
     lines = [
@@ -336,8 +336,8 @@ def cmd_scan_positivity(cfg: ExperimentConfig, rep: Representation) -> Run:
     reports = {
         f"positivity_k{r.k}.csv": (
             ["word", "length", "proximal", "ell1_sign", "semiproximal_positive", "log_gap"],
-            [r.words, r.lengths, r.proximal.astype(int), r.ell1_sign,
-             r.semiproximal_positive.astype(int), r.log_gap],
+            [r.words, r.lengths, r.proximal.view(np.int8), r.ell1_sign,
+             r.semiproximal_positive.view(np.int8), r.log_gap],
         )
         for r in scans
     }

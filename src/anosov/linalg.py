@@ -53,11 +53,11 @@ TRANSVERSALITY_COND = 1e8
 #: Largest allowed compound dimension C(d, k).
 COMPOUND_GUARD = 10_000
 
-#: Most float64 elements (512 KiB) that one batched walk chunk, compound,
-#: minor or pair stacks at once (a sign read stacks eight times as many);
-#: larger batches are processed in consecutive row slices.  Read at call
-#: time, so one setting drives ``words.ball_image_chunks``,
-#: :func:`maximal_minors`, :func:`transverse_mask` and ``certify._top_signs``.
+#: Most elements (512 KiB of float64) that one batch of a walk, class pass,
+#: class iteration, scan, compound, minor or pair stacks at once (a sign
+#: read stacks eight times as many); larger batches go in consecutive row
+#: slices.  Read at call time, so one setting drives every one of them
+#: (``words``, :func:`class_spectra`, ``certify`` and the plane tests).
 STACK_ELEMENTS = 1 << 16
 
 
@@ -581,8 +581,8 @@ def class_spectra(letters: ScaledBatch, words: Sequence[np.ndarray]) -> ClassSpe
     period read, each wider group turned to its eigenvectors.  Eigenvalues
     are conjugacy invariants, so a word stands for its class; its frame
     belongs to the word itself.  A word's result does not depend on the
-    other words.  Raises SingularInput for a singular or non-finite letter
-    image.
+    other words, so it goes in row slices of one stack budget of R factors.
+    Raises SingularInput for a singular or non-finite letter image.
     """
     d = letters.entries.shape[-1]
     if not np.isfinite(letters.entries).all():
@@ -594,7 +594,8 @@ def class_spectra(letters: ScaledBatch, words: Sequence[np.ndarray]) -> ClassSpe
     cond = sv[:, 0] / sv[:, -1]
     parts = [(np.empty((0, d)), np.empty((0, d), dtype=int), np.empty(0, dtype=bool),
               np.empty((0, d, d)), np.empty((0, d), dtype=int))]
-    for codes in words:
+    steps = [max(1, STACK_ELEMENTS // max(1, group.shape[1] * d * d)) for group in words]
+    for codes in (g[lo : lo + s] for g, s in zip(words, steps) for lo in range(0, len(g), s)):
         n, r = codes.shape
         tol = np.maximum(_SETTLE_TOL, cond[codes].max(axis=1, initial=0.0) * unit)
         log_moduli, signs = np.full((n, d), np.nan), np.zeros((n, d), dtype=int)

@@ -29,8 +29,8 @@ is freely reduced and without such a window admits no move.  A ball's images
 are evaluated the same way, sphere by sphere, with one multiply per block of
 rows, and are read in chunks of at most :data:`linalg.STACK_ELEMENTS`
 entries, the one stack budget; of earlier spheres only the previous one's
-images are kept, as the parents of the current one
-(:func:`ball_image_chunks`; :func:`evaluate_ball` joins the chunks).
+images are kept, as the parents of the current one (:func:`ball_image_chunks`,
+the one image walk; :func:`cyclic_classes` is the one class pass).
 """
 
 from __future__ import annotations
@@ -574,34 +574,58 @@ def ball_image_chunks(rep: Representation, ball: Ball) -> Iterator[tuple[int, Sc
         prev, start = sphere, start + len(letter)
 
 
-def evaluate_ball(rep: Representation, ball: Ball) -> ScaledBatch:
-    """Images of the ball's words, in ``ball.words()`` order: the chunks of
-    :func:`ball_image_chunks` joined into one batch."""
-    n, d = len(ball), rep.dim
-    out = ScaledBatch(np.empty((n, d, d)), np.empty(n))
-    for lo, chunk in ball_image_chunks(rep, ball):
-        rows = slice(lo, lo + len(chunk))
-        out.entries[rows], out.log_scale[rows] = chunk.entries, chunk.log_scale
-    return out
-
-
 @dataclass(frozen=True)
 class CyclicClasses:
     """Each ball row as a power of a primitive letter-level cyclic class.
 
     Row i is conjugate (by letters) to ``c^power[i]``, or to ``c^-power[i]``
-    where ``inverted[i]``, with c the representative of class ``index[i]``;
-    the identity row has index -1 and power 0.  ``letters[q]`` holds the
-    representatives of length q, one row of letter keys each, and class
-    indices run through them by increasing q.  ``key`` is the class key of
-    every row: B^q + the code of its class's representative (0: identity).
+    where ``inverted[i]``, with c the representative of class ``index[i]``
+    (int32; -1 and power 0 for the identity; powers in the type of
+    :meth:`Ball.lengths`).  ``letters[q]`` holds the representatives of
+    length q, one row of letter keys each, and class indices run through
+    them by increasing q.  ``first[c]`` is class c's first row in ball
+    order, primitive: the class's root is a subword of each row, so a row.
     """
 
-    key: np.ndarray
     index: np.ndarray
     power: np.ndarray
     inverted: np.ndarray
     letters: dict[int, np.ndarray]
+    first: np.ndarray
+
+
+def _class_keys(ball: Ball, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Class key (B^q + the code of the length-q representative; 0: the
+    identity), power and orientation of every row, for :func:`cyclic_classes`."""
+    code_type = np.min_scalar_type(2 * base**ball.radius)
+    count_type, starts = np.min_scalar_type(-ball.radius - 1), np.cumsum(ball.sphere_sizes())
+    keys, powers = np.zeros(len(ball), dtype=code_type), np.zeros(len(ball), dtype=count_type)
+    inverted = np.zeros(len(ball), dtype=bool)
+    code = icode = np.zeros(1, dtype=code_type)
+    for n, (parent, letter) in enumerate(zip(ball.parent[1:], ball.letter[1:]), start=1):
+        key = letter_key(letter).astype(code_type)
+        code, icode = code[parent] * base + key, (key ^ 1) * base ** (n - 1) + icode[parent]
+        sphere = slice(starts[n - 1], starts[n])
+        # t outer pairs cancel cyclically where code and icode share t leading digits
+        strip = np.zeros(len(code), dtype=count_type)
+        for i in range(1, (n - 1) // 2 + 1):
+            strip += code // base ** (n - i) == icode // base ** (n - i)
+        for t in np.unique(strip).tolist():
+            at, r, top = np.flatnonzero(strip == t), n - 2 * t, base ** (n - 2 * t - 1)
+            step = max(1, linalg.STACK_ELEMENTS // (2 * r))  # 2r rotations a row
+            for rows in np.split(at, range(step, len(at), step)):
+                w, iw = code[rows] // base**t % base**r, icode[rows] // base**t % base**r
+                period = np.full(len(rows), r, dtype=code_type)
+                least, turned = (w, iw), (w, iw)
+                for s in range(1, r):  # rotate one letter left
+                    turned = tuple(x % top * base + x // top for x in turned)
+                    period[(period == r) & (turned[0] == w)] = s
+                    least = tuple(map(np.minimum, least, turned))
+                root = np.minimum(*least) // base ** (r - period)
+                keys[sphere][rows] = root + base**period
+                powers[sphere][rows] = r // period
+                inverted[sphere][rows] = least[1] < least[0]
+    return keys, powers, inverted
 
 
 def cyclic_classes(ball: Ball) -> CyclicClasses:
@@ -611,61 +635,28 @@ def cyclic_classes(ball: Ball) -> CyclicClasses:
     power p of a primitive root; its class is the root's rotations and their
     inverses, represented by the one of least code.  Word w·l has code
     code(w)·B + key(l), its inverse key(l⁻¹)·B^|w| + icode(w).  Rotations
-    roll one vector per sphere and length, in the smallest type holding
-    2·B^R (Python ints past R = 62 at rank 1); the least rotation of root^p
-    is the p-th power of the root's least rotation, so its leading digits.
+    roll one vector per sphere, length and row slice (2r rotations a row in
+    one stack budget), in the smallest type holding 2·B^R (Python ints past
+    R = 62 at rank 1); the least rotation of root^p is the p-th power of the
+    root's least rotation, so its leading digits.  One sort of the rows'
+    class keys gives the classes, indices and first rows.
     """
     base = len(ball.presentation.letters())
-    code_type = np.min_scalar_type(2 * base**ball.radius)
-    code = icode = np.zeros(1, dtype=code_type)
-    keys, powers, inverted = [code], [np.zeros(1, dtype=int)], [np.zeros(1, dtype=bool)]
-    for n, (parent, letter) in enumerate(zip(ball.parent[1:], ball.letter[1:]), start=1):
-        key = letter_key(letter).astype(code_type)
-        code, icode = code[parent] * base + key, (key ^ 1) * base ** (n - 1) + icode[parent]
-        # t outer pairs cancel cyclically where code and icode share t leading digits
-        strip = np.zeros(len(code), dtype=int)
-        for i in range(1, (n - 1) // 2 + 1):
-            strip += code // base ** (n - i) == icode // base ** (n - i)
-        keys.append(np.empty(len(code), dtype=code_type))
-        powers.append(np.empty(len(code), dtype=int))
-        inverted.append(np.empty(len(code), dtype=bool))
-        for t in np.unique(strip).tolist():
-            rows, r, top = np.flatnonzero(strip == t), n - 2 * t, base ** (n - 2 * t - 1)
-            w, iw = code[rows] // base**t % base**r, icode[rows] // base**t % base**r
-            period = np.full(len(rows), r, dtype=code_type)
-            least, turned = (w, iw), (w, iw)
-            for s in range(1, r):  # rotate one letter left
-                turned = tuple(x % top * base + x // top for x in turned)
-                period[(period == r) & (turned[0] == w)] = s
-                least = tuple(map(np.minimum, least, turned))
-            root = np.minimum(*least) // base ** (r - period)
-            keys[-1][rows] = root + base**period
-            powers[-1][rows] = r // period
-            inverted[-1][rows] = least[1] < least[0]
-    keys = np.concatenate(keys)
-    classes, index = np.unique(keys, return_inverse=True)
+    keys, power, inverted = _class_keys(ball, base)
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = np.append(True, keys[1:] != keys[:-1])  # class starts, in key order
+    index = np.empty(len(keys), dtype=np.int32)
+    index[order] = np.cumsum(new, dtype=np.int32) - 2  # the identity's key 0 is first: -1
+    classes, first = keys[new], np.minimum.reduceat(order, np.flatnonzero(new))
     letters = {}
     for q in range(1, ball.radius + 1):
         codes = classes[(base**q <= classes) & (classes < base ** (q + 1))] - base**q
         if len(codes):
             digits = [codes // base ** (q - 1 - i) % base for i in range(q)]
             letters[q] = np.stack(digits, axis=1).astype(np.intp)
-    return CyclicClasses(
-        key=keys, index=index - 1, power=np.concatenate(powers),
-        inverted=np.concatenate(inverted), letters=letters,
-    )
-
-
-def cyclic_class_rows(ball: Ball) -> np.ndarray:
-    """Rows of the first primitive word of each letter-level cyclic class, in ball order.
-
-    A word is primitive when no proper rotation of its cyclic reduction
-    equals it; the classes are those of :func:`cyclic_classes`.
-    """
-    classes = cyclic_classes(ball)
-    keys = np.where(classes.power == 1, classes.key, 0)
-    _, first = np.unique(keys, return_index=True)
-    return np.sort(first[keys[first] > 0])
+    return CyclicClasses(index=index, power=power, inverted=inverted, letters=letters,
+                         first=first[1:])
 
 
 def words_equal(u: Sequence[int], v: Sequence[int], p: Presentation) -> bool:

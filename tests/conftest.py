@@ -8,12 +8,14 @@ import pytest
 from anosov import (
     Presentation,
     Representation,
+    ScaledBatch,
     ScaledMatrix,
     SchottkyParams,
     fuchsian_surface_rep,
     schottky_rep,
 )
 from anosov.cli import main
+from anosov.words import ball_image_chunks
 
 
 @pytest.fixture
@@ -38,6 +40,14 @@ def diag_rep():
     return Representation.from_generators(
         Presentation.free(1), [ScaledMatrix.from_array(np.diag([3.0, 1 / 3.0]))]
     )
+
+
+def ball_images(rep, ball):
+    """Images of every word of a ball, in ball order: the chunks of
+    :func:`anosov.words.ball_image_chunks` joined into one batch."""
+    chunks = [chunk for _, chunk in ball_image_chunks(rep, ball)]
+    return ScaledBatch(np.concatenate([c.entries for c in chunks]),
+                       np.concatenate([c.log_scale for c in chunks]))
 
 
 def random_invertible(rng, d, spread=1.0):

@@ -30,7 +30,6 @@ from anosov import (
     direct_sum,
     enumerate_ball,
     evaluate,
-    evaluate_ball,
     fuchsian_surface_rep,
     gap_profile,
     gap_profiles,
@@ -59,6 +58,7 @@ from anosov import (
 )
 from anosov.cli import EXIT_USAGE, main
 from anosov.words import ball_image_chunks
+from conftest import ball_images
 
 F2 = Presentation.free(2)
 
@@ -123,7 +123,7 @@ class TestGapProfile:
                 failures.append((i, str(exc)))
         assert failures[0] == (17, "condition number 2.059e+14 exceeds 1e+12")
         assert len({msg for _, msg in failures}) > 1
-        batch = evaluate_ball(sym5, ball)
+        batch = ball_images(sym5, ball)
         for start in (0, 18):
             expected = next(msg for i, msg in failures if i >= start)
             tail = batch.take(np.arange(start, len(batch)))
@@ -167,7 +167,7 @@ def walk_reference():
         if name not in cache:
             build, p, radius, _ = WALK_BALLS[name]
             rep, ball = build(), enumerate_ball(p, radius)
-            cache[name] = rep, ball, log_singular_values(evaluate_ball(rep, ball))
+            cache[name] = rep, ball, log_singular_values(ball_images(rep, ball))
         return cache[name]
 
     return get
@@ -199,10 +199,10 @@ class TestChunkedWalk:
     def test_chunks_tile_the_ball_and_join_into_evaluate(self, walk_reference, monkeypatch,
                                                          name, rows):
         # chunks tile the ball in order and never cross a sphere's end;
-        # evaluate_ball joins them into the images of evaluate, word by word
+        # joined, they are the images of evaluate, word by word
         rep, ball, _ = walk_reference(name)
         walk_rows(monkeypatch, rows, rep.dim)
-        images = evaluate_ball(rep, ball)
+        images = ball_images(rep, ball)
         starts = np.cumsum((0,) + ball.sphere_sizes())
         firsts, sizes = map(list, zip(*((lo, len(c)) for lo, c in ball_image_chunks(rep, ball))))
         assert firsts == np.cumsum([0] + sizes[:-1]).tolist() and sum(sizes) == len(ball)
@@ -249,7 +249,7 @@ class TestChunkedWalk:
             return original(cls, a, log_scale)
 
         monkeypatch.setattr(ScaledBatch, "from_arrays", classmethod(from_arrays))
-        evaluate_ball(sym5, enumerate_ball(F2, 4))
+        ball_images(sym5, enumerate_ball(F2, 4))
         planted = len(calls)  # the walk's last renormalization, in sphere 4's last chunk
         calls.clear()
         with pytest.raises(SingularInput, match="planted"):
@@ -518,7 +518,7 @@ class TestClassSpectraScan:
         def forbidden(*args, **kwargs):
             raise AssertionError("the scan formed a product, a compound or a Schur form")
 
-        for name in ("evaluate_ball", "compound_batch", "spectra"):
+        for name in ("ball_image_chunks", "compound_batch", "spectra"):
             monkeypatch.setattr(anosov.certify, name, forbidden)
         monkeypatch.setattr(anosov.linalg, "_real_schur", forbidden)
         report = scan_positivity(sym_power_rep(schottky, 5), 2, 5)
@@ -831,7 +831,7 @@ class TestLimitMapSampleInverseFree:
     def test_inverse_planes_without_inverting(self, monkeypatch, case):
         import anosov.certify as certify
         from anosov.linalg import ScaledBatch
-        from anosov.words import cyclic_class_rows
+        from anosov.words import cyclic_classes
 
         build, k, radius = INVERSE_FREE_CASES[case]
         rep = build()
@@ -852,7 +852,7 @@ class TestLimitMapSampleInverseFree:
         assert calls == [k]
         # the planes span those of the report of the inverted matrix
         ball = enumerate_ball(rep.presentation, radius)
-        sampled = evaluate_ball(rep, ball).take(cyclic_class_rows(ball))
+        sampled = ball_images(rep, ball).take(np.sort(cyclic_classes(ball).first))
         checked = 0
         for i, s in enumerate(samples):
             inv_k, inv_dk = s.report.inverse_attracting_plane, s.report.inverse_repelling_plane
@@ -872,13 +872,13 @@ class TestLimitMapSampleInverseFree:
         ids=["free2-r6", "genus2-r4"],
     )
     def test_sample_words_spell_the_sampled_rows(self, build, radius):
-        from anosov.words import cyclic_class_rows
+        from anosov.words import cyclic_classes
 
         rep = build()
         samples = limit_map_sample(rep, 1, radius)
         ball = enumerate_ball(rep.presentation, radius)
         words = list(ball.words())
-        sampled = [words[i] for i in cyclic_class_rows(ball)]
+        sampled = [words[i] for i in np.sort(cyclic_classes(ball).first)]
         assert [s.word for s in samples] == [str(w) for w in sampled]
         assert [s.inverse_word for s in samples] == [str(w.inverse()) for w in sampled]
 
@@ -891,13 +891,13 @@ def sym_power_oracle_planes(base, m, k, radius):
     with moduli in decreasing order, so its first j columns span the
     invariant subspace of the j largest moduli and its last j that of the
     j smallest."""
-    from anosov.words import cyclic_class_rows
+    from anosov.words import cyclic_classes
 
     ball = enumerate_ball(base.presentation, radius)
-    images = evaluate_ball(base, ball)
+    images = ball_images(base, ball)
     d = m + 1
     planes = []
-    for i in cyclic_class_rows(ball):
+    for i in np.sort(cyclic_classes(ball).first):
         mu, vectors = np.linalg.eig(images.entries[i])
         p = vectors[:, np.argsort(-np.abs(mu))]
         p = p / math.sqrt(abs(np.linalg.det(p)))

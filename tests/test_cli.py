@@ -32,6 +32,7 @@ from anosov.cli import (
     _write_csv,
     build_representation,
     cmd_certify,
+    cmd_scan_positivity,
     load_config,
     main,
     write_run,
@@ -1163,6 +1164,52 @@ def test_certify_memory_is_bounded(tmp_path, construction, radius, bound_mib):
     finally:
         tracemalloc.stop()
     assert peak < bound_mib * 2**20
+
+
+@pytest.mark.parametrize("radius, bound_mib", [(6, 8), (5, 2.5)], ids=["genus2-r6", "genus2-r5"])
+def test_scan_memory_is_bounded(tmp_path, radius, bound_mib):
+    # genus 2 at R=6 has 155,577 words.  With whole-ball (n, d) moduli and
+    # int64 sign tables, an int64 copy of each bool column for the writer and
+    # the 75,536 semi-proximality failures spelled into the report, the peaks
+    # read 21.44 MiB at R=6 and 3.08 MiB at R=5; reading the class tables in
+    # row slices and keeping only the report columns, 6.18 and 1.67 MiB.  A
+    # first run at R=2 imports what the witness recheck loads, which is no
+    # part of the scan's memory.
+    cfg = ExperimentConfig(construction={"kind": "fuchsian-surface", "genus": 2}, radius=radius)
+    rep = build_representation(cfg.construction)
+    warm = cmd_scan_positivity(ExperimentConfig(construction=cfg.construction, radius=2), rep)
+    write_run(tmp_path / "warm", warm.summary, warm.reports)
+    tracemalloc.start()
+    try:
+        result = cmd_scan_positivity(cfg, rep)
+        write_run(tmp_path, result.summary, result.reports)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
+
+
+def test_one_class_pass_and_one_walk_per_step(tmp_path, monkeypatch):
+    # scan-positivity and limit-set run the class pass once each; deform
+    # walks the ball's images once per path step, and only then
+    from anosov import cli
+
+    passes, walks, paths = [], [], []
+    real_classes, real_walk, real_path = cert.cyclic_classes, cert.ball_image_chunks, cli.perturb_path
+    monkeypatch.setattr(cert, "cyclic_classes", lambda ball: passes.append(ball) or real_classes(ball))
+    monkeypatch.setattr(cert, "ball_image_chunks",
+                        lambda rep, ball: walks.append(rep) or real_walk(rep, ball))
+    monkeypatch.setattr(cli, "perturb_path", lambda *a: paths.append(real_path(*a)) or paths[-1])
+    surface = '{"kind":"fuchsian-surface","genus":2}'
+    assert run("scan-positivity", "--construction", SYM5, "--k", "1", "2", "3", "--radius", "4",
+               "--out", str(tmp_path / "scan")) == EXIT_REFUTED  # abAB at k = 3
+    assert run("limit-set", "--construction", surface, "--k", "1", "--radius", "3",
+               "--out", str(tmp_path / "limits")) == EXIT_OK
+    assert len(passes) == 2 and walks == []
+    assert run("deform", "--construction", SYM5, "--k", "2", "--radius", "3", "--steps", "10",
+               "--seed", "3", "--out", str(tmp_path / "deform")) == EXIT_REFUTED
+    assert len(passes) == 2 and len(paths) == 1 and len(paths[0]) == 11
+    assert walks == paths[0]
 
 
 #: Runs commands in one fresh interpreter and prints, per command, its exit

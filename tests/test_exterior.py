@@ -16,7 +16,6 @@ from anosov import (
     compound_batch,
     compound_matrix,
     enumerate_ball,
-    evaluate_ball,
     is_transverse,
     multi_index_basis,
     plucker_hyperplane,
@@ -30,6 +29,7 @@ from anosov import (
 )
 from anosov.exterior import top_coefficient
 from anosov.linalg import merge_sign
+from conftest import ball_images
 
 
 def sm(a, log_scale=0.0):
@@ -146,7 +146,7 @@ class TestCompoundMatrix:
         # every k x k minor from its own det call, then from_array's
         # normalization, on the Sym^5 radius-3 ball
         sym5 = sym_power_rep(schottky_rep(SchottkyParams(rank=2, dilation=3.0)), 5)
-        batch = evaluate_ball(sym5, enumerate_ball(Presentation.free(2), 3))
+        batch = ball_images(sym5, enumerate_ball(Presentation.free(2), 3))
         compound = compound_batch(batch, k)
         subsets = list(combinations(range(6), k))
         for i in range(len(batch)):
@@ -169,7 +169,7 @@ class TestCompoundMatrix:
         from anosov.linalg import maximal_minors
 
         rep = sym_power_rep(schottky_rep(SchottkyParams(rank=2, dilation=3.0)), m)
-        batch = evaluate_ball(rep, enumerate_ball(Presentation.free(2), radius))
+        batch = ball_images(rep, enumerate_ball(Presentation.free(2), radius))
         calls = []
         monkeypatch.setattr(anosov.exterior, "maximal_minors",
                             lambda planes: calls.append(len(planes)) or maximal_minors(planes))
@@ -189,7 +189,7 @@ class TestCompoundMatrix:
         # a small stack budget splits the Sym^5 radius-4 ball into many
         # minor stacks, the last one short; every block must keep its bits
         sym5 = sym_power_rep(schottky_rep(SchottkyParams(rank=2, dilation=3.0)), 5)
-        batch = evaluate_ball(sym5, enumerate_ball(Presentation.free(2), 4))
+        batch = ball_images(sym5, enumerate_ball(Presentation.free(2), 4))
         monkeypatch.setattr("anosov.linalg.STACK_ELEMENTS", budget)
         compound = compound_batch(batch, k)
         for i in range(len(batch)):
@@ -198,7 +198,7 @@ class TestCompoundMatrix:
             assert single.log_scale == compound.log_scale[i]
 
     def test_batch_degree_checked(self):
-        batch = evaluate_ball(
+        batch = ball_images(
             schottky_rep(SchottkyParams(rank=2, dilation=3.0)),
             enumerate_ball(Presentation.free(2), 1),
         )

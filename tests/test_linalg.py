@@ -17,7 +17,6 @@ from anosov import (
     SingularInput,
     compound_rep,
     enumerate_ball,
-    evaluate_ball,
     is_transverse,
     log_singular_values,
     normalize_to_sl,
@@ -31,6 +30,7 @@ from anosov import (
     transverse_mask,
     word_reports,
 )
+from conftest import ball_images
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -339,7 +339,7 @@ class TestProximalityReports:
     @pytest.mark.parametrize("m, k", [(1, 1), (3, 1), (3, 2), (5, 3)])
     def test_rows_are_one_row_reports(self, schottky2, m, k):
         rep = sym_power_rep(schottky2, m) if m > 1 else schottky2
-        batch = evaluate_ball(rep, enumerate_ball(rep.presentation, 2))
+        batch = ball_images(rep, enumerate_ball(rep.presentation, 2))
         batch = batch.take(slice(1, None))  # the identity has no planes to compare
         reports = word_reports(batch, one_letter_words(batch), k)
         assert len(reports) == len(batch)
@@ -758,13 +758,13 @@ class TestSpectraOracle:
 
     def test_sym5_third_compound_ball(self, schottky2):
         sym5 = sym_power_rep(schottky2, 5)
-        batch = evaluate_ball(compound_rep(sym5, 3), enumerate_ball(sym5.presentation, 4))
+        batch = ball_images(compound_rep(sym5, 3), enumerate_ball(sym5.presentation, 4))
         assert batch.entries.shape[1:] == (20, 20)
         self.assert_columns_equal(batch)
 
     def test_sym5_third_compound_r6_zero_eigenvalue(self, schottky2):
         sym5 = sym_power_rep(schottky2, 5)
-        batch = evaluate_ball(compound_rep(sym5, 3), enumerate_ball(sym5.presentation, 6))
+        batch = ball_images(compound_rep(sym5, 3), enumerate_ball(sym5.presentation, 6))
         with pytest.raises(SingularInput) as stacked:
             spectra(batch)
         with pytest.raises(SingularInput) as per_matrix:
@@ -946,7 +946,7 @@ class TestOrderedSchur:
     def test_planes_match_scipy(self, schottky2, m, k):
         rep = sym_power_rep(schottky2, m) if m > 1 else schottky2
         d = rep.dim
-        images = evaluate_ball(rep, enumerate_ball(rep.presentation, 3))
+        images = ball_images(rep, enumerate_ball(rep.presentation, 3))
         for i in range(1, len(images)):
             g = images[i]
             report = proximality_report(g, k)

@@ -21,7 +21,6 @@ from anosov import (
     compound_rep,
     enumerate_ball,
     evaluate,
-    evaluate_ball,
     fuchsian_surface_rep,
     parse_word,
     realify_rep,
@@ -32,7 +31,8 @@ from anosov import (
     words_equal,
 )
 from anosov.cli import ExperimentConfig, cmd_construct, write_run
-from anosov.words import SPELL_ROWS, cyclic_class_rows, cyclic_classes, shortlex_key
+from anosov.words import SPELL_ROWS, cyclic_classes, shortlex_key
+from conftest import ball_images
 from word_oracle import conjugacy_key, cyclic_reduce, is_primitive_cyclic, per_word_class_rows
 
 F2 = Presentation.free(2)
@@ -438,7 +438,7 @@ class TestEnumerateBall:
             == [list(w.letters) for w in words]
         assert_classes_match_per_word(ball)
         rep = build()
-        images = evaluate_ball(rep, ball)
+        images = ball_images(rep, ball)
         for i, w in enumerate(words):
             plain = evaluate(rep, w)
             assert images.log_scale[i] == plain.log_scale
@@ -526,7 +526,7 @@ class TestEvaluate:
         )
         for rep, p, radius in cases:
             ball = enumerate_ball(p, radius)
-            images = evaluate_ball(rep, ball)
+            images = ball_images(rep, ball)
             assert len(images) == len(ball)
             assert images.entries.shape == (len(ball), rep.dim, rep.dim)
             for i, w in enumerate(ball.words()):
@@ -555,7 +555,7 @@ class TestEvaluate:
         for rep, p, radius in ((schottky2, F2, 5), (fuchsian2, S2, 3)):
             ball = enumerate_ball(p, radius)
             batched.clear()
-            evaluate_ball(rep, ball)
+            ball_images(rep, ball)
             chunk = anosov.linalg.STACK_ELEMENTS // 4  # rows of 2 x 2 images
             block = chunk // len(p.letters())
             expected = [min(block, rows - b)
@@ -629,7 +629,7 @@ def assert_classes_match_per_word(ball):
     for i, w in enumerate(ball.words()):
         c = cyclic_reduce(w.letters)
         if not c:
-            assert (classes.index[i], classes.power[i], classes.key[i]) == (-1, 0, 0)
+            assert (classes.index[i], classes.power[i]) == (-1, 0)
             continue
         period = next(s for s in range(1, len(c) + 1) if c == c[s:] + c[:s])
         root = c[:period]
@@ -650,8 +650,12 @@ class TestCyclicClassRows:
     def test_rows_match_per_word_loop(self, p, radius):
         # free rank 1 at R=70 holds its codes (up to 2^71) as Python ints
         ball = enumerate_ball(p, radius)
-        rows = cyclic_class_rows(ball)
+        classes = cyclic_classes(ball)
+        rows = np.sort(classes.first)
         assert rows.tolist() == per_word_class_rows(ball)
+        # each class's first row is a primitive row of that class
+        assert (classes.index[classes.first] == np.arange(len(classes.first))).all()
+        assert (classes.power[classes.first] == 1).all()
 
     @pytest.mark.parametrize(
         "p, radius",
@@ -668,8 +672,18 @@ class TestCyclicClassRows:
         ball = enumerate_ball(F2, 10)
         tracemalloc.start()
         try:
-            cyclic_class_rows(ball)
+            cyclic_classes(ball)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_rank1_radius_past_int8(self):
+        # powers reach 200, past int8: they take the type of the ball's lengths
+        ball = enumerate_ball(Presentation.free(1), 200)
+        classes = cyclic_classes(ball)
+        lengths = ball.lengths()
+        assert len(classes.index) == 401 and classes.index.max() == 0
+        assert classes.index.dtype == np.int32 and classes.power.dtype == lengths.dtype
+        assert (classes.power[1:] == lengths[1:]).all() and classes.power[0] == 0
+        assert classes.first.tolist() == [1]

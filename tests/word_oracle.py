@@ -1,4 +1,5 @@
-"""Per-word cyclic-class helpers, kept as the oracle for ``words.cyclic_class_rows``.
+"""Per-word cyclic-class helpers, kept as the oracle for the first rows of
+``words.cyclic_classes``.
 
 These are the tuple loops that picked the limit-map sample words before the
 class rows were read from integer word codes.
