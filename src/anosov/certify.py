@@ -48,6 +48,7 @@ from .linalg import (
     word_reports,
 )
 from .words import (
+    Ball,
     CyclicClasses,
     Presentation,
     Representation,
@@ -660,11 +661,11 @@ def track_ell1_along_path(
 
 def track_ball_along_path(
     path: Sequence[Representation],
-    radius: int,
+    ball: Ball,
     k: int,
     eps_gap: float = EPS_GAP,
 ) -> list[SignTrace]:
-    """Sign traces of every nonidentity word of the radius ball, in ball order.
+    """Sign traces of every nonidentity word of ``ball``, in ball order.
 
     Each path step walks the ball's images once (:func:`ball_image_chunks`)
     and reads the top signs of the chunks as :func:`_top_signs` joins them;
@@ -672,7 +673,6 @@ def track_ball_along_path(
     failure met raises: path step by path step, and within a step in ball
     order, the walk running ahead of the sign reads by one joined block.
     """
-    ball = enumerate_ball(path[0].presentation, radius)
     per_step = []
     for rep in path:
         chunks = (chunk for lo, chunk in ball_image_chunks(rep, ball) if lo)  # no identity

@@ -381,11 +381,12 @@ def cmd_deform(cfg: ExperimentConfig, rep: Representation) -> Run:
     if cfg.radius < 1:  # the ball would hold no word to track
         raise InsufficientRadius("deform needs radius >= 1")
     # the walk fills one sign per path step and ball word, the identity included
-    entries = (cfg.steps + 1) * len(enumerate_ball(rep.presentation, cfg.radius))
+    ball = enumerate_ball(rep.presentation, cfg.radius)
+    entries = (cfg.steps + 1) * len(ball)
     if entries > BALL_GUARD:
         raise ResourceLimit(f"deform sign table of {entries} entries exceeds guard {BALL_GUARD}")
     path = perturb_path(rep, cfg.magnitude, cfg.seed, cfg.steps)
-    traces = cert.track_ball_along_path(path, cfg.radius, k, eps_gap=cfg.eps_gap)
+    traces = cert.track_ball_along_path(path, ball, k, eps_gap=cfg.eps_gap)
     verdicts = [t.verdict for t in traces]
     counts = {v: verdicts.count(v) for v in ("ConstantSign", "SignChange", "Inconclusive")}
     first_bad = next((t for t in traces if t.verdict != "ConstantSign"), None)

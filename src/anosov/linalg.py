@@ -170,16 +170,21 @@ class ScaledBatch:
     @classmethod
     def from_arrays(cls, a: np.ndarray, log_scale: np.ndarray) -> "ScaledBatch":
         """Normalize each block of an (n, d, d) stack in place to max |entry|
-        1, moving the factor into ``log_scale``."""
-        m = np.abs(a).max(axis=(1, 2))  # max |entry| in one reduction, NaN-propagating
+        1, moving the factor into ``log_scale``.
+
+        The scales are numpy logs, so the last bits of a report follow
+        numpy's SIMD dispatch of ``np.log``, as :func:`log_singular_values`
+        does; one machine and one numpy build give identical bits.
+        """
+        n = len(a)
+        flat = np.abs(a.reshape(n, a.shape[1] * a.shape[2]))
+        m = flat[np.arange(n), flat.argmax(axis=1)]  # exact; a NaN is found first
         if not np.all(np.isfinite(m)):
             raise SingularInput("matrix has non-finite entries")
         if not np.all(m):
             raise SingularInput("zero matrix cannot be log-scaled")
         a /= m[:, None, None]
-        # math.log, not np.log: the two can differ in the last ulp
-        logs = np.fromiter(map(math.log, m.tolist()), float, len(m))
-        return cls(a, log_scale + logs)
+        return cls(a, log_scale + np.log(m))
 
     def __matmul__(self, other: "ScaledMatrix | ScaledBatch") -> "ScaledBatch":
         """Every matrix of the stack times ``other``, renormalized in place:
@@ -404,8 +409,7 @@ def _classify_forms(forms: np.ndarray, eps_gap: float) -> tuple[np.ndarray, ...]
     pair = np.where(opens, det, 0.0)
     pair[:, 1:] += pair[:, :-1]  # each block's det at both of its columns
     x = np.where(real, np.abs(diag), pair)
-    # math.log, not np.log: the two can differ in the last ulp
-    logs = np.fromiter(map(math.log, x.ravel().tolist()), float, n * d).reshape(n, d)
+    logs = np.log(x)
     logs[~real] *= 0.5
     rows, order = np.arange(n)[:, None], np.argsort(-logs, axis=1, kind="stable")
     log_moduli, real, diag = logs[rows, order], real[rows, order], diag[rows, order]

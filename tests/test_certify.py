@@ -381,8 +381,9 @@ class TestScanPositivity:
         monkeypatch.setattr(anosov.linalg, "Spectrum", no_spectrum)
         s5 = sym_power_rep(schottky, 5)
         assert [r.witness for r in scan_positivities(s5, [1, 2], 3)] == [None, None]
-        traces = track_ball_along_path(perturb_path(s5, 0.01, seed=1, steps=4), 2, 2)
-        assert len(traces) == len(enumerate_ball(F2, 2)) - 1
+        ball = enumerate_ball(F2, 2)
+        traces = track_ball_along_path(perturb_path(s5, 0.01, seed=1, steps=4), ball, 2)
+        assert len(traces) == len(ball) - 1
 
     def test_compound_rep_consistent_with_lifted_products(self, schottky):
         crep = compound_rep(sym_power_rep(schottky, 3), 2)
@@ -977,8 +978,9 @@ class TestTrackEll1:
     def test_ball_walk_matches_per_word_traces(self, schottky, k):
         sym5 = sym_power_rep(schottky, 5)
         path = perturb_path(sym5, 0.01, seed=1, steps=8)
-        traces = track_ball_along_path(path, 2, k)
-        words = [w for w in enumerate_ball(F2, 2).words() if len(w) > 0]
+        ball = enumerate_ball(F2, 2)
+        traces = track_ball_along_path(path, ball, k)
+        words = [w for w in ball.words() if len(w) > 0]
         assert traces == [track_ell1_along_path(path, w, k) for w in words]
 
     @pytest.mark.parametrize("budget", [1, 7 * 400 // 8])
@@ -990,10 +992,11 @@ class TestTrackEll1:
         # so 7 of the 20 x 20 compounds at k=3)
         sym5 = sym_power_rep(schottky, 5)
         path = perturb_path(sym5, 0.01, seed=1, steps=8)
-        whole = track_ball_along_path(path, 3, k)
+        ball = enumerate_ball(F2, 3)
+        whole = track_ball_along_path(path, ball, k)
         monkeypatch.setattr("anosov.linalg.STACK_ELEMENTS", budget)
-        assert track_ball_along_path(path, 3, k) == whole
-        words = [w for w in enumerate_ball(F2, 3).words() if len(w) > 0]
+        assert track_ball_along_path(path, ball, k) == whole
+        words = [w for w in ball.words() if len(w) > 0]
         assert whole == [track_ell1_along_path(path, w, k) for w in words]
 
     def test_minor_gathers_fit_one_walk_chunk(self, schottky, monkeypatch):
@@ -1005,7 +1008,7 @@ class TestTrackEll1:
 
         sizes, det = [], np.linalg.det
         monkeypatch.setattr(np.linalg, "det", lambda a: sizes.append(a.size) or det(a))
-        track_ball_along_path([sym_power_rep(schottky, 5)], 4, 2)
+        track_ball_along_path([sym_power_rep(schottky, 5)], enumerate_ball(F2, 4), 2)
         monkeypatch.undo()
         assert len(sizes) > 1
         assert max(sizes) <= linalg.STACK_ELEMENTS == 1 << 16

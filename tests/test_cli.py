@@ -915,7 +915,22 @@ def reference_deform_rows(desc, k, radius, seed, steps, magnitude=0.01):
     return rows
 
 
+#: The benchmark's stored outputs; deform's are kept per seed.
+BENCHMARK_REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
+
+
 class TestDeformBatchedWalk:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_benchmark_references_at_every_seed(self, tmp_path, seed):
+        # the benchmark's deform-sym5-k2-r4 experiment: its verdict counts move
+        # with any change of eigenvalue arithmetic, so every stored seed is run
+        stored = json.loads(BENCHMARK_REFERENCES.read_text())["deform-sym5-k2-r4"]["by_seed"]
+        out = tmp_path / "run"
+        code = run("deform", "--construction", SYM5, "--k", "2", "--radius", "4", "--steps", "50",
+                   "--magnitude", "0.01", "--seed", str(seed), "--out", str(out))
+        counts = json.loads((out / "summary.json").read_text())["counts"]
+        assert {"exit": code, "counts": counts} == stored[str(seed)]
+
     @pytest.mark.parametrize("k", ["2", "3"])
     @pytest.mark.parametrize("seed", ["0", "1"])
     def test_csv_matches_per_word_reference(self, tmp_path, k, seed):
@@ -1059,8 +1074,9 @@ class TestCsvWriterOracle:
     def test_deform_traces(self, tmp_path):
         assert run("deform", "--construction", SYM5, "--k", "2", "--radius", "3",
                    "--steps", "10", "--seed", "1", "--out", str(tmp_path)) == EXIT_REFUTED
-        path = perturb_path(build_representation(json.loads(SYM5)), 0.01, 1, 10)
-        traces = cert.track_ball_along_path(path, 3, 2)
+        rep = build_representation(json.loads(SYM5))
+        path = perturb_path(rep, 0.01, 1, 10)
+        traces = cert.track_ball_along_path(path, enumerate_ball(rep.presentation, 3), 2)
         expected = csv_module_bytes(
             ["word", "verdict", "failing_step", "signs"],
             [[t.word, t.verdict, "" if t.failing_step is None else t.failing_step,
@@ -1191,11 +1207,16 @@ def test_scan_memory_is_bounded(tmp_path, radius, bound_mib):
 
 def test_one_class_pass_and_one_walk_per_step(tmp_path, monkeypatch):
     # scan-positivity and limit-set run the class pass once each; deform
-    # walks the ball's images once per path step, and only then
+    # enumerates its ball once, for the guard and the walk, and walks the
+    # ball's images once per path step, and only then
     from anosov import cli
 
-    passes, walks, paths = [], [], []
+    passes, walks, paths, balls = [], [], [], []
     real_classes, real_walk, real_path = cert.cyclic_classes, cert.ball_image_chunks, cli.perturb_path
+    real_ball = cli.enumerate_ball
+    for module in (cli, cert):
+        monkeypatch.setattr(module, "enumerate_ball",
+                            lambda *a: balls.append(a) or real_ball(*a))
     monkeypatch.setattr(cert, "cyclic_classes", lambda ball: passes.append(ball) or real_classes(ball))
     monkeypatch.setattr(cert, "ball_image_chunks",
                         lambda rep, ball: walks.append(rep) or real_walk(rep, ball))
@@ -1206,10 +1227,12 @@ def test_one_class_pass_and_one_walk_per_step(tmp_path, monkeypatch):
     assert run("limit-set", "--construction", surface, "--k", "1", "--radius", "3",
                "--out", str(tmp_path / "limits")) == EXIT_OK
     assert len(passes) == 2 and walks == []
+    balls.clear()
     assert run("deform", "--construction", SYM5, "--k", "2", "--radius", "3", "--steps", "10",
                "--seed", "3", "--out", str(tmp_path / "deform")) == EXIT_REFUTED
     assert len(passes) == 2 and len(paths) == 1 and len(paths[0]) == 11
     assert walks == paths[0]
+    assert len(balls) == 1
 
 
 #: Runs commands in one fresh interpreter and prints, per command, its exit

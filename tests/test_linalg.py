@@ -96,6 +96,82 @@ class TestScaledMatrix:
             sm(np.zeros((2, 2)))
 
 
+def reference_from_arrays(a, log_scale):
+    """The normalization written as whole-stack reductions: the row max of
+    |entries| over both matrix axes, the finite check before the zero check."""
+    m = np.abs(a).max(axis=(1, 2))
+    if not np.all(np.isfinite(m)):
+        raise SingularInput("matrix has non-finite entries")
+    if not np.all(m):
+        raise SingularInput("zero matrix cannot be log-scaled")
+    return a / m[:, None, None], log_scale + np.log(m)
+
+
+class TestFromArrays:
+    """``ScaledBatch.from_arrays``: one argmax gather for the row max and one
+    ``np.log`` for the scales, exact against whole-stack reductions."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_scales_are_numpy_logs_bit_for_bit(self, rng, d):
+        n = 300
+        a = rng.standard_normal((n, d, d)) * 10.0 ** rng.integers(-300, 300, (n, 1, 1))
+        a[::7] = -np.abs(a[::7])  # rows of negative entries only
+        a[1::11, 0, : d - 1] = 0.0  # zeros beside a nonzero entry
+        log_scale = rng.uniform(-700.0, 700.0, n)
+        entries, scales = reference_from_arrays(a, log_scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = ScaledBatch.from_arrays(a.copy(), log_scale)
+        assert batch.entries.tobytes() == entries.tobytes()
+        assert batch.log_scale.tobytes() == scales.tobytes()
+
+    BAD_ROWS = {
+        "nan": [[1.0, np.nan], [np.nan, 2.0]],
+        "+inf": [[np.inf, 1.0], [0.0, 1.0]],
+        "-inf": [[-1.0, -np.inf], [-2.0, -3.0]],
+        "inf and nan": [[np.inf, np.nan], [1.0, 1.0]],
+        "zero": [[0.0, -0.0], [0.0, 0.0]],
+    }
+
+    @pytest.mark.parametrize("bad", [list(BAD_ROWS), ["zero", "nan"], ["zero", "-inf"],
+                                     ["+inf", "zero"], ["zero"]])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_failures_as_the_reductions_give_them(self, rng, bad, at):
+        # bad rows among negative-only and mixed ones: the same error, the
+        # finite check first whatever the row order, and no RuntimeWarning
+        rows = [-np.abs(rng.standard_normal((2, 2))), rng.standard_normal((2, 2))] * 2
+        rows[at:at] = [np.array(self.BAD_ROWS[name]) for name in bad]
+        a, log_scale = np.stack(rows), np.zeros(len(rows))
+        with pytest.raises(SingularInput) as expected:
+            reference_from_arrays(a.copy(), log_scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularInput) as got:
+                ScaledBatch.from_arrays(a.copy(), log_scale)
+        assert str(got.value) == str(expected.value)
+
+    def test_empty_stack(self):
+        batch = ScaledBatch.from_arrays(np.empty((0, 3, 3)), np.empty(0))
+        assert batch.entries.shape == (0, 3, 3) and batch.log_scale.shape == (0,)
+
+    def test_no_python_log_per_row(self, monkeypatch, schottky2, fuchsian2):
+        # scales, the ball walk and the Schur moduli take no math.log call
+        balls = [(rep, enumerate_ball(rep.presentation, 4)) for rep in (schottky2, fuchsian2)]
+
+        def no_math_log(*args):
+            raise AssertionError("math.log called")
+
+        monkeypatch.setattr(math, "log", no_math_log)
+        a = np.arange(1.0, 9.0).reshape(2, 2, 2)
+        assert ScaledBatch.from_arrays(a, np.zeros(2)).log_scale.tolist() == [
+            float(np.log(4.0)), float(np.log(8.0))]
+        for rep, ball in balls:
+            images = ball_images(rep, ball)
+            assert len(images) == len(ball)
+            log_moduli, _, _ = spectra(images.take(slice(1, 40)))
+            assert np.all(np.isfinite(log_moduli))
+
+
 class TestSingularValues:
     def test_identity(self):
         sv = singular_values(ScaledMatrix.identity(5))
@@ -603,13 +679,13 @@ def read_schur_form(t, eps_gap):
             det = t[i, i] * t[i + 1, i + 1] - t[i, i + 1] * t[i + 1, i]
             if det <= 0.0:
                 raise EigensolveFailure("non-standard 2x2 Schur block")
-            eigs += [(0.5 * math.log(det), False, 0.0)] * 2
+            eigs += [(0.5 * float(np.log(det)), False, 0.0)] * 2
             i += 2
         else:
             val = float(t[i, i])
             if val == 0.0:
                 raise SingularInput("zero eigenvalue")
-            eigs.append((math.log(abs(val)), True, val))
+            eigs.append((float(np.log(abs(val))), True, val))
             i += 1
     eigs.sort(key=lambda e: -e[0])
     tol = math.log1p(eps_gap)
