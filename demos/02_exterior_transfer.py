@@ -11,11 +11,11 @@ from anosov import (
     ExteriorVector,
     ScaledMatrix,
     compound_matrix,
-    plucker_hyperplane,
     plucker_point,
     spectrum,
     symplectic_form,
 )
+from anosov.exterior import top_coefficient
 
 rng = np.random.default_rng(42)
 
@@ -34,8 +34,8 @@ print("= Pluecker coordinates of a 2-plane in R^4 =")
 v = rng.standard_normal((4, 2))
 p = plucker_point(v)
 print("coordinates:", np.round(p.unit().coeffs, 4))
-h = plucker_hyperplane(rng.standard_normal((4, 2)), k=2)
-print(f"pairing against a random complementary plane: {h.pairing(p):+.4f} "
+w = plucker_point(rng.standard_normal((4, 2)))
+print(f"pairing against a random complementary plane: {top_coefficient(p, w):+.4f} "
       "(vanishes only when the planes overlap)")
 
 print()

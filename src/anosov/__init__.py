@@ -46,11 +46,9 @@ from .linalg import (
 )
 from .exterior import (
     ExteriorVector,
-    PluckerHyperplane,
     apply_compound,
     compound_batch,
     compound_matrix,
-    plucker_hyperplane,
     plucker_point,
     symplectic_form,
     symplectic_pairing_matrix,

@@ -26,7 +26,6 @@ from .errors import (
     InsufficientRadius,
     NoProximalElements,
     NotBiproximal,
-    SingularInput,
     TransversalityFailure,
 )
 from . import linalg
@@ -141,30 +140,21 @@ def gap_profiles(
 
     Every k is checked against the dimension before the ball is enumerated.
     Only the ``log_total`` and per-k ``log_gap`` columns are kept: no
-    whole-ball image stack or singular-value table is formed.  An
-    evaluation failure anywhere raises before any singular-value failure;
-    otherwise the first failing word in ball order raises.
+    whole-ball image stack or singular-value table is formed.  The first
+    failing word in ball order raises, whether its image fails to
+    renormalize or its singular values fail their checks.
     """
     d = rep.dim
     for k in ks:
         require_gap_index(k, d)
     ball = enumerate_ball(rep.presentation, radius)
     log_total, log_gaps = np.empty(len(ball)), [np.empty(len(ball)) for _ in ks]
-    error = None
     for lo, chunk in ball_image_chunks(rep, ball):
-        rows, log_sv = slice(lo, lo + len(chunk)), None
-        if error is None:  # after one, walk on: an evaluation failure comes first
-            try:
-                log_sv = log_singular_values(chunk)
-            except SingularInput as exc:
-                error = exc
-        del chunk  # dropped before the walk makes the next one
-        if log_sv is not None:
-            np.subtract(log_sv[:, 0], log_sv[:, -1], out=log_total[rows])
-            for k, log_gap in zip(ks, log_gaps):
-                np.maximum(log_sv[:, k - 1] - log_sv[:, k], 0.0, out=log_gap[rows])
-    if error is not None:
-        raise error
+        rows, log_sv = slice(lo, lo + len(chunk)), log_singular_values(chunk)
+        np.subtract(log_sv[:, 0], log_sv[:, -1], out=log_total[rows])
+        for k, log_gap in zip(ks, log_gaps):
+            np.maximum(log_sv[:, k - 1] - log_sv[:, k], 0.0, out=log_gap[rows])
+        del chunk, log_sv  # dropped before the walk makes the next one
     words, lengths = ball.word_strings(), ball.lengths()
     return [
         GapProfile(

@@ -152,7 +152,12 @@ def top_coefficient(a: ExteriorVector, b: ExteriorVector) -> float:
     """Coefficient of e_0 wedge ... wedge e_{d-1} in a wedge b.
 
     Requires complementary degrees.  Computed from the complement/sign table
-    rather than a full wedge expansion.
+    rather than a full wedge expansion: the sum of sign(I) * a_I * b_{I^c}.
+    With ``b = plucker_point(w)`` (whose rank check is the one check on W)
+    this is the pairing of a k-vector with a (d-k)-plane W; for
+    ``a = plucker_point(v)`` it is det[V | W], which vanishes exactly when V
+    and W meet.  Transversality itself is decided by
+    :func:`linalg.transverse_mask`.
     """
     if a.d != b.d:
         raise DimensionMismatch(f"ambient dimensions {a.d} != {b.d}")
@@ -162,56 +167,6 @@ def top_coefficient(a: ExteriorVector, b: ExteriorVector) -> float:
         )
     comp, signs = _complement_table(a.d, a.degree)
     return float(np.sum(signs * a.coeffs * b.coeffs[comp]))
-
-
-@dataclass(frozen=True)
-class PluckerHyperplane:
-    """Hyperplane in the k-th exterior power, as the kernel of a pairing.
-
-    The hyperplane attached to a (d-k)-plane W consists of the k-vectors
-    alpha with alpha wedge [W] = 0 in the top degree.  This realization is
-    equivariant under the compound action of all invertible matrices; at the
-    coordinate plane W = <e_{k+1}, ..., e_d> it coincides with the span of
-    every basis k-vector other than e_1 wedge ... wedge e_k.
-    """
-
-    normal: ExteriorVector
-
-    @property
-    def d(self) -> int:
-        return self.normal.d
-
-    @property
-    def degree(self) -> int:
-        return self.normal.degree
-
-    def pairing(self, a: ExteriorVector) -> float:
-        if a.d != self.d or a.degree != self.degree:
-            raise DegreeMismatch("vector does not live in this exterior power")
-        return float(np.dot(self.normal.coeffs, a.coeffs))
-
-    def contains(self, a: ExteriorVector) -> bool:
-        scale = float(
-            np.linalg.norm(self.normal.coeffs) * np.linalg.norm(a.coeffs)
-        )
-        return abs(self.pairing(a)) <= 1e-10 * max(scale, 1.0)
-
-
-def plucker_hyperplane(w: np.ndarray, k: int | None = None) -> PluckerHyperplane:
-    """Hyperplane in the k-th exterior power attached to a (d-k)-plane."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2:
-        raise DimensionMismatch("expected a d x (d-k) basis matrix")
-    d = w.shape[0]
-    k = d - w.shape[1] if k is None else k
-    if w.shape[1] != d - k:
-        raise DimensionMismatch(
-            f"plane of dimension {w.shape[1]} does not determine degree {k}"
-        )
-    p = plucker_point(w)  # degree d-k, raises RankDeficient if needed
-    comp, signs = _complement_table(d, k)
-    normal = signs * p.coeffs[comp]
-    return PluckerHyperplane(normal=ExteriorVector.from_coeffs(d, k, normal))
 
 
 def symplectic_form(a: ExteriorVector, b: ExteriorVector, q: int) -> float:

@@ -259,12 +259,9 @@ class Ball:
 
     @property
     def spheres(self) -> tuple[tuple[Word, ...], ...]:
-        sphere: list[tuple[int, ...]] = [()]
-        out = [sphere]
-        for parent, letter in zip(self.parent[1:], self.letter[1:]):
-            sphere = [sphere[i] + (l,) for i, l in zip(parent.tolist(), letter.tolist())]
-            out.append(sphere)
-        return tuple(tuple(map(Word, sphere)) for sphere in out)
+        # every sphere of a ball holds a word, so letter_rows gives one array each
+        return tuple(tuple(Word(tuple(w)) for w in letters.tolist())
+                     for letters in self.letter_rows(np.arange(len(self))))
 
     def words(self) -> Iterator[Word]:
         for sphere in self.spheres:

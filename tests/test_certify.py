@@ -233,11 +233,11 @@ class TestChunkedWalk:
         assert capsys.readouterr().err.strip() == "error: condition number 2.059e+14 exceeds 1e+12"
 
     @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "rows1", "rows7"])
-    def test_evaluation_failure_wins_over_earlier_svd_failure(self, schottky, monkeypatch, rows):
-        # Sym^5 at R=4 first fails its singular-value check at row 17, in
-        # sphere 3; a renormalization failure planted in the last chunk of
-        # sphere 4 raises instead, as when the whole ball was evaluated first
-        sym5 = sym_power_rep(schottky, 5)
+    def test_first_failure_in_ball_order_raises(self, schottky, monkeypatch, rows):
+        # Sym^5 at R=4 first fails its singular-value check at row 17, the
+        # first word of sphere 3: a renormalization failure planted in sphere
+        # 4 is never reached, and one planted in sphere 2 raises instead
+        sym5, ball = sym_power_rep(schottky, 5), enumerate_ball(F2, 4)
         walk_rows(monkeypatch, rows, sym5.dim)
         original = ScaledBatch.from_arrays.__func__
         calls, planted = [], None
@@ -249,16 +249,21 @@ class TestChunkedWalk:
             return original(cls, a, log_scale)
 
         monkeypatch.setattr(ScaledBatch, "from_arrays", classmethod(from_arrays))
-        ball_images(sym5, enumerate_ball(F2, 4))
-        planted = len(calls)  # the walk's last renormalization, in sphere 4's last chunk
-        calls.clear()
-        with pytest.raises(SingularInput, match="planted"):
-            gap_profiles(sym5, [1], 4)
-        assert len(calls) == planted
-        calls.clear()
-        planted = None
-        with pytest.raises(SingularInput, match="condition number 2.059e"):
-            gap_profiles(sym5, [1], 4)
+        made = {lo: len(calls) for lo, _ in ball_image_chunks(sym5, ball)}  # calls made through each chunk
+        starts = np.cumsum((0,) + ball.sphere_sizes()).tolist()
+        assert starts[3] == 17
+        last = {n: made[max(lo for lo in made if lo < starts[n + 1])] for n in range(5)}
+
+        for planted in (last[3] + 1, last[4]):  # sphere 4's first and last renormalizations
+            calls.clear()
+            with pytest.raises(SingularInput, match=r"condition number 2\.059e\+14 exceeds 1e\+12"):
+                gap_profiles(sym5, [1], 4)
+            assert len(calls) == made[17] <= last[3]  # the walk stops in sphere 3, at row 17
+        for planted in (last[1] + 1, last[2]):  # sphere 2's first and last renormalizations
+            calls.clear()
+            with pytest.raises(SingularInput, match="planted"):
+                gap_profiles(sym5, [1], 4)
+            assert len(calls) == planted
 
 
 class TestCertifyAnosov:

@@ -1254,6 +1254,34 @@ def probe_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
+#: Case -> (argv without --out, exit code, stderr).
+MODULE_CASES = {
+    "gap-profile": (["gap-profile", "--construction", '{"kind":"schottky"}', "--k", "1", "--radius", "3"],
+                    EXIT_OK, ""),
+    "sym5-certify": (["certify", "--construction", '{"kind":"sym-power","m":5}', "--k", "1", "--radius", "4"],
+                     EXIT_USAGE, "error: condition number 2.059e+14 exceeds 1e+12\n"),
+}
+
+
+@pytest.mark.parametrize("case", MODULE_CASES)
+def test_module_form_matches_main_in_process(tmp_path, capsys, case):
+    # `python -m anosov.cli` takes the console script's arguments and writes the same bytes
+    argv, code, err = MODULE_CASES[case]
+    module, in_process = tmp_path / "module", tmp_path / "in-process"
+    result = subprocess.run([sys.executable, "-m", "anosov.cli", *argv, "--out", str(module)],
+                            env=probe_env(), capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (code, err)
+    assert main([*argv, "--out", str(in_process)]) == code
+    assert capsys.readouterr() == (result.stdout, err)
+    if code != EXIT_OK:
+        assert not module.exists() and not in_process.exists()
+        return
+    files = sorted(p.relative_to(module) for p in module.rglob("*"))
+    assert files and files == sorted(p.relative_to(in_process) for p in in_process.rglob("*"))
+    for f in files:
+        assert (module / f).read_bytes() == (in_process / f).read_bytes(), f
+
+
 def test_no_command_imports_scipy_linalg():
     kinds = [
         {"kind": "schottky"},

@@ -18,7 +18,6 @@ from anosov import (
     enumerate_ball,
     is_transverse,
     multi_index_basis,
-    plucker_hyperplane,
     plucker_point,
     schottky_rep,
     spectrum,
@@ -251,40 +250,41 @@ class TestPlucker:
         np.testing.assert_array_equal(apply_compound(g, v).coeffs, expect)
 
 
-class TestPluckerHyperplane:
+def plane_pairing(a, w):
+    """The top-degree pairing of a k-vector with the (d-k)-plane spanned by w."""
+    return top_coefficient(a, plucker_point(w))
+
+
+class TestPlanePairing:
     def test_k1_matches_span(self):
-        # for k = 1 the hyperplane of <e2, e3> in R^3 is that same plane
-        h = plucker_hyperplane(np.eye(3)[:, 1:], k=1)
-        assert h.contains(ExteriorVector.basis_vector(3, (1,)))
-        assert h.contains(ExteriorVector.basis_vector(3, (2,)))
-        assert not h.contains(ExteriorVector.basis_vector(3, (0,)))
+        # for k = 1 the vectors paired to 0 with <e2, e3> in R^3 span that same plane
+        w = np.eye(3)[:, 1:]
+        assert plane_pairing(ExteriorVector.basis_vector(3, (1,)), w) == 0.0
+        assert plane_pairing(ExteriorVector.basis_vector(3, (2,)), w) == 0.0
+        assert abs(plane_pairing(ExteriorVector.basis_vector(3, (0,)), w)) == 1.0
 
     def test_coordinate_complement(self):
         d, k = 5, 2
-        h = plucker_hyperplane(np.eye(d)[:, k:], k=k)
+        w = np.eye(d)[:, k:]
         for subset in multi_index_basis(d, k).subsets:
-            vec = ExteriorVector.basis_vector(d, subset)
-            if subset == (0, 1):
-                assert not h.contains(vec)
-            else:
-                assert h.contains(vec)
+            value = plane_pairing(ExteriorVector.basis_vector(d, subset), w)
+            assert abs(value) == (1.0 if subset == (0, 1) else 0.0), subset
 
     def test_transversality_transfer(self, rng):
-        # pairing(plucker(V), hyperplane(W)) vanishes iff V and W overlap;
-        # its value is (up to sign) the determinant of the stacked bases
+        # the pairing of plucker(V) with W is, up to sign, the determinant
+        # of the stacked bases, so it vanishes iff V and W overlap
         d, k = 5, 2
         hits = 0
         for _ in range(100):
             v = rng.standard_normal((d, k))
             w = rng.standard_normal((d, d - k))
             det = np.linalg.det(np.hstack([v, w]))
-            h = plucker_hyperplane(w, k=k)
-            val = h.pairing(plucker_point(v))
+            val = plane_pairing(plucker_point(v), w)
             np.testing.assert_allclose(abs(val), abs(det), rtol=1e-9)
             vq, wq = np.linalg.qr(v)[0], np.linalg.qr(w)[0]
             if is_transverse(vq, wq):
                 hits += 1
-                assert not h.contains(plucker_point(v))
+                assert val != 0.0
         assert hits == 100  # random pairs are transverse almost surely
 
     def test_equivariant_under_compound(self, rng):
@@ -292,10 +292,8 @@ class TestPluckerHyperplane:
         g = sm(rng.standard_normal((d, d)))
         v = rng.standard_normal((d, k))
         w = rng.standard_normal((d, d - k))
-        before = plucker_hyperplane(w, k=k).pairing(plucker_point(v))
-        after = plucker_hyperplane(g.entries @ w, k=k).pairing(
-            plucker_point(g.entries @ v)
-        )
+        before = plane_pairing(plucker_point(v), w)
+        after = plane_pairing(plucker_point(g.entries @ v), g.entries @ w)
         # both vanish together; values scale by det(g)
         np.testing.assert_allclose(
             after, np.linalg.det(g.entries) * before, rtol=1e-9
