@@ -40,7 +40,6 @@ from .linalg import (
     singular_values,
     spectra,
     spectrum,
-    subspace_angle,
     transverse_mask,
     word_reports,
 )
@@ -52,7 +51,6 @@ from .exterior import (
     plucker_point,
     symplectic_form,
     symplectic_pairing_matrix,
-    wedge,
 )
 from .words import (
     Ball,

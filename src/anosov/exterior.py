@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegreeMismatch, DimensionMismatch, RankDeficient, ResourceLimit
 from .linalg import COMPOUND_GUARD, ScaledBatch, ScaledMatrix, maximal_minors
-from .linalg import _complement_table, _subset_positions, merge_sign, multi_index_basis
+from .linalg import _complement_table, _subset_positions, multi_index_basis
 
 
 @dataclass(frozen=True)
@@ -58,31 +58,6 @@ class ExteriorVector:
         if lead < 0:
             c = -c
         return ExteriorVector.from_coeffs(self.d, self.degree, c)
-
-
-def wedge(a: ExteriorVector, b: ExteriorVector) -> ExteriorVector:
-    """Wedge product, by direct expansion over basis subsets."""
-    if a.d != b.d:
-        raise DimensionMismatch(f"ambient dimensions {a.d} != {b.d}")
-    k, l = a.degree, b.degree
-    if k + l > a.d:
-        raise DegreeMismatch(f"degree {k}+{l} exceeds dimension {a.d}")
-    out = np.zeros(math.comb(a.d, k + l))
-    pos = _subset_positions(a.d, k + l)
-    bas_a = multi_index_basis(a.d, k).subsets
-    bas_b = multi_index_basis(a.d, l).subsets
-    for i, ia in enumerate(bas_a):
-        ca = a.coeffs[i]
-        if ca == 0.0:
-            continue
-        set_a = set(ia)
-        for j, jb in enumerate(bas_b):
-            cb = b.coeffs[j]
-            if cb == 0.0 or set_a & set(jb):
-                continue
-            merged = tuple(sorted(ia + jb))
-            out[pos[merged]] += merge_sign(ia, jb) * ca * cb
-    return ExteriorVector.from_coeffs(a.d, k + l, out)
 
 
 def compound_batch(batch: ScaledBatch, k: int) -> ScaledBatch:

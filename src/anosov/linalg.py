@@ -36,6 +36,7 @@ from .errors import (
     MarginalGapWarning,
     ResourceLimit,
     SingularInput,
+    ToolkitError,
 )
 
 #: Relative threshold separating "proximal" from "marginal / no gap".  The
@@ -292,9 +293,16 @@ def _singular_value_check(
 
     Also returns the index of the first matrix that is singular or whose
     condition number exceeds ``cond_limit``, with its error; n and None
-    when every matrix passes.
+    when every matrix passes.  A matrix with a non-finite entry is singular
+    and its row of singular values NaN: the SVD runs on the finite matrices
+    alone (one stacked call, the whole stack when every matrix is finite).
     """
-    sv = np.linalg.svd(entries, compute_uv=False)
+    if np.isfinite(entries).all():  # a whole-stack test is 20x faster than the per-matrix one
+        sv = np.linalg.svd(entries, compute_uv=False)
+    else:
+        finite = np.isfinite(entries).all(axis=(1, 2))
+        sv = np.full(entries.shape[:2], np.nan)
+        sv[finite] = np.linalg.svd(entries[finite], compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = sv[:, 0] / sv[:, -1]
     singular = (sv[:, -1] <= 0.0) | ~np.isfinite(sv[:, -1])
@@ -379,16 +387,19 @@ def _real_schur(a: np.ndarray) -> np.ndarray:
     return t
 
 
-def _classify_forms(forms: np.ndarray, eps_gap: float) -> tuple[np.ndarray, ...]:
+def _classify_forms(
+    forms: np.ndarray, eps_gap: float
+) -> tuple[tuple[np.ndarray, ...] | None, int, ToolkitError | None]:
     """The three columns of :func:`spectra` from an (n, d, d) stack of real
     Schur forms, of which only the diagonal, subdiagonal and superdiagonal
-    are read.
+    are read; also the index of the first bad form, with its error (n and
+    None when every form reads).
 
     Each form is read as a walk down the diagonal reads it: a nonzero
     subdiagonal entry opens a standardized 2x2 block (a complex pair, modulus
     sqrt(det)) unless it closes the previous one; every other diagonal entry
     is a real eigenvalue.  The first bad block (det <= 0) or zero real
-    eigenvalue, in row-major order, raises.
+    eigenvalue, in row-major order, is reported, and then no columns.
     """
     n, d = forms.shape[:2]
     diag, sub, sup = (np.diagonal(forms, offset, 1, 2) for offset in (0, -1, 1))
@@ -404,8 +415,8 @@ def _classify_forms(forms: np.ndarray, eps_gap: float) -> tuple[np.ndarray, ...]
     if bad.any():
         i, j = divmod(int(np.argmax(bad)), d)
         if real[i, j]:
-            raise SingularInput("zero eigenvalue")
-        raise EigensolveFailure("non-standard 2x2 Schur block")
+            return None, i, SingularInput("zero eigenvalue")
+        return None, i, EigensolveFailure("non-standard 2x2 Schur block")
     pair = np.where(opens, det, 0.0)
     pair[:, 1:] += pair[:, :-1]  # each block's det at both of its columns
     x = np.where(real, np.abs(diag), pair)
@@ -417,7 +428,7 @@ def _classify_forms(forms: np.ndarray, eps_gap: float) -> tuple[np.ndarray, ...]
     attained = log_moduli[:, :1] - log_moduli <= math.log1p(eps_gap)
     single = (attained.sum(axis=1) == 1) & real[:, 0]
     top_sign = np.where(single, np.where(positive[:, 0], 1, -1), 0)
-    return log_moduli, top_sign, (attained & positive).any(axis=1)
+    return (log_moduli, top_sign, (attained & positive).any(axis=1)), n, None
 
 
 def spectra(batch: ScaledBatch, eps_gap: float = EPS_GAP) -> tuple[np.ndarray, ...]:
@@ -429,22 +440,31 @@ def spectra(batch: ScaledBatch, eps_gap: float = EPS_GAP) -> tuple[np.ndarray, .
     log_moduli[:, 1]``, proximal when above ``math.log1p(eps_gap)``, exactly
     as :meth:`Spectrum.log_gap` and :meth:`Spectrum.is_proximal` compute it.
 
-    One stacked singularity check; then one direct LAPACK ``gees`` call per
-    matrix, without Schur vectors, whose Schur forms are stacked and
-    classified for the whole batch at once.  The first matrix that fails any
-    stage raises, with the error :func:`spectrum` raises for it alone.
+    One LAPACK call per matrix: a direct ``gees`` without Schur vectors,
+    whose Schur forms are stacked and classified for the whole batch at
+    once.  Singularity is read from that work: the first matrix in batch
+    order that has a non-finite entry, fails its ``gees`` or has a zero
+    eigenvalue or a non-standard 2x2 block in its form is flagged, and only
+    it goes through a one-row SVD.  It raises ``SingularInput("singular
+    matrix")`` when that SVD calls it singular, else its own error.  So a
+    finite matrix whose smallest singular value is exactly 0 but whose Schur
+    form shows no zero eigenvalue is read as nonsingular.
     """
-    _, n_ok, error = _singular_value_check(batch.entries)
-    forms = np.empty((n_ok, *batch.entries.shape[1:]))
+    entries, n_ok = batch.entries, len(batch)
+    if not np.isfinite(entries).all():  # Schur forms up to the first non-finite matrix
+        n_ok = int(np.argmin(np.isfinite(entries).all(axis=(1, 2))))
+    forms, error = np.empty((n_ok, *entries.shape[1:])), None
     for i in range(n_ok):
         try:
-            forms[i] = _real_schur(batch.entries[i])
+            forms[i] = _real_schur(entries[i])
         except EigensolveFailure as exc:
             forms, error = forms[:i], exc
             break
-    log_moduli, top_sign, semi_positive = _classify_forms(forms, eps_gap)
-    if error is not None:
-        raise error
+    columns, bad, form_error = _classify_forms(forms, eps_gap)
+    if bad < len(batch):  # a bad form, else a failed gees or a non-finite matrix
+        _, _, singular = _singular_value_check(entries[bad : bad + 1])
+        raise singular or form_error or error
+    log_moduli, top_sign, semi_positive = columns
     return log_moduli + batch.log_scale[:, None], top_sign, semi_positive
 
 
@@ -457,11 +477,15 @@ def spectrum(g: ScaledMatrix, eps_gap: float = EPS_GAP) -> Spectrum:
     the maximum modulus is attained exactly once (within relative eps_gap)
     and by a real eigenvalue.
 
-    Unlike :func:`singular_values`, no condition-number ceiling applies, but
-    wide spectra (long words in exterior powers) are not safe: eigenvalues far
+    Singularity is read from the form, as :func:`spectra` reads it: a matrix
+    that is non-finite, fails its ``gees``, or whose form has a zero
+    eigenvalue or a non-standard block raises ``SingularInput("singular
+    matrix")`` when an SVD calls it singular, else that failure.  Unlike
+    :func:`singular_values`, no condition-number ceiling applies, but wide
+    spectra (long words in exterior powers) are not safe: eigenvalues far
     below the top carry absolute rather than relative accuracy, and a Schur
-    diagonal entry that underflows to 0 raises ``SingularInput("zero
-    eigenvalue")``.
+    diagonal entry that underflows to 0 of a matrix the SVD does not call
+    singular raises ``SingularInput("zero eigenvalue")``.
     """
     log_moduli, sign, semi = spectra(ScaledBatch.stack([g]), eps_gap)
     return Spectrum(_as_readonly(log_moduli[0]), int(sign[0]) or None, bool(semi[0]), eps_gap)
@@ -589,8 +613,6 @@ def class_spectra(letters: ScaledBatch, words: Sequence[np.ndarray]) -> ClassSpe
     Raises SingularInput for a singular or non-finite letter image.
     """
     d = letters.entries.shape[-1]
-    if not np.isfinite(letters.entries).all():
-        raise SingularInput("singular matrix")
     sv, _, error = _singular_value_check(letters.entries)
     if error is not None:
         raise error
@@ -663,19 +685,6 @@ def orthonormalize(a: np.ndarray) -> np.ndarray:
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0
     return q * signs[..., None, :]
-
-
-def subspace_angle(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-    """Sine of the largest principal angle between two equal-dimension planes.
-
-    Both arguments must already carry orthonormal columns.  Two stacks of
-    planes give one sine per pair, from one stacked matrix norm.
-    """
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"plane shapes {a.shape} != {b.shape}")
-    resid = a - b @ (np.swapaxes(b, -1, -2) @ a)
-    sines = np.linalg.norm(resid, 2, axis=(-2, -1))
-    return float(sines) if sines.ndim == 0 else sines
 
 
 #: Largest |(I - P P^T) W P| / |W P| (spectral norms) for which a plane P

@@ -1,11 +1,15 @@
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
 from anosov import (
+    DegreeMismatch,
+    DimensionMismatch,
+    ExteriorVector,
     Presentation,
     Representation,
     ScaledBatch,
@@ -15,6 +19,7 @@ from anosov import (
     schottky_rep,
 )
 from anosov.cli import main
+from anosov.linalg import _subset_positions, merge_sign, multi_index_basis
 from anosov.words import ball_image_chunks
 
 
@@ -48,6 +53,33 @@ def ball_images(rep, ball):
     chunks = [chunk for _, chunk in ball_image_chunks(rep, ball)]
     return ScaledBatch(np.concatenate([c.entries for c in chunks]),
                        np.concatenate([c.log_scale for c in chunks]))
+
+
+def wedge(a: ExteriorVector, b: ExteriorVector) -> ExteriorVector:
+    """Wedge product, by direct expansion over basis subsets: the brute-force
+    oracle of :func:`anosov.exterior.compound_matrix` and the top pairing."""
+    if a.d != b.d:
+        raise DimensionMismatch(f"ambient dimensions {a.d} != {b.d}")
+    k, l = a.degree, b.degree
+    if k + l > a.d:
+        raise DegreeMismatch(f"degree {k}+{l} exceeds dimension {a.d}")
+    out = np.zeros(math.comb(a.d, k + l))
+    pos = _subset_positions(a.d, k + l)
+    for i, ia in enumerate(multi_index_basis(a.d, k).subsets):
+        for j, jb in enumerate(multi_index_basis(a.d, l).subsets):
+            if not set(ia) & set(jb):
+                out[pos[tuple(sorted(ia + jb))]] += merge_sign(ia, jb) * a.coeffs[i] * b.coeffs[j]
+    return ExteriorVector.from_coeffs(a.d, k + l, out)
+
+
+def subspace_angle(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Sine of the largest principal angle between two equal-dimension planes
+    with orthonormal columns; two stacks of planes give one sine per pair."""
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"plane shapes {a.shape} != {b.shape}")
+    resid = a - b @ (np.swapaxes(b, -1, -2) @ a)
+    sines = np.linalg.norm(resid, 2, axis=(-2, -1))
+    return float(sines) if sines.ndim == 0 else sines
 
 
 def random_invertible(rng, d, spread=1.0):

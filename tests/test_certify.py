@@ -49,7 +49,6 @@ from anosov import (
     schottky_rep,
     singular_values,
     spectrum,
-    subspace_angle,
     sym_power_rep,
     symmetric_power,
     track_ball_along_path,
@@ -58,7 +57,7 @@ from anosov import (
 )
 from anosov.cli import EXIT_USAGE, main
 from anosov.words import ball_image_chunks
-from conftest import ball_images
+from conftest import ball_images, subspace_angle
 
 F2 = Presentation.free(2)
 

@@ -687,6 +687,20 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert (out / "deform_traces.csv").exists()
 
+    def test_deform_takes_no_svd(self, tmp_path, monkeypatch):
+        # its sign reads take singularity from the Schur forms: a clean walk
+        # makes no np.linalg.svd call
+        calls, real_svd = [], np.linalg.svd
+
+        def svd(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        code = run("deform", "--construction", SYM5, "--k", "2", "--radius", "3",
+                   "--steps", "5", "--out", str(tmp_path / "run"))
+        assert (code, calls) == (EXIT_OK, [])
+
     def test_deform_rejects_several_k(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = run("deform", "--construction", '{"kind":"schottky"}', "--k", "1", "7",

@@ -24,11 +24,10 @@ from anosov import (
     sym_power_rep,
     symplectic_form,
     symplectic_pairing_matrix,
-    wedge,
 )
 from anosov.exterior import top_coefficient
 from anosov.linalg import merge_sign
-from conftest import ball_images
+from conftest import ball_images, wedge
 
 
 def sm(a, log_scale=0.0):

@@ -25,12 +25,11 @@ from anosov import (
     singular_values,
     spectra,
     spectrum,
-    subspace_angle,
     sym_power_rep,
     transverse_mask,
     word_reports,
 )
-from conftest import ball_images
+from conftest import ball_images, subspace_angle
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -207,11 +206,15 @@ class TestSingularValues:
         [
             ((0, 1, 2), "condition number 1.000e+13 exceeds 1e+12"),
             ((0, 2, 1), "singular matrix"),
+            ((0, 1, 3), "condition number 1.000e+13 exceeds 1e+12"),
+            ((0, 3, 1), "singular matrix"),
         ],
-        ids=["ill-conditioned-first", "singular-first"],
+        # a NaN matrix once made the stacked SVD raise numpy's LinAlgError
+        ids=["ill-conditioned-first", "singular-first", "ill-conditioned-before-nan", "nan-first"],
     )
     def test_batch_raises_for_first_failing_matrix(self, order, message):
-        blocks = [np.eye(2), np.diag([1.0, 1e-13]), np.diag([1.0, 0.0])]
+        blocks = [np.eye(2), np.diag([1.0, 1e-13]), np.diag([1.0, 0.0]),
+                  np.array([[1.0, np.nan], [0.0, 1.0]])]
         batch = ScaledBatch(np.stack([blocks[i] for i in order]), np.zeros(3))
         with pytest.raises(SingularInput) as exc:
             log_singular_values(batch)
@@ -763,6 +766,108 @@ class TestSpectraFailureOrder:
         batch = ScaledBatch(np.empty((0, 3, 3)), np.empty(0))
         log_moduli, top_sign, semi_positive = TestSpectraOracle.assert_columns_equal(batch)
         assert (log_moduli.shape, top_sign.shape, semi_positive.shape) == ((0, 3), (0,), (0,))
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call's first
+    argument; returns the list of recorded arguments."""
+    calls, real = [], getattr(module, name)
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestSingularityFromSchurForms:
+    """``spectra`` reads singularity from its Schur forms: only the first
+    flagged row takes an SVD, a one-row one, and ``spectrum`` and
+    ``spectra`` raise the same error for it."""
+
+    RANK_ONE = np.array([[0.25, 0.5], [0.5, 1.0]])  # Schur zero, smallest singular value ~1e-17
+    SINGULAR = np.diag([1.0, 0.5, 0.0])  # Schur zero, smallest singular value 0
+    NAN = np.array([[1.0, np.nan], [0.0, 1.0]])  # once made the stacked SVD raise LinAlgError
+
+    @pytest.mark.parametrize(
+        "name, planted, expected",
+        [
+            ("RANK_ONE", False, (SingularInput, "zero eigenvalue")),
+            ("SINGULAR", False, (SingularInput, "singular matrix")),
+            ("SINGULAR", True, (SingularInput, "singular matrix")),
+            ("NAN", False, (SingularInput, "singular matrix")),
+        ],
+        ids=["schur-zero-only", "schur-and-svd-zero", "failed-gees-svd-zero", "nan"],
+    )
+    def test_spectrum_and_spectra_raise_alike(self, monkeypatch, name, planted, expected):
+        a = getattr(self, name)
+        if planted:
+            real_schur = linalg._real_schur
+
+            def schur(x, *args, **kwargs):
+                if np.array_equal(x, a):
+                    raise EigensolveFailure("planted failure")
+                return real_schur(x, *args, **kwargs)
+
+            monkeypatch.setattr(linalg, "_real_schur", schur)
+        rng = np.random.default_rng(5)
+        d = len(a)
+        blocks = [sm(rng.standard_normal((d, d)) + 3 * np.eye(d)).entries for _ in range(4)]
+        batch = ScaledBatch(np.stack(blocks[:2] + [a] + blocks[2:]), np.zeros(5))
+        held = np.eye(d)
+        g = ScaledMatrix(held)  # filled after the normalization check, which NaN fails
+        held[...] = a
+        for call in (lambda: spectrum(g), lambda: spectra(batch)):
+            with pytest.raises((SingularInput, EigensolveFailure)) as exc:
+                call()
+            assert (type(exc.value), str(exc.value)) == expected
+
+    def test_clean_batch_takes_no_svd(self, rng, monkeypatch):
+        svd = count_calls(monkeypatch, np.linalg, "svd")
+        batch = ScaledBatch(np.stack([sm(rng.standard_normal((5, 5))).entries for _ in range(50)]),
+                            rng.standard_normal(50))
+        spectra(batch)
+        spectrum(batch[0])
+        assert svd == []
+
+    def test_failing_batch_takes_one_one_row_check(self, rng, monkeypatch):
+        checks = count_calls(monkeypatch, linalg, "_singular_value_check")
+        blocks = [sm(rng.standard_normal((3, 3)) + 3 * np.eye(3)).entries for _ in range(6)]
+        blocks[2] = blocks[4] = self.SINGULAR
+        with pytest.raises(SingularInput, match="^singular matrix$"):
+            spectra(ScaledBatch(np.stack(blocks), np.zeros(6)))
+        assert [c.shape for c in checks] == [(1, 3, 3)]
+        assert np.array_equal(checks[0][0], blocks[2])
+
+    @pytest.mark.parametrize("nan_row, failing_row", [(1, 3), (3, 1)])
+    def test_nan_row_fails_in_batch_order(self, rng, monkeypatch, nan_row, failing_row):
+        blocks = [sm(rng.standard_normal((3, 3)) + 3 * np.eye(3)).entries for _ in range(5)]
+        blocks[nan_row] = np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        real_schur = linalg._real_schur
+
+        def schur(a, *args, **kwargs):
+            if np.array_equal(a, blocks[failing_row]):
+                raise EigensolveFailure(f"planted failure at row {failing_row}")
+            return real_schur(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_real_schur", schur)
+        with pytest.raises((SingularInput, EigensolveFailure)) as exc:
+            spectra(ScaledBatch(np.stack(blocks), np.zeros(5)))
+        expected = ((SingularInput, "singular matrix") if nan_row < failing_row
+                    else (EigensolveFailure, f"planted failure at row {failing_row}"))
+        assert (type(exc.value), str(exc.value)) == expected
+
+    def test_svd_zero_without_a_schur_zero_reads_as_nonsingular(self, monkeypatch):
+        # the one reading that changed when the whole-batch SVD went: this
+        # rank-2 matrix has an exactly zero smallest singular value, but its
+        # Schur form's smallest eigenvalue is a rounding-size nonzero
+        a = sm([[-12.0, 9.0, 12.0], [8.0, -6.0, -8.0], [0.0, 9.0, 0.0]]).entries
+        assert np.linalg.svd(a, compute_uv=False)[-1] == 0.0
+        assert np.all(np.diagonal(linalg._real_schur(a)))
+        svd = count_calls(monkeypatch, np.linalg, "svd")
+        log_moduli, _, _ = spectra(ScaledBatch(a[None], np.zeros(1)))
+        assert log_moduli[0, -1] < -30 and svd == []
 
 
 class TestSpectraOracle:

@@ -53,9 +53,9 @@ from anosov import (
     realify_rep,
     scan_positivities,
     schottky_rep,
-    subspace_angle,
     sym_power_rep,
 )
+from conftest import subspace_angle
 from word_oracle import conjugacy_key, cyclic_reduce
 
 # (construction, radius, k values)
